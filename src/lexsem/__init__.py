@@ -10,9 +10,9 @@ from .composition import (AND_MARKER, CompositionError, FELICITOUS,
 from .kernel import (Abs, App, Arrow, Const, Context, Forall, KernelError,
                      PROP, ParseError, Sort, SortRef, Term, TyAbs, TyApp,
                      Type, TypeVar, TypingError, Var, alpha_equiv,
-                     free_type_vars, free_vars, fresh_name, parse_term,
-                     parse_type, render_term, render_type, subst_term,
-                     subst_type, type_of)
+                     alpha_key, free_type_vars, free_vars, fresh_name,
+                     parse_term, parse_type, render_term, render_type,
+                     subst_term, subst_type, type_of)
 from .lexicon import (FLEXIBLE, LexEntry, Lexicon, LexiconError, Morphism,
                       RIGID, candidates, identity_morphism, iota,
                       load_lexicon, poly_and, save_lexicon)
@@ -22,7 +22,7 @@ from .logic import (And, Applied, Atom, ConstRef, Description, Formula,
                     logical_constants, logical_signature, quantifier_type,
                     render_formula, to_formula)
 from .reduction import (FuelExhausted, ReductionTrace, TraceStep,
-                        find_redexes, normalize, reduce_at, reduce_step,
-                        render_trace)
+                        find_redexes, normal_form, normalize, reduce_at,
+                        reduce_step, render_trace)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -118,10 +118,16 @@ def _verdict_block(v: Verdict) -> list:
 def _tree_block(line: str, lex, config: CliConfig):
     """Returns (lines, ok) for one input tree."""
     try:
-        tree = parse_tree(line)
-        verdict = felicity(tree, lex, fuel=config.fuel)
+        return _verdict_lines(felicity(parse_tree(line), lex,
+                                       fuel=config.fuel), config)
     except KernelError as err:
         return [f"ERROR: {err}"], False
+    except RecursionError:
+        # raised for this tree alone; the rest of the batch is still judged
+        return ["ERROR: tree nested too deeply"], False
+
+
+def _verdict_lines(verdict: Verdict, config: CliConfig):
     if config.format == "verdict":
         return _verdict_block(verdict), verdict.status == FELICITOUS
     if verdict.status != FELICITOUS:

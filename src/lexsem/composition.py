@@ -16,12 +16,12 @@ from typing import Optional, Union
 
 from .kernel import (Abs, App, Arrow, Forall, KernelError, PROP, ParseError,
                      SortRef, Term, TyApp, TypeVar, Var, alpha_equiv,
-                     free_type_vars, free_vars, fresh_name, render_type,
-                     subst_type, type_of)
+                     alpha_key, free_type_vars, free_vars, fresh_name,
+                     render_type, subst_type, type_of)
 from .lexicon import (LexEntry, Lexicon, LexiconError, Morphism, RIGID,
                       candidates, iota, poly_and)
 from .logic import Formula, to_formula
-from .reduction import normalize
+from .reduction import normal_form
 
 FELICITOUS = "felicitous"
 INFELICITOUS = "infelicitous"
@@ -78,37 +78,37 @@ def parse_tree(text: str) -> ParseTree:
                 j += 1
             tokens.append((text[i:j], i))
             i = j
-    pos = 0
 
     def fail(msg, at):
         raise ParseError(msg, 1, at + 1)
 
-    def expr():
-        nonlocal pos
-        if pos >= len(tokens):
-            fail("unexpected end of tree", len(text))
-        tok, at = tokens[pos]
-        pos += 1
+    # one [position, items folded so far] per open '(': no recursion, so
+    # the nesting depth is bounded by memory alone
+    stack = []
+    tree = None
+    for tok, at in tokens:
+        if tree is not None:
+            fail("trailing input after tree", at)
+        if tok == "(":
+            stack.append([at, None])
+            continue
         if tok == ")":
-            fail("unexpected ')'", at)
-        if tok != "(":
-            return Leaf(tok)
-        items = []
-        while pos < len(tokens) and tokens[pos][0] != ")":
-            items.append(expr())
-        if pos >= len(tokens):
-            fail("missing ')'", len(text))
-        pos += 1
-        if not items:
-            fail("empty tree", at)
-        out = items[0]
-        for item in items[1:]:
-            out = Node(out, item)
-        return out
-
-    tree = expr()
-    if pos < len(tokens):
-        fail("trailing input after tree", tokens[pos][1])
+            if not stack:
+                fail("unexpected ')'", at)
+            start, value = stack.pop()
+            if value is None:
+                fail("empty tree", start)
+        else:
+            value = Leaf(tok)
+        if not stack:
+            tree = value
+        else:
+            top = stack[-1]
+            top[1] = value if top[1] is None else Node(top[1], value)
+    if stack:
+        fail("missing ')'", len(text))
+    if tree is None:
+        fail("unexpected end of tree", len(text))
     return tree
 
 
@@ -421,7 +421,7 @@ def resolve_copredication(left, right, shared, entry, fuel: int = 10000):
     for f, g in pairs:
         raw = _copred_term(left, right, shared, xi, lty.domain, rty.domain,
                            f, g)
-        nf, _ = normalize(raw, fuel=fuel)
+        nf = normal_form(raw, fuel=fuel)
         formula = None
         if type_of(nf) == PROP and not free_vars(nf):
             formula = to_formula(nf)
@@ -484,12 +484,13 @@ def _node(tree, path, st: _State):
 
 def _finish(alts, st: _State):
     readings = []
-    seen = []
+    seen = set()
     for alt in alts:
-        nf, _ = normalize(alt.term, fuel=st.fuel)
-        if any(alpha_equiv(nf, other) for other in seen):
+        nf = normal_form(alt.term, fuel=st.fuel)
+        key = alpha_key(nf)
+        if key in seen:
             continue
-        seen.append(nf)
+        seen.add(key)
         formula = None
         if type_of(nf) == PROP and not free_vars(nf):
             formula = to_formula(nf)

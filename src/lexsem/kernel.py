@@ -276,52 +276,53 @@ def fresh_name(base: str, avoid) -> str:
 # ---------------------------------------------------------------------------
 # alpha-equivalence
 
-def _env_match(env, na, nb):
-    for pa, pb in reversed(env):
-        if pa == na or pb == nb:
-            return pa == na and pb == nb
-    return na == nb
+def alpha_key(x):
+    """A hashable canonical form of a type or term: two keys are equal
+    exactly when their arguments are alpha-equivalent.
+
+    Bound term variables and bound type variables become de Bruijn indices,
+    counted separately; free variables and constants keep their names and
+    the keys of their annotations.  Every node is tagged by its
+    constructor, so the key of a type never equals the key of a term.
+    """
+    return _key(x, (), ())
 
 
-def _aeq_type(a, b, tenv):
-    match (a, b):
-        case (SortRef(x), SortRef(y)):
-            return x == y
-        case (TypeVar(x), TypeVar(y)):
-            return _env_match(tenv, x, y)
-        case (Arrow(d1, c1), Arrow(d2, c2)):
-            return _aeq_type(d1, d2, tenv) and _aeq_type(c1, c2, tenv)
-        case (Forall(v1, b1), Forall(v2, b2)):
-            return _aeq_type(b1, b2, tenv + ((v1, v2),))
-    return False
+def _index(bound, name):
+    return bound[::-1].index(name) if name in bound else name
 
 
-def _aeq_term(a, b, venv, tenv):
-    match (a, b):
-        case (Var(x, tx), Var(y, ty)):
-            return _env_match(venv, x, y) and _aeq_type(tx, ty, tenv)
-        case (Const(c, tc), Const(d, td)):
-            return c == d and _aeq_type(tc, td, tenv)
-        case (App(f1, a1), App(f2, a2)):
-            return _aeq_term(f1, f2, venv, tenv) and _aeq_term(a1, a2, venv, tenv)
-        case (Abs(x, tx, b1), Abs(y, ty, b2)):
-            return (_aeq_type(tx, ty, tenv)
-                    and _aeq_term(b1, b2, venv + ((x, y),), tenv))
-        case (TyApp(f1, t1), TyApp(f2, t2)):
-            return _aeq_term(f1, f2, venv, tenv) and _aeq_type(t1, t2, tenv)
-        case (TyAbs(v1, b1), TyAbs(v2, b2)):
-            return _aeq_term(b1, b2, venv, tenv + ((v1, v2),))
-    return False
+def _key(x, venv, tenv):
+    match x:
+        case SortRef(n):
+            return ("SortRef", n)
+        case TypeVar(n):
+            return ("TypeVar", _index(tenv, n))
+        case Arrow(d, c):
+            return ("Arrow", _key(d, venv, tenv), _key(c, venv, tenv))
+        case Forall(v, b):
+            return ("Forall", _key(b, venv, tenv + (v,)))
+        case Var(n, ty):
+            return ("Var", _index(venv, n), _key(ty, venv, tenv))
+        case Const(n, ty):
+            return ("Const", n, _key(ty, venv, tenv))
+        case App(f, a):
+            return ("App", _key(f, venv, tenv), _key(a, venv, tenv))
+        case Abs(v, ty, b):
+            return ("Abs", _key(ty, venv, tenv), _key(b, venv + (v,), tenv))
+        case TyApp(f, ty):
+            return ("TyApp", _key(f, venv, tenv), _key(ty, venv, tenv))
+        case TyAbs(v, b):
+            return ("TyAbs", _key(b, venv, tenv + (v,)))
+    raise KernelError(f"not a type or term: {x!r}")
 
 
 def alpha_equiv(a, b) -> bool:
     """True iff `a` and `b` are identical up to consistent renaming of bound
     term and type variables.  Both arguments must be of the same kind."""
-    if is_type(a) and is_type(b):
-        return _aeq_type(a, b, ())
-    if is_term(a) and is_term(b):
-        return _aeq_term(a, b, (), ())
-    return False
+    if not ((is_type(a) and is_type(b)) or (is_term(a) and is_term(b))):
+        return False
+    return a == b or alpha_key(a) == alpha_key(b)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Optional
 
 from .kernel import (Abs, App, Arrow, Const, Context, KernelError, PROP,
@@ -28,7 +28,7 @@ from .kernel import (Abs, App, Arrow, Const, Context, KernelError, PROP,
                      alpha_equiv, parse_term, parse_type, render_term,
                      render_type, type_of)
 from .logic import Formula, choice_type, logical_constants, to_formula
-from .reduction import normalize
+from .reduction import normal_form
 
 RIGID = "rigid"
 FLEXIBLE = "flexible"
@@ -183,11 +183,13 @@ _POLY_AND_SRC = (
 )
 
 
+@cache
 def poly_and() -> "Term":
     """Conjunction of two predicates over distinct sorts.
 
     The result waits for a shared referent type together with a coercion
     into each conjunct's sort, then predicates both of one argument.
+    Built once: terms are immutable, so every caller shares it.
     """
     ctx = Context(sorts={"t"}, constants=logical_constants())
     return parse_term(_POLY_AND_SRC, ctx)
@@ -205,7 +207,7 @@ def iota(sort, predicate, fuel: int = 10000):
             f"a referent of {render_type(sort)} needs a predicate of"
             f" {render_type(Arrow(sort, PROP))}, got {render_type(pty)}")
     term = App(TyApp(Const("iota", choice_type()), sort), predicate)
-    claim, _ = normalize(App(predicate, term), fuel=fuel)
+    claim = normal_form(App(predicate, term), fuel=fuel)
     return term, to_formula(claim)
 
 

@@ -125,6 +125,60 @@ def normalize(term, fuel: int = 10000, strategy: str = "leftmost", rng=None):
     raise FuelExhausted(f"no normal form after {fuel} steps")
 
 
+def normal_form(term, fuel: int = 10000):
+    """The normal form `normalize` reaches, without building a trace.
+
+    One recursive pass in normal order: reduce the head of the
+    application spine (type applications included), then normalize the
+    head's body and the arguments from left to right.  It contracts the
+    redexes the leftmost-outermost stepper contracts, in the same order
+    and with the same substitutions, so its result is identical (`==`) to
+    `normalize(term, fuel)[0]` and it raises FuelExhausted exactly when
+    that does.
+    """
+    if fuel < 1:
+        raise ValueError("fuel must be >= 1")
+    left = fuel
+
+    def contract(redex):
+        nonlocal left
+        if not left:
+            raise FuelExhausted(f"no normal form after {fuel} steps")
+        left -= 1
+        return reduce_at(redex, ())
+
+    def nf(t):
+        spine = []    # the application nodes above the head, outermost first
+        while True:
+            while isinstance(t, (App, TyApp)):
+                spine.append(t)
+                t = t.fun
+            if not spine:
+                break
+            match spine[-1], t:
+                case App(_, a), Abs():
+                    t = contract(App(t, a))
+                case TyApp(_, ty), TyAbs():
+                    t = contract(TyApp(t, ty))
+                case _:
+                    break
+            spine.pop()
+        match t:
+            case Abs(x, ty, b):
+                t = Abs(x, ty, nf(b))
+            case TyAbs(v, b):
+                t = TyAbs(v, nf(b))
+        for node in reversed(spine):
+            match node:
+                case App(_, a):
+                    t = App(t, nf(a))
+                case TyApp(_, ty):
+                    t = TyApp(t, ty)
+        return t
+
+    return nf(term)
+
+
 def render_trace(trace) -> str:
     """One line per step: `<step#> <rule> at <path> ⇒ <term>`."""
     lines = []

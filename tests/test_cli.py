@@ -72,6 +72,20 @@ def test_exit_one_on_malformed_line(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("ERROR: ")
 
 
+def test_deep_trees_leave_the_batch_answered(tmp_path, capsys):
+    wrapped = "(" * 3000 + "(spread_out Liverpool)" + ")" * 3000
+    left_nested = ("(" * 3000 + "spread_out Liverpool"
+                   + " Liverpool)" * 3000)
+    inp = trees(tmp_path, "\n".join(["(spread_out Liverpool)", wrapped,
+                                      left_nested,
+                                      "((AND spread_out voted) Liverpool)"]))
+    assert run(config(LIVERPOOL, inp)) == 1
+    blocks = capsys.readouterr().out.rstrip("\n").split("\n\n")
+    assert blocks[:2] == ["spread_out(t3(lpl))"] * 2
+    assert blocks[2].startswith("ERROR: ")
+    assert blocks[3] == "spread_out(t3(lpl)) & voted(t2(lpl))"
+
+
 def test_exit_one_on_unknown_word(tmp_path, capsys):
     inp = trees(tmp_path, "(spread_out Everton)\n")
     assert run(config(LIVERPOOL, inp)) == 1

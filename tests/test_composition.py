@@ -27,6 +27,8 @@ def test_parse_tree_nesting():
 def test_parse_tree_singleton_unwraps():
     assert parse_tree("(x)") == Leaf("x")
     assert parse_tree("((x))") == Leaf("x")
+    assert parse_tree("(" * 3000 + "f x" + ")" * 3000) == \
+        Node(Leaf("f"), Leaf("x"))
 
 
 def test_parse_tree_bare_leaf():
@@ -274,6 +276,22 @@ def test_alpha_equivalent_readings_collapse():
     readings = compose(parse_tree("((AND pp qq) N)"), lex)
     assert len(readings) == 1
     assert render_formula(readings[0].formula) == "pp(u(k)) & qq(u(k))"
+
+
+def test_readings_equal_after_normalization_collapse():
+    # #f and its eta-expansion differ as terms but agree once applied
+    lex = load_lexicon(
+        "sorts: S A\n"
+        "pred c : S\npred f : S -> A\n"
+        "pred p : A -> t\npred q : A -> t\n"
+        "word w : S = #c\n"
+        "  morph g : S -> A = #f [flexible]\n"
+        "  morph h : S -> A = lam x:S. #f x [flexible]\n"
+        "word p : A -> t = #p\n"
+        "word q : A -> t = #q\n")
+    [r] = compose(parse_tree("((AND p q) w)"), lex)
+    assert render_formula(r.formula) == "p(f(c)) & q(f(c))"
+    assert r.used_morphisms == (("w", (1,), "g"), ("w", (1,), "g"))
 
 
 def test_single_predication_ignores_rigidity():

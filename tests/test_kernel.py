@@ -1,12 +1,15 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lexsem import (Abs, App, Arrow, Const, Context, Forall, PROP, ParseError,
                     SortRef, TyAbs, TyApp, TypeVar, TypingError, Var,
-                    alpha_equiv, free_type_vars, free_vars, fresh_name,
-                    parse_term, parse_type, render_term, render_type,
-                    subst_term, subst_type, type_of)
+                    alpha_equiv, alpha_key, choice_type, free_type_vars,
+                    free_vars, fresh_name, parse_term, parse_type,
+                    quantifier_type, render_term, render_type, subst_term,
+                    subst_type, type_of)
 
 import termgen
 
@@ -300,3 +303,97 @@ def test_alpha_equiv_is_symmetric(s1, s2):
     a = termgen.RandomTerms(s1).closed_term()
     b = termgen.RandomTerms(s2).closed_term()
     assert alpha_equiv(a, b) == alpha_equiv(b, a)
+
+
+# ---------------------------------------------------------------------------
+# canonical keys
+
+def _pick(rng, old, pool, free):
+    """`old` or a name from `pool` that is not free where it will bind."""
+    new = rng.choice((old,) + pool)
+    return old if new in free else new
+
+
+def _rename_type(ty, rng):
+    """An alpha-equivalent copy whose binders draw from a tiny name pool."""
+    match ty:
+        case Arrow(d, c):
+            return Arrow(_rename_type(d, rng), _rename_type(c, rng))
+        case Forall(v, b):
+            b = _rename_type(b, rng)
+            n = _pick(rng, v, ("a", "b"), free_type_vars(b) - {v})
+            return Forall(n, subst_type(b, v, TypeVar(n)))
+    return ty
+
+
+def _rename(t, rng):
+    """An alpha-equivalent copy of a term; the small pools make binders
+    shadow each other, and capture-avoiding substitution keeps it sound."""
+    match t:
+        case Var(n, ty):
+            return Var(n, _rename_type(ty, rng))
+        case Const(n, ty):
+            return Const(n, _rename_type(ty, rng))
+        case App(f, a):
+            return App(_rename(f, rng), _rename(a, rng))
+        case TyApp(f, ty):
+            return TyApp(_rename(f, rng), _rename_type(ty, rng))
+        case Abs(x, ty, b):
+            ty, b = _rename_type(ty, rng), _rename(b, rng)
+            n = _pick(rng, x, ("x", "y"), set(free_vars(b)) - {x})
+            return Abs(n, ty, subst_term(b, x, Var(n, ty)))
+        case TyAbs(v, b):
+            b = _rename(b, rng)
+            n = _pick(rng, v, ("a", "b"), free_type_vars(b) - {v})
+            return TyAbs(n, subst_type(b, v, TypeVar(n)))
+
+
+def test_alpha_key_equal_on_renamed_copies():
+    rng = random.Random(5)
+    renamed = 0
+    for t in termgen.RandomTerms(11).population(300):
+        copy = _rename(t, rng)
+        renamed += copy != t
+        assert alpha_key(copy) == alpha_key(t), render_term(t)
+    assert renamed > 100
+    for ty in (choice_type(), quantifier_type(),
+               parse_type("Pi 'a. Pi 'b. ('a -> 'b) -> Pi 'a. 'a", {"e"})):
+        copy = _rename_type(ty, rng)
+        assert alpha_key(copy) == alpha_key(ty)
+
+
+def test_alpha_key_shadowing():
+    a = parse_term("lam x:e. lam x:e. x", ctx())
+    b = parse_term("lam y:e. lam z:e. z", ctx())
+    c_ = parse_term("lam y:e. lam z:e. y", ctx())
+    assert alpha_key(a) == alpha_key(b) != alpha_key(c_)
+    ta = parse_term("Lam 'a. Lam 'a. lam x:'a. x", ctx())
+    tb = parse_term("Lam 'b. Lam 'c. lam x:'c. x", ctx())
+    tc = parse_term("Lam 'b. Lam 'c. lam x:'b. x", ctx())
+    assert alpha_key(ta) == alpha_key(tb) != alpha_key(tc)
+
+
+@pytest.mark.parametrize("a,b", [
+    (Var("x", E), Var("y", E)),
+    (Const("a", E), Const("b", E)),
+    (Const("a", E), Var("a", E)),
+    (Var("x", E), Var("x", SortRef("s"))),
+    (Abs("x", E, Var("x", E)), Abs("x", SortRef("s"), Var("x", E))),
+    (Abs("x", E, Var("x", E)), Abs("x", E, Var("y", E))),
+    (TypeVar("a"), TypeVar("b")),
+    (Forall("a", TypeVar("a")), Forall("a", TypeVar("b"))),
+    (TyApp(Const("c", choice_type()), E),
+     TyApp(Const("c", choice_type()), SortRef("s"))),
+])
+def test_alpha_key_differs_on_free_names_and_annotations(a, b):
+    assert alpha_key(a) != alpha_key(b)
+    assert not alpha_equiv(a, b)
+
+
+def test_alpha_key_of_a_type_never_equals_a_term_key():
+    terms = termgen.RandomTerms(3).population(200)
+    term_keys = {alpha_key(t) for t in terms}
+    type_keys = {alpha_key(type_of(t)) for t in terms}
+    type_keys |= {alpha_key(x) for x in (TypeVar("a"), E, PROP)}
+    assert alpha_key(TypeVar("a")) != alpha_key(Var("a", TypeVar("a")))
+    assert not term_keys & type_keys

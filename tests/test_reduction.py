@@ -3,9 +3,9 @@ import random
 import pytest
 
 from lexsem import (Abs, App, Const, FuelExhausted, PROP, SortRef, TyAbs,
-                    TyApp, TypeVar, Var, alpha_equiv, find_redexes, normalize,
-                    parse_term, reduce_at, reduce_step, render_term,
-                    render_trace, type_of)
+                    TyApp, TypeVar, Var, alpha_equiv, find_redexes,
+                    normal_form, normalize, parse_term, reduce_at,
+                    reduce_step, render_term, render_trace, type_of)
 
 import termgen
 
@@ -139,3 +139,51 @@ def test_reduction_inside_binders():
     nf, trace = normalize(t)
     assert alpha_equiv(nf, ID_E)
     assert trace.steps[0].path == (0,)
+
+
+# ---------------------------------------------------------------------------
+# the one-pass normalizer against the stepper
+
+def _outcome(fn, term, fuel):
+    try:
+        return fn(term, fuel)
+    except FuelExhausted as err:
+        return FuelExhausted, str(err)
+
+
+def _stepped(term, fuel):
+    return normalize(term, fuel=fuel)[0]
+
+
+POPULATION = termgen.RandomTerms(11).population(1000)
+
+
+def test_normal_form_is_the_steppers_result():
+    for t in POPULATION:
+        assert normal_form(t) == normalize(t)[0], render_term(t)
+
+
+def test_normal_form_spends_fuel_like_the_stepper():
+    exhausted = 0
+    for t in POPULATION:
+        steps = len(normalize(t)[1])
+        assert normal_form(t, fuel=max(steps, 1)) == normalize(t)[0]
+        if steps > 1:
+            want = _outcome(_stepped, t, steps - 1)
+            assert _outcome(normal_form, t, steps - 1) == want
+            exhausted += want[0] is FuelExhausted
+    assert exhausted > 0
+
+
+def test_normal_form_under_binders_and_type_applications():
+    t = App(Abs("y", E, App(ID_E, Var("y", E))), App(TyApp(POLY_ID, E), K))
+    assert normal_form(t) == normalize(t)[0] == K
+    stuck = Abs("z", E, App(Const("p", type_of(ID_E)), App(ID_E, Var("z", E))))
+    assert normal_form(stuck) == normalize(stuck)[0]
+
+
+def test_normal_form_fuel_validation():
+    with pytest.raises(ValueError):
+        normal_form(K, fuel=0)
+    with pytest.raises(FuelExhausted, match="after 1 steps"):
+        normal_form(App(Abs("y", E, App(ID_E, Var("y", E))), K), fuel=1)
