@@ -6,9 +6,9 @@ from .composition import (AND_MARKER, CompositionError, FELICITOUS,
                           INFELICITOUS, Leaf, Node, ParseTree, Reading,
                           Rejection, THE_MARKER, TYPE_ERROR, Verdict,
                           apply_with_coercion, compose, felicity,
-                          parse_tree, resolve_copredication)
+                          parse_tree)
 from .kernel import (Abs, App, Arrow, Const, Context, Forall, KernelError,
-                     PROP, ParseError, Sort, SortRef, Term, TyAbs, TyApp,
+                     PROP, ParseError, SortRef, Term, TyAbs, TyApp,
                      Type, TypeVar, TypingError, Var, alpha_equiv,
                      alpha_key, free_type_vars, free_vars, fresh_name,
                      parse_term, parse_type, render_term, render_type,

@@ -94,9 +94,7 @@ def _verdict_block(v: Verdict) -> list:
         n = len(v.readings)
         lines = [f"FELICITOUS: {n} reading(s)"]
         for i, r in enumerate(v.readings, 1):
-            body = (render_formula(r.formula) if r.formula is not None
-                    else render_term(r.term))
-            lines.append(f"  {i}. {body}")
+            lines.append(f"  {i}. {_summary(r)}")
             if r.used_morphisms:
                 lines.append(f"     via {_morph_text(r.used_morphisms)}")
             for p in r.presuppositions:

@@ -163,31 +163,13 @@ class _Alt:
     presups: tuple = ()
 
 
-class _The:
-    pass
+@dataclass(frozen=True)
+class _Marker:
+    """`THE` or `AND`, with the conjuncts an `AND` has taken so far: each
+    a list of _Alt or a complete two-conjunct _Marker."""
 
-
-class _And:
-    pass
-
-
-@dataclass
-class _AndPartial:
-    left: object  # list[_Alt] | _AndFun
-
-
-@dataclass
-class _AndFun:
-    left: object
-    right: object
-
-
-_THE = _The()
-_AND = _And()
-
-
-def _is_marker(v) -> bool:
-    return isinstance(v, (_The, _And, _AndPartial, _AndFun))
+    word: str
+    conjuncts: tuple = ()
 
 
 # ---------------------------------------------------------------------------
@@ -275,10 +257,8 @@ def apply_with_coercion(fun_term, arg_term, arg_entry=None):
 # node semantics
 
 def _leaf(leaf: Leaf, path, st: _State):
-    if leaf.word == THE_MARKER:
-        return _THE
-    if leaf.word == AND_MARKER:
-        return _AND
+    if leaf.word in (THE_MARKER, AND_MARKER):
+        return _Marker(leaf.word)
     try:
         entry = st.lex.entry(leaf.word)
     except LexiconError as err:
@@ -339,7 +319,7 @@ def _conjunct_alts(side, xi, entry, arg_path, path, st: _State):
     its own morphism choices already made.  The second result is a type
     failure message when the conjunct cannot be a predicate at all.
     """
-    if isinstance(side, _AndFun):
+    if isinstance(side, _Marker):
         y = fresh_name("y", set(st.lex.context.constants))
         shared = _Alt(Var(y, xi), entry)
         inner = _copred_alts(side, [shared], path, arg_path, st)
@@ -402,45 +382,18 @@ def _copred_term(left, right, shared, xi, alpha, beta, f, g):
     return App(App(t, f.term), g.term)
 
 
-def resolve_copredication(left, right, shared, entry, fuel: int = 10000):
-    """Conjoin two predicates over one shared argument.
-
-    Returns one Reading per admissible morphism pair; an empty list
-    means rigidity or a missing morphism ruled every pair out.
-    """
-    lty = type_of(left)
-    rty = type_of(right)
-    for ty in (lty, rty):
-        if not (isinstance(ty, Arrow) and ty.codomain == PROP):
-            raise CompositionError(
-                f"a conjunct must be a one-place predicate,"
-                f" got {render_type(ty)}")
-    xi = type_of(shared)
-    pairs = _copred_pairs(entry, xi, lty.domain, rty.domain, [])
-    out = []
-    for f, g in pairs:
-        raw = _copred_term(left, right, shared, xi, lty.domain, rty.domain,
-                           f, g)
-        nf = normal_form(raw, fuel=fuel)
-        formula = None
-        if type_of(nf) == PROP and not free_vars(nf):
-            formula = to_formula(nf)
-        recs = ((entry.word, (), f.name), (entry.word, (), g.name))
-        out.append(Reading(nf, formula, recs, (), raw))
-    return out
-
-
-def _copred_alts(fun: _AndFun, args, path, arg_path, st: _State):
+def _copred_alts(fun: _Marker, args, path, arg_path, st: _State):
     st.copred_nodes += 1
+    left, right = fun.conjuncts
     out = []
     for arg in args:
         if arg.entry is None:
             raise CompositionError(
                 "a shared argument must carry a lexical entry", path)
         xi = type_of(arg.term)
-        lefts, lfail = _conjunct_alts(fun.left, xi, arg.entry,
+        lefts, lfail = _conjunct_alts(left, xi, arg.entry,
                                       arg_path, path, st)
-        rights, rfail = _conjunct_alts(fun.right, xi, arg.entry,
+        rights, rfail = _conjunct_alts(right, xi, arg.entry,
                                        arg_path, path, st)
         if lfail or rfail:
             raise CompositionError(lfail or rfail, path)
@@ -461,25 +414,22 @@ def _node(tree, path, st: _State):
         return _leaf(tree, path, st)
     lv = _node(tree.fun, path + (0,), st)
     rv = _node(tree.arg, path + (1,), st)
-    if isinstance(lv, _The):
-        if _is_marker(rv):
+    if not isinstance(lv, _Marker):
+        if isinstance(rv, _Marker):
+            raise CompositionError("a marker cannot be an argument", path)
+        return _apply_node(lv, rv, path)
+    if lv.word == THE_MARKER:
+        if isinstance(rv, _Marker):
             raise CompositionError(f"{THE_MARKER} needs a noun", path)
         return _the_node(rv, path, st)
-    if isinstance(lv, _And):
-        if isinstance(rv, (_The, _And, _AndPartial)):
+    if len(lv.conjuncts) < 2:
+        # a conjunct is a predicate or a complete nested conjunction
+        if isinstance(rv, _Marker) and len(rv.conjuncts) < 2:
             raise CompositionError(f"{AND_MARKER} needs a predicate", path)
-        return _AndPartial(rv)
-    if isinstance(lv, _AndPartial):
-        if isinstance(rv, (_The, _And, _AndPartial)):
-            raise CompositionError(f"{AND_MARKER} needs a predicate", path)
-        return _AndFun(lv.left, rv)
-    if isinstance(lv, _AndFun):
-        if _is_marker(rv):
-            raise CompositionError("a conjunction needs a term argument", path)
-        return _copred_alts(lv, rv, path, path + (1,), st)
-    if _is_marker(rv):
-        raise CompositionError("a marker cannot be an argument", path)
-    return _apply_node(lv, rv, path)
+        return _Marker(AND_MARKER, lv.conjuncts + (rv,))
+    if isinstance(rv, _Marker):
+        raise CompositionError("a conjunction needs a term argument", path)
+    return _copred_alts(lv, rv, path, path + (1,), st)
 
 
 def _finish(alts, st: _State):
@@ -502,7 +452,7 @@ def _finish(alts, st: _State):
 def _run(tree, lex, fuel):
     st = _State(lex, fuel)
     value = _node(tree, (), st)
-    if _is_marker(value):
+    if isinstance(value, _Marker):
         raise CompositionError("the tree is an unapplied marker")
     return _finish(value, st), st
 

@@ -43,16 +43,6 @@ class TypingError(KernelError):
 # types
 
 @dataclass(frozen=True)
-class Sort:
-    """A declared base type: propositions `t` or an individual sort."""
-
-    name: str
-
-    def __str__(self):
-        return self.name
-
-
-@dataclass(frozen=True)
 class SortRef:
     name: str
 
@@ -188,11 +178,7 @@ class Context:
     """
 
     def __init__(self, sorts=(), constants=None, variables=None):
-        self.sorts: dict[str, Sort] = {}
-        for s in sorts:
-            name = s.name if isinstance(s, Sort) else str(s)
-            self.sorts[name] = Sort(name)
-        self.sorts.setdefault("t", Sort("t"))
+        self.sorts: set[str] = {str(s) for s in sorts} | {"t"}
         self.constants: dict[str, Type] = dict(constants or {})
         self.variables: dict[str, Type] = dict(variables or {})
         clash = self.constants.keys() & self.variables.keys()
@@ -334,51 +320,33 @@ def subst_type(target, tyvar: str, replacement):
     Works on types and on terms; on terms it rewrites the type annotations
     of variables, constants, abstractions and type applications.
     """
-    if is_type(target):
-        return _subst_ty(target, tyvar, replacement)
-    return _subst_ty_term(target, tyvar, replacement)
-
-
-def _subst_ty(ty, a, rep):
-    match ty:
+    a, rep = tyvar, replacement
+    match target:
         case SortRef(_):
-            return ty
+            return target
         case TypeVar(n):
-            return rep if n == a else ty
+            return rep if n == a else target
         case Arrow(d, c):
-            return Arrow(_subst_ty(d, a, rep), _subst_ty(c, a, rep))
-        case Forall(v, b):
-            if v == a:
-                return ty
-            if v in free_type_vars(rep) and a in free_type_vars(b):
-                v1 = fresh_name(v, free_type_vars(rep) | free_type_vars(b) | {a})
-                b = _subst_ty(b, v, TypeVar(v1))
-                return Forall(v1, _subst_ty(b, a, rep))
-            return Forall(v, _subst_ty(b, a, rep))
-    raise KernelError(f"not a type: {ty!r}")
-
-
-def _subst_ty_term(t, a, rep):
-    match t:
+            return Arrow(subst_type(d, a, rep), subst_type(c, a, rep))
         case Var(n, ty):
-            return Var(n, _subst_ty(ty, a, rep))
+            return Var(n, subst_type(ty, a, rep))
         case Const(n, ty):
-            return Const(n, _subst_ty(ty, a, rep))
+            return Const(n, subst_type(ty, a, rep))
         case App(f, x):
-            return App(_subst_ty_term(f, a, rep), _subst_ty_term(x, a, rep))
+            return App(subst_type(f, a, rep), subst_type(x, a, rep))
         case Abs(x, ty, b):
-            return Abs(x, _subst_ty(ty, a, rep), _subst_ty_term(b, a, rep))
+            return Abs(x, subst_type(ty, a, rep), subst_type(b, a, rep))
         case TyApp(f, ty):
-            return TyApp(_subst_ty_term(f, a, rep), _subst_ty(ty, a, rep))
-        case TyAbs(v, b):
+            return TyApp(subst_type(f, a, rep), subst_type(ty, a, rep))
+        case Forall(v, b) | TyAbs(v, b):
             if v == a:
-                return t
+                return target
             if v in free_type_vars(rep) and a in free_type_vars(b):
                 v1 = fresh_name(v, free_type_vars(rep) | free_type_vars(b) | {a})
-                b = _subst_ty_term(b, v, TypeVar(v1))
-                return TyAbs(v1, _subst_ty_term(b, a, rep))
-            return TyAbs(v, _subst_ty_term(b, a, rep))
-    raise KernelError(f"not a term: {t!r}")
+                b = subst_type(b, v, TypeVar(v1))
+                return type(target)(v1, subst_type(b, a, rep))
+            return type(target)(v, subst_type(b, a, rep))
+    raise KernelError(f"not a type or term: {target!r}")
 
 
 def subst_term(body, var: str, value, var_type=None):
@@ -420,7 +388,7 @@ def _subst(t, x, v, v_fvs, v_ftvs):
         case TyAbs(a, b):
             if a in v_ftvs and x in free_vars(b):
                 a1 = fresh_name(a, v_ftvs | free_type_vars(b))
-                b = _subst_ty_term(b, a, TypeVar(a1))
+                b = subst_type(b, a, TypeVar(a1))
                 return TyAbs(a1, _subst(b, x, v, v_fvs, v_ftvs))
             return TyAbs(a, _subst(b, x, v, v_fvs, v_ftvs))
     raise KernelError(f"not a term: {t!r}")
@@ -680,13 +648,7 @@ class _Parser:
 
 
 def _sort_names(env):
-    if isinstance(env, Context):
-        return set(env.sorts)
-    if isinstance(env, dict):
-        names = set(env)
-    else:
-        names = {s.name if isinstance(s, Sort) else str(s) for s in env}
-    return names | {"t"}
+    return set(env.sorts if isinstance(env, Context) else env) | {"t"}
 
 
 def parse_type(text: str, env):
@@ -699,7 +661,7 @@ def parse_type(text: str, env):
 
 def parse_term(text: str, ctx: Context):
     """Parse the ASCII term syntax and type-check the result against `ctx`."""
-    p = _Parser(text, set(ctx.sorts), ctx.constants, ctx.variables)
+    p = _Parser(text, ctx.sorts, ctx.constants, ctx.variables)
     t = p.term()
     p.expect_eof()
     type_of(t, ctx)
@@ -709,106 +671,72 @@ def parse_term(text: str, ctx: Context):
 # ---------------------------------------------------------------------------
 # rendering
 
+_SYMBOLS = {
+    "ascii": {"tyvar": "'", "arrow": " -> ", "pi": "Pi ", "const": "#",
+              "lam": "lam ", "colon": ":", "tylam": "Lam ",
+              "paren_ann": False},
+    "unicode": {"tyvar": "", "arrow": "→", "pi": "Π", "const": "",
+                "lam": "λ", "colon": "^", "tylam": "Λ", "paren_ann": True},
+}
+
+
+def _symbols(style):
+    if style not in _SYMBOLS:
+        raise ValueError(f"unknown style {style!r}")
+    return _SYMBOLS[style]
+
+
 def render_type(ty, style: str = "ascii") -> str:
-    if style == "ascii":
-        return _rty_ascii(ty)
-    if style == "unicode":
-        return _rty_uni(ty)
-    raise ValueError(f"unknown style {style!r}")
+    return _rty(ty, _symbols(style))
 
 
-def _rty_ascii(ty):
+def _rty(ty, sym):
     match ty:
         case SortRef(n):
             return n
         case TypeVar(n):
-            return f"'{n}"
+            return f"{sym['tyvar']}{n}"
         case Arrow(d, c):
-            dom = _rty_ascii(d)
+            dom = _rty(d, sym)
             if isinstance(d, (Arrow, Forall)):
                 dom = f"({dom})"
-            return f"{dom} -> {_rty_ascii(c)}"
+            return f"{dom}{sym['arrow']}{_rty(c, sym)}"
         case Forall(v, b):
-            return f"Pi '{v}. {_rty_ascii(b)}"
-    raise KernelError(f"not a type: {ty!r}")
-
-
-def _rty_uni(ty):
-    match ty:
-        case SortRef(n):
-            return n
-        case TypeVar(n):
-            return n
-        case Arrow(d, c):
-            dom = _rty_uni(d)
-            if isinstance(d, (Arrow, Forall)):
-                dom = f"({dom})"
-            return f"{dom}→{_rty_uni(c)}"
-        case Forall(v, b):
-            return f"Π{v}. {_rty_uni(b)}"
+            return f"{sym['pi']}{sym['tyvar']}{v}. {_rty(b, sym)}"
     raise KernelError(f"not a type: {ty!r}")
 
 
 def render_term(term, style: str = "ascii") -> str:
     """ASCII rendering re-parses to an alpha-equivalent term; the unicode
     rendering is for display only."""
-    if style == "ascii":
-        return _rt_ascii(term)
-    if style == "unicode":
-        return _rt_uni(term)
-    raise ValueError(f"unknown style {style!r}")
+    return _rt(term, _symbols(style))
 
 
-def _rt_ascii(t):
+def _rt(t, sym):
     match t:
         case Var(name, _):
             return name
         case Const(name, _):
-            return f"#{name}"
+            return f"{sym['const']}{name}"
         case Abs(x, ty, b):
-            return f"lam {x}:{_rty_ascii(ty)}. {_rt_ascii(b)}"
-        case TyAbs(a, b):
-            return f"Lam '{a}. {_rt_ascii(b)}"
-        case App(f, a):
-            fun = _rt_ascii(f)
-            if isinstance(f, (Abs, TyAbs)):
-                fun = f"({fun})"
-            arg = _rt_ascii(a)
-            if isinstance(a, (App, Abs, TyAbs)):
-                arg = f"({arg})"
-            return f"{fun} {arg}"
-        case TyApp(f, ty):
-            fun = _rt_ascii(f)
-            if isinstance(f, (App, Abs, TyAbs)):
-                fun = f"({fun})"
-            return f"{fun}{{{_rty_ascii(ty)}}}"
-    raise KernelError(f"not a term: {t!r}")
-
-
-def _rt_uni(t):
-    match t:
-        case Var(name, _):
-            return name
-        case Const(name, _):
-            return name
-        case Abs(x, ty, b):
-            ann = _rty_uni(ty)
-            if isinstance(ty, (Arrow, Forall)):
+            ann = _rty(ty, sym)
+            # a superscript annotation needs parentheses when compound
+            if sym["paren_ann"] and isinstance(ty, (Arrow, Forall)):
                 ann = f"({ann})"
-            return f"λ{x}^{ann}. {_rt_uni(b)}"
+            return f"{sym['lam']}{x}{sym['colon']}{ann}. {_rt(b, sym)}"
         case TyAbs(a, b):
-            return f"Λ{a}. {_rt_uni(b)}"
+            return f"{sym['tylam']}{sym['tyvar']}{a}. {_rt(b, sym)}"
         case App(f, a):
-            fun = _rt_uni(f)
+            fun = _rt(f, sym)
             if isinstance(f, (Abs, TyAbs)):
                 fun = f"({fun})"
-            arg = _rt_uni(a)
+            arg = _rt(a, sym)
             if isinstance(a, (App, Abs, TyAbs)):
                 arg = f"({arg})"
             return f"{fun} {arg}"
         case TyApp(f, ty):
-            fun = _rt_uni(f)
+            fun = _rt(f, sym)
             if isinstance(f, (App, Abs, TyAbs)):
                 fun = f"({fun})"
-            return f"{fun}{{{_rty_uni(ty)}}}"
+            return f"{fun}{{{_rty(ty, sym)}}}"
     raise KernelError(f"not a term: {t!r}")

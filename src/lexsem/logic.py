@@ -61,12 +61,7 @@ def logical_constants() -> dict:
 
 def logical_signature(sorts) -> Context:
     """A context holding the six logical constants over the given sorts."""
-    if isinstance(sorts, Context):
-        names = set(sorts.sorts)
-    elif isinstance(sorts, dict):
-        names = set(sorts)
-    else:
-        names = {getattr(s, "name", s) for s in sorts}
+    names = set(sorts.sorts if isinstance(sorts, Context) else sorts)
     if "t" not in names:
         raise LogicError("the proposition sort 't' must be declared")
     return Context(sorts=names, constants=logical_constants())

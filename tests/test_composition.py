@@ -4,7 +4,7 @@ from lexsem import (App, Arrow, CompositionError, Const, Leaf, Node,
                     PROP, ParseError, Rejection, SortRef, alpha_equiv,
                     apply_with_coercion, compose, felicity, load_lexicon,
                     parse_tree, poly_and, quantifier_type, render_formula,
-                    resolve_copredication, type_of)
+                    type_of)
 
 from conftest import fixture_text
 
@@ -109,37 +109,6 @@ def test_apply_requires_full_instantiation(montague):
     # only one of the two leading quantifiers is determined by the match
     assert apply_with_coercion(poly_and(),
                                montague.entry("club").principal) == []
-
-
-# ---------------------------------------------------------------------------
-# copredication over a shared argument
-
-def test_resolve_copredication_one_pair(liverpool):
-    entry = liverpool.entry("Liverpool")
-    readings = resolve_copredication(liverpool.entry("spread_out").principal,
-                                     liverpool.entry("voted").principal,
-                                     entry.principal, entry)
-    assert len(readings) == 1
-    r = readings[0]
-    assert render_formula(r.formula) == "spread_out(t3(lpl)) & voted(t2(lpl))"
-    assert r.used_morphisms == (("Liverpool", (), "t3"),
-                                ("Liverpool", (), "t2"))
-
-
-def test_resolve_copredication_rigidity_blocks(liverpool):
-    entry = liverpool.entry("Liverpool")
-    readings = resolve_copredication(liverpool.entry("voted").principal,
-                                     liverpool.entry("won").principal,
-                                     entry.principal, entry)
-    assert readings == []
-
-
-def test_resolve_copredication_wants_predicates(liverpool):
-    entry = liverpool.entry("Liverpool")
-    with pytest.raises(CompositionError):
-        resolve_copredication(entry.principal,
-                              liverpool.entry("voted").principal,
-                              entry.principal, entry)
 
 
 # ---------------------------------------------------------------------------
@@ -350,6 +319,30 @@ def test_unapplied_marker(liverpool):
         compose(parse_tree("(AND spread_out)"), liverpool)
     with pytest.raises(CompositionError):
         compose(parse_tree("(THE AND)"), liverpool)
+
+
+MARKER_ERRORS = [
+    ("(THE AND)", "at ε: THE needs a noun"),
+    ("(THE (AND voted))", "at ε: THE needs a noun"),
+    ("(AND THE)", "at ε: AND needs a predicate"),
+    ("((AND voted) THE)", "at ε: AND needs a predicate"),
+    ("((AND voted won) (AND voted))",
+     "at ε: a conjunction needs a term argument"),
+    ("(((AND voted spread_out) (AND won)) Liverpool)",
+     "at 0: a conjunction needs a term argument"),
+    ("(voted THE)", "at ε: a marker cannot be an argument"),
+    ("THE", "at ε: the tree is an unapplied marker"),
+    ("((AND Liverpool voted) Liverpool)",
+     "at ε: a conjunct must be a one-place predicate, got T"),
+]
+
+
+@pytest.mark.parametrize("text,error", MARKER_ERRORS,
+                         ids=[text for text, _ in MARKER_ERRORS])
+def test_marker_and_conjunct_errors(liverpool, text, error):
+    v = felicity(parse_tree(text), liverpool)
+    assert v.status == "typeError"
+    assert v.error == error
 
 
 def test_rejection_str():

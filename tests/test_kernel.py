@@ -222,6 +222,20 @@ def test_subst_type_capture_avoidance():
     assert out.body.domain == TypeVar("b")
 
 
+def test_subst_type_capture_avoidance_under_type_abstraction():
+    # the term-level twin of the case above: Lam b. x:('a -> 'b)
+    t = TyAbs("b", Var("x", Arrow(TypeVar("a"), TypeVar("b"))))
+    out = subst_type(t, "a", TypeVar("b"))
+    assert isinstance(out, TyAbs)
+    assert out.var != "b"
+    assert out.body.type == Arrow(TypeVar("b"), TypeVar(out.var))
+
+
+def test_subst_type_stops_at_its_own_type_abstraction():
+    t = TyAbs("a", Var("x", Arrow(TypeVar("a"), TypeVar("b"))))
+    assert subst_type(t, "a", E) is t
+
+
 def test_subst_type_rewrites_annotations():
     t = Abs("x", TypeVar("a"), Var("x", TypeVar("a")))
     out = subst_type(t, "a", E)
