@@ -3,9 +3,9 @@ with coercion morphisms, and a composition engine that turns binary
 parse trees into many-sorted logical formulae."""
 
 from .composition import (AND_MARKER, CompositionError, FELICITOUS,
-                          INFELICITOUS, Leaf, Node, ParseTree, Reading,
-                          Rejection, THE_MARKER, TYPE_ERROR, Verdict,
-                          apply_with_coercion, compose, felicity,
+                          INFELICITOUS, Leaf, Node, ParseTree, RESOURCE_LIMIT,
+                          Reading, Rejection, THE_MARKER, TYPE_ERROR,
+                          Verdict, apply_with_coercion, compose, felicity,
                           parse_tree)
 from .kernel import (Abs, App, Arrow, Const, Context, Forall, KernelError,
                      PROP, ParseError, SortRef, Term, TyAbs, TyApp,

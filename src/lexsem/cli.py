@@ -2,9 +2,9 @@
 
 Reads one parse tree per line, judges each against a lexicon, and
 prints one block per tree.  Exit status: 0 when every tree is
-felicitous, 1 when any tree is infelicitous, fails to type, or fails to
-parse, 2 for unusable invocations (bad flags, unreadable files, a
-broken lexicon).
+felicitous, 1 when any tree is infelicitous, fails to type, runs out of
+fuel, or fails to parse, 2 for unusable invocations (bad flags,
+unreadable files, a broken lexicon).
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from .composition import (FELICITOUS, INFELICITOUS, Reading, Verdict,
-                          felicity, parse_tree)
+from .composition import (FELICITOUS, INFELICITOUS, RESOURCE_LIMIT, Reading,
+                          Verdict, felicity, parse_tree)
 from .kernel import KernelError, render_term
 from .lexicon import load_lexicon
 from .logic import render_formula
@@ -76,12 +76,8 @@ def _reading_lines(r: Reading, format: str, fuel: int) -> list:
     if format == "term":
         return [render_term(r.term)]
     if format == "trace":
-        lines = [render_term(r.source)]
         _, trace = normalize(r.source, fuel=fuel)
-        rendered = render_trace(trace)
-        if rendered:
-            lines.extend(rendered.splitlines())
-        return lines
+        return [render_term(r.source)] + render_trace(trace).splitlines()
     return [_summary(r)]
 
 
@@ -106,6 +102,8 @@ def _verdict_block(v: Verdict) -> list:
         lines = [f"INFELICITOUS: {first}"]
         for reason in v.rejection_log:
             lines.append(f"  rejected: {reason}")
+    elif v.status == RESOURCE_LIMIT:
+        lines = [f"RESOURCE-LIMIT: {v.error}"]
     else:
         lines = [f"TYPE-ERROR: {v.error}"]
     for note in v.notes:

@@ -16,16 +16,17 @@ from typing import Optional, Union
 
 from .kernel import (Abs, App, Arrow, Forall, KernelError, PROP, ParseError,
                      SortRef, Term, TyApp, TypeVar, Var, alpha_equiv,
-                     alpha_key, free_type_vars, free_vars, fresh_name,
-                     render_type, subst_type, type_of)
+                     alpha_key, free_type_vars, fresh_name, render_type,
+                     subst_type, type_of)
 from .lexicon import (LexEntry, Lexicon, LexiconError, Morphism, RIGID,
                       candidates, iota, poly_and)
-from .logic import Formula, to_formula
-from .reduction import normal_form
+from .logic import Formula, LogicError, to_formula
+from .reduction import FuelExhausted, _normal_form
 
 FELICITOUS = "felicitous"
 INFELICITOUS = "infelicitous"
 TYPE_ERROR = "typeError"
+RESOURCE_LIMIT = "resourceLimit"
 
 THE_MARKER = "THE"
 AND_MARKER = "AND"
@@ -184,10 +185,8 @@ def _unify(pattern, concrete, free: set, bind: dict) -> bool:
     if type(pattern) is not type(concrete):
         return False
     match pattern, concrete:
-        case TypeVar(v), TypeVar(w):
-            return v == w
-        case SortRef(a), SortRef(b):
-            return a == b
+        case TypeVar() | SortRef(), _:
+            return pattern == concrete
         case Arrow(d1, c1), Arrow(d2, c2):
             return _unify(d1, d2, free, bind) and _unify(c1, c2, free, bind)
         case Forall(v1, b1), Forall(v2, b2):
@@ -433,17 +432,19 @@ def _node(tree, path, st: _State):
 
 
 def _finish(alts, st: _State):
+    # terms built from checked parts only: no entry check in reduction
     readings = []
     seen = set()
     for alt in alts:
-        nf = normal_form(alt.term, fuel=st.fuel)
+        nf = _normal_form(alt.term, st.fuel)
         key = alpha_key(nf)
         if key in seen:
             continue
         seen.add(key)
-        formula = None
-        if type_of(nf) == PROP and not free_vars(nf):
+        try:
             formula = to_formula(nf)
+        except LogicError:    # open, or not of type t
+            formula = None
         readings.append(Reading(nf, formula, alt.morphs, alt.presups,
                                 alt.term))
     return readings
@@ -468,9 +469,12 @@ def compose(tree: ParseTree, lex: Lexicon, fuel: int = 10000):
 
 
 def felicity(tree: ParseTree, lex: Lexicon, fuel: int = 10000) -> Verdict:
-    """Judge a tree: felicitous, infelicitous, or a type error."""
+    """Judge a tree: felicitous, infelicitous, a type error, or a resource
+    limit when a normalization runs out of fuel."""
     try:
         readings, st = _run(tree, lex, fuel)
+    except FuelExhausted as err:
+        return Verdict(RESOURCE_LIMIT, error=str(err))
     except KernelError as err:
         return Verdict(TYPE_ERROR, error=str(err))
     notes = ()

@@ -225,17 +225,15 @@ def free_vars(term) -> dict:
 
 def free_type_vars(target) -> set:
     """Free type variables of a type, or of a term's type annotations."""
-    if is_type(target):
-        match target:
-            case SortRef(_):
-                return set()
-            case TypeVar(n):
-                return {n}
-            case Arrow(d, c):
-                return free_type_vars(d) | free_type_vars(c)
-            case Forall(v, b):
-                return free_type_vars(b) - {v}
     match target:
+        case SortRef(_):
+            return set()
+        case TypeVar(n):
+            return {n}
+        case Arrow(d, c):
+            return free_type_vars(d) | free_type_vars(c)
+        case Forall(v, b) | TyAbs(v, b):
+            return free_type_vars(b) - {v}
         case Var(_, ty) | Const(_, ty):
             return free_type_vars(ty)
         case App(f, a):
@@ -244,8 +242,6 @@ def free_type_vars(target) -> set:
             return free_type_vars(ty) | free_type_vars(b)
         case TyApp(f, ty):
             return free_type_vars(f) | free_type_vars(ty)
-        case TyAbs(v, b):
-            return free_type_vars(b) - {v}
     raise KernelError(f"not a type or term: {target!r}")
 
 
@@ -349,16 +345,14 @@ def subst_type(target, tyvar: str, replacement):
     raise KernelError(f"not a type or term: {target!r}")
 
 
-def subst_term(body, var: str, value, var_type=None):
+def subst_term(body, var: str, value):
     """Capture-avoiding substitution of `value` for free occurrences of `var`.
 
-    The value's type must agree with the type at which `var` occurs (or with
-    `var_type` when given explicitly); bound variables and bound type
-    variables are renamed as needed.
+    The value's type must agree with the type at which `var` occurs; bound
+    variables and bound type variables are renamed as needed.  `_subst` is
+    the same substitution without the check, for terms already typed.
     """
-    expected = var_type
-    if expected is None:
-        expected = free_vars(body).get(var)
+    expected = free_vars(body).get(var)
     if expected is not None:
         actual = type_of(value)
         if not alpha_equiv(actual, expected):
@@ -447,12 +441,12 @@ def _type_of(t, ctx, bound, free_seen):
                     f"application mismatch: function expects {fun_ty.domain}, "
                     f"argument has type {arg_ty}")
             return fun_ty.codomain
-        case Abs(var, var_type, body):
+        case Abs(var, dom, body):
             if ctx is not None:
-                _check_sorts(var_type, ctx.sorts, f"the binder '{var}'")
+                _check_sorts(dom, ctx.sorts, f"the binder '{var}'")
             inner = dict(bound)
-            inner[var] = var_type
-            return Arrow(var_type, _type_of(body, ctx, inner, free_seen))
+            inner[var] = dom
+            return Arrow(dom, _type_of(body, ctx, inner, free_seen))
         case TyApp(fun, arg_type):
             fun_ty = _type_of(fun, ctx, bound, free_seen)
             if not isinstance(fun_ty, Forall):

@@ -28,7 +28,7 @@ from .kernel import (Abs, App, Arrow, Const, Context, KernelError, PROP,
                      alpha_equiv, parse_term, parse_type, render_term,
                      render_type, type_of)
 from .logic import Formula, choice_type, logical_constants, to_formula
-from .reduction import normal_form
+from .reduction import _normal_form
 
 RIGID = "rigid"
 FLEXIBLE = "flexible"
@@ -207,7 +207,7 @@ def iota(sort, predicate, fuel: int = 10000):
             f"a referent of {render_type(sort)} needs a predicate of"
             f" {render_type(Arrow(sort, PROP))}, got {render_type(pty)}")
     term = App(TyApp(Const("iota", choice_type()), sort), predicate)
-    claim = normal_form(App(predicate, term), fuel=fuel)
+    claim = _normal_form(App(predicate, term), fuel)  # parts checked above
     return term, to_formula(claim)
 
 

@@ -194,25 +194,21 @@ def _formula(t):
                 return Quant(name, p.var, sort, _formula(p.body))
             x = fresh_name("x", set(free_vars(p)))
             return Quant(name, x, sort, _formula(App(p, Var(x, sort))))
+    head, args = _head(t)
+    return Atom(head, tuple(_ref(a) for a in args))
+
+
+def _head(t):
+    """The head of `t`'s application spine as a reference, and the
+    arguments it is applied to; an iota description takes the first
+    argument as its predicate.  Any other head becomes a TermRef."""
     head, args = _spine(t)
-    return Atom(_head_ref(head, args), tuple(_ref(a) for a in _tail(head, args)))
-
-
-def _is_iota_head(head):
-    return (isinstance(head, TyApp) and isinstance(head.fun, Const)
-            and head.fun.name == IOTA_NAME)
-
-
-def _head_ref(head, args):
-    if _is_iota_head(head) and args:
-        return Description(head.arg_type, args[0])
-    if isinstance(head, (Var, Const)):
-        return _ref(head)
-    return TermRef(head)
-
-
-def _tail(head, args):
-    return args[1:] if _is_iota_head(head) and args else args
+    match head:
+        case TyApp(Const(name, _), sort) if name == IOTA_NAME and args:
+            return Description(sort, args[0]), args[1:]
+        case Var() | Const():
+            return _ref(head), args
+    return TermRef(head), args
 
 
 def _ref(t):
@@ -221,16 +217,10 @@ def _ref(t):
             return VarRef(n)
         case Const(n, _):
             return ConstRef(n)
-    head, args = _spine(t)
-    if _is_iota_head(head) and args:
-        desc = Description(head.arg_type, args[0])
-        rest = args[1:]
-        if not rest:
-            return desc
-        return Applied(desc, tuple(_ref(a) for a in rest))
-    if isinstance(head, (Var, Const)) and args:
-        return Applied(_ref(head), tuple(_ref(a) for a in args))
-    return TermRef(t)
+    head, args = _head(t)
+    if isinstance(head, TermRef):
+        return TermRef(t)
+    return Applied(head, tuple(_ref(a) for a in args)) if args else head
 
 
 # ---------------------------------------------------------------------------

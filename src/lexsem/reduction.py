@@ -2,15 +2,18 @@
 
 The default strategy is leftmost-outermost; a randomized strategy is
 available for cross-checking confluence.  Well-typed terms always
-normalize, but every loop is still fuel-guarded.
+normalize, but every loop is still fuel-guarded.  `normalize` and
+`normal_form` type-check their input once, on entry: beta and type-beta
+preserve types, so no reduction step checks them again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .kernel import (Abs, App, KernelError, Term, TyAbs, TyApp, render_term,
-                     subst_term, subst_type)
+from .kernel import (Abs, App, KernelError, Term, TyAbs, TyApp, _subst,
+                     free_type_vars, free_vars, render_term, subst_type,
+                     type_of)
 
 BETA = "beta"
 TYPE_BETA = "type-beta"
@@ -66,11 +69,13 @@ def find_redexes(term) -> list:
 
 
 def reduce_at(term, path):
-    """Contract the redex at `path` and return the whole term."""
+    """Contract the redex at `path` and return the whole term, which is
+    trusted to be well-typed: the substitution checks nothing."""
     if not path:
         match term:
-            case App(Abs(x, xt, body), arg):
-                return subst_term(body, x, arg, var_type=xt)
+            case App(Abs(x, _, body), arg):
+                return _subst(body, x, arg, set(free_vars(arg)),
+                              free_type_vars(arg))
             case TyApp(TyAbs(v, body), ty):
                 return subst_type(body, v, ty)
         raise KernelError(f"no redex at the given position: {render_term(term)}")
@@ -101,10 +106,12 @@ def reduce_step(term):
 def normalize(term, fuel: int = 10000, strategy: str = "leftmost", rng=None):
     """Reduce to normal form; returns (normal form, trace).
 
-    `fuel` bounds the number of steps and must be at least 1.  With
-    strategy "random" the redex contracted at each step is drawn from
-    `rng` (a random.Random).
+    Raises TypingError, before any step, when `term` is ill-typed.  `fuel`
+    bounds the number of steps and must be at least 1.  With strategy
+    "random" the redex contracted at each step is drawn from `rng` (a
+    random.Random).
     """
+    type_of(term)
     if fuel < 1:
         raise ValueError("fuel must be >= 1")
     if strategy not in ("leftmost", "random"):
@@ -113,16 +120,13 @@ def normalize(term, fuel: int = 10000, strategy: str = "leftmost", rng=None):
         raise ValueError("the random strategy needs an rng")
     steps = []
     current = term
-    for _ in range(fuel):
-        redexes = find_redexes(current)
-        if not redexes:
-            return current, ReductionTrace(steps)
+    while redexes := find_redexes(current):
+        if len(steps) == fuel:
+            raise FuelExhausted(f"no normal form after {fuel} steps")
         path, rule = redexes[0] if strategy == "leftmost" else rng.choice(redexes)
         current = reduce_at(current, path)
         steps.append(TraceStep(path, rule, current))
-    if not find_redexes(current):
-        return current, ReductionTrace(steps)
-    raise FuelExhausted(f"no normal form after {fuel} steps")
+    return current, ReductionTrace(steps)
 
 
 def normal_form(term, fuel: int = 10000):
@@ -133,9 +137,16 @@ def normal_form(term, fuel: int = 10000):
     head's body and the arguments from left to right.  It contracts the
     redexes the leftmost-outermost stepper contracts, in the same order
     and with the same substitutions, so its result is identical (`==`) to
-    `normalize(term, fuel)[0]` and it raises FuelExhausted exactly when
-    that does.
+    `normalize(term, fuel)[0]` and it raises FuelExhausted, or on entry
+    TypingError, exactly when that does.
     """
+    type_of(term)
+    return _normal_form(term, fuel)
+
+
+def _normal_form(term, fuel):
+    """`normal_form` without the entry check, for terms built from
+    type-checked parts."""
     if fuel < 1:
         raise ValueError("fuel must be >= 1")
     left = fuel

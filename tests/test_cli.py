@@ -94,6 +94,15 @@ def test_exit_one_on_unknown_word(tmp_path, capsys):
     assert "Everton" in out
 
 
+def test_fuel_exhaustion_is_a_resource_limit(tmp_path, capsys):
+    inp = trees(tmp_path, "((AND spread_out voted) Liverpool)\n"
+                          "(spread_out voted)\n")
+    assert run(config(LIVERPOOL, inp, fuel=1)) == 1
+    blocks = capsys.readouterr().out.rstrip("\n").split("\n\n")
+    assert blocks[0] == "RESOURCE-LIMIT: no normal form after 1 steps"
+    assert blocks[1].startswith("TYPE-ERROR: ")
+
+
 def test_exit_two_on_missing_lexicon(tmp_path, capsys):
     inp = trees(tmp_path, "(a b)\n")
     assert run(config(str(tmp_path / "nope.mgl"), inp)) == 2

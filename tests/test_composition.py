@@ -1,11 +1,12 @@
 import pytest
 
 from lexsem import (App, Arrow, CompositionError, Const, Leaf, Node,
-                    PROP, ParseError, Rejection, SortRef, alpha_equiv,
-                    apply_with_coercion, compose, felicity, load_lexicon,
-                    parse_tree, poly_and, quantifier_type, render_formula,
-                    type_of)
+                    PROP, ParseError, RESOURCE_LIMIT, Rejection, SortRef,
+                    alpha_equiv, apply_with_coercion, compose, felicity,
+                    load_lexicon, normalize, parse_tree, poly_and,
+                    quantifier_type, render_formula, type_of)
 
+import termgen
 from conftest import fixture_text
 
 E = SortRef("e")
@@ -308,6 +309,17 @@ def test_verdict_non_function(liverpool):
     assert "not a function type" in v.error
 
 
+def test_verdict_resource_limit(liverpool):
+    tree = parse_tree("((AND spread_out voted) Liverpool)")
+    v = felicity(tree, liverpool, fuel=1)
+    assert v.status == RESOURCE_LIMIT == "resourceLimit"
+    assert v.error == "no normal form after 1 steps"
+    assert v.readings == ()
+    # an ill-typed tree is still a type error at the same fuel
+    v = felicity(parse_tree("(spread_out voted)"), liverpool, fuel=1)
+    assert v.status == "typeError"
+
+
 def test_error_paths_are_dotted(liverpool):
     with pytest.raises(CompositionError) as err:
         compose(parse_tree("(spread_out (THE missing))"), liverpool)
@@ -348,3 +360,32 @@ def test_marker_and_conjunct_errors(liverpool, text, error):
 def test_rejection_str():
     r = Rejection(("f", "g"), "rigid f excludes g")
     assert str(r) == "rigid f excludes g"
+
+
+# ---------------------------------------------------------------------------
+# subject reduction on the composition path: reduction checks no types, so
+# every reading, and every step that led to it, must keep the type of the
+# term it was normalized from
+
+def _fixture_cases():
+    for name in ("montague", "liverpool", "assinatura"):
+        lex = load_lexicon(fixture_text(f"{name}.mgl"))
+        for line in fixture_text(f"trees_{name}.txt").splitlines():
+            if line.strip() and not line.startswith("#"):
+                yield lex, line
+    gen = termgen.RandomCopreds(23)
+    for _ in range(200):
+        inst = gen.instance()
+        yield inst.lexicon, inst.tree_text
+
+
+def test_readings_keep_their_source_type():
+    readings = 0
+    for lex, text in _fixture_cases():
+        for r in felicity(parse_tree(text), lex).readings:
+            want = type_of(r.source, lex.context)
+            assert type_of(r.term, lex.context) == want, text
+            for step in normalize(r.source)[1].steps:
+                assert type_of(step.result, lex.context) == want, text
+            readings += 1
+    assert readings >= 60

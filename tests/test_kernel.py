@@ -201,7 +201,7 @@ def test_subst_term_checks_value_type():
 
 def test_subst_term_shadowed_occurrences_stay():
     t = Abs("x", E, Var("x", E))
-    out = subst_term(App(t, Var("x", E)), "x", Const("k", E), var_type=E)
+    out = subst_term(App(t, Var("x", E)), "x", Const("k", E))
     assert out == App(t, Const("k", E))
 
 

@@ -3,9 +3,10 @@ import random
 import pytest
 
 from lexsem import (Abs, App, Const, FuelExhausted, PROP, SortRef, TyAbs,
-                    TyApp, TypeVar, Var, alpha_equiv, find_redexes,
-                    normal_form, normalize, parse_term, reduce_at,
-                    reduce_step, render_term, render_trace, type_of)
+                    TyApp, TypeVar, TypingError, Var, alpha_equiv,
+                    find_redexes, normal_form, normalize, parse_term,
+                    reduce_at, reduce_step, render_term, render_trace,
+                    type_of)
 
 import termgen
 
@@ -187,3 +188,38 @@ def test_normal_form_fuel_validation():
         normal_form(K, fuel=0)
     with pytest.raises(FuelExhausted, match="after 1 steps"):
         normal_form(App(Abs("y", E, App(ID_E, Var("y", E))), K), fuel=1)
+
+
+# ---------------------------------------------------------------------------
+# the entry check: the one type check reduction makes
+
+R = Const("r", PROP)
+ILL_TYPED = [
+    # an ill-typed argument that normal order discards
+    App(Abs("y", E, K), App(K, K)),
+    # a well-typed argument at the wrong type, also discarded
+    App(Abs("y", E, K), R),
+    # an ill-typed redex under a binder
+    Abs("z", E, App(ID_E, R)),
+    # an ill-typed type application, with no redex at all
+    TyApp(K, E),
+]
+
+
+@pytest.mark.parametrize("term", ILL_TYPED, ids=render_term)
+def test_entry_check_rejects_ill_typed_input(term):
+    with pytest.raises(TypingError) as stepped:
+        normalize(term)
+    with pytest.raises(TypingError) as one_pass:
+        normal_form(term)
+    assert str(stepped.value) == str(one_pass.value)
+    # the check comes before the fuel is spent or even validated
+    with pytest.raises(TypingError):
+        normalize(term, fuel=0)
+    with pytest.raises(TypingError):
+        normal_form(term, fuel=0)
+
+
+def test_reduce_at_trusts_its_input():
+    # no step re-checks types: the entry check above is the only one
+    assert reduce_at(App(Abs("y", E, K), R), ()) == K
