@@ -1,10 +1,10 @@
 """Command line front end.
 
 Reads one parse tree per line, judges each against a lexicon, and
-prints one block per tree.  Exit status: 0 when every tree is
-felicitous, 1 when any tree is infelicitous, fails to type, runs out of
-fuel, or fails to parse, 2 for unusable invocations (bad flags,
-unreadable files, a broken lexicon).
+prints one block per tree as soon as the tree is judged.  Exit status:
+0 when every tree is felicitous, 1 when any tree is infelicitous, fails
+to type, runs out of fuel, or fails to parse, 2 for unusable
+invocations (bad flags, unreadable files, a broken lexicon).
 """
 
 from __future__ import annotations
@@ -72,15 +72,6 @@ def _summary(r: Reading) -> str:
     return render_term(r.term)
 
 
-def _reading_lines(r: Reading, format: str, fuel: int) -> list:
-    if format == "term":
-        return [render_term(r.term)]
-    if format == "trace":
-        _, trace = normalize(r.source, fuel=fuel)
-        return [render_term(r.source)] + render_trace(trace).splitlines()
-    return [_summary(r)]
-
-
 def _morph_text(records) -> str:
     return ", ".join(f"{name}@{word}" for word, _, name in records)
 
@@ -112,10 +103,22 @@ def _verdict_block(v: Verdict) -> list:
 
 
 def _tree_block(line: str, lex, config: CliConfig):
-    """Returns (lines, ok) for one input tree."""
+    """Judges one input tree; returns (lines to print, felicitous?)."""
     try:
-        return _verdict_lines(felicity(parse_tree(line), lex,
-                                       fuel=config.fuel), config)
+        v = felicity(parse_tree(line), lex, fuel=config.fuel)
+        ok = v.status == FELICITOUS
+        if config.format == "verdict" or not ok:
+            return _verdict_block(v), ok
+        readings = v.readings if config.all_readings else v.readings[:1]
+        if config.format == "term":
+            return [render_term(r.term) for r in readings], True
+        if config.format == "formula":
+            return [_summary(r) for r in readings], True
+        # trace: the first reading's derivation, then a line per other one
+        first = readings[0].source
+        _, trace = normalize(first, fuel=config.fuel)
+        return ([render_term(first)] + render_trace(trace).splitlines()
+                + [f"also: {_summary(r)}" for r in readings[1:]]), True
     except KernelError as err:
         return [f"ERROR: {err}"], False
     except RecursionError:
@@ -123,53 +126,43 @@ def _tree_block(line: str, lex, config: CliConfig):
         return ["ERROR: tree nested too deeply"], False
 
 
-def _verdict_lines(verdict: Verdict, config: CliConfig):
-    if config.format == "verdict":
-        return _verdict_block(verdict), verdict.status == FELICITOUS
-    if verdict.status != FELICITOUS:
-        return _verdict_block(verdict), False
-    if config.format == "trace":
-        # the first reading gets the full derivation; the rest one line each
-        lines = _reading_lines(verdict.readings[0], "trace", config.fuel)
-        if config.all_readings:
-            for r in verdict.readings[1:]:
-                lines.append(f"also: {_summary(r)}")
-        return lines, True
-    readings = verdict.readings if config.all_readings else verdict.readings[:1]
-    lines = []
-    for r in readings:
-        lines.extend(_reading_lines(r, config.format, config.fuel))
-    return lines, True
+def _tree_lines(stream):
+    """The tree lines of `stream`, split where `str.splitlines` splits."""
+    for chunk in stream:
+        for line in chunk.splitlines():
+            line = line.strip()
+            if line and not line.startswith("#"):
+                yield line
 
 
 def run(config: CliConfig) -> int:
     try:
-        lex = load_lexicon(Path(config.lexicon_path).read_text())
-    except OSError as err:
+        lex = load_lexicon(Path(config.lexicon_path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as err:
         print(f"cannot read lexicon: {err}", file=sys.stderr)
         return 2
     except KernelError as err:
         print(f"bad lexicon: {err}", file=sys.stderr)
         return 2
-    if config.input_path is None:
-        text = sys.stdin.read()
-    else:
-        try:
-            text = Path(config.input_path).read_text()
-        except OSError as err:
-            print(f"cannot read input: {err}", file=sys.stderr)
-            return 2
-    blocks = []
-    all_ok = True
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        lines, ok = _tree_block(line, lex, config)
-        blocks.append("\n".join(lines))
-        all_ok = all_ok and ok
-    if blocks:
-        print("\n\n".join(blocks))
+    try:
+        stream = (sys.stdin if config.input_path is None
+                  else open(config.input_path, encoding="utf-8"))
+    except OSError as err:
+        print(f"cannot read input: {err}", file=sys.stderr)
+        return 2
+    all_ok, separator = True, ""
+    try:
+        for line in _tree_lines(stream):
+            lines, ok = _tree_block(line, lex, config)
+            print(separator + "\n".join(lines), flush=True)
+            separator = "\n"
+            all_ok = all_ok and ok
+    except UnicodeDecodeError as err:
+        print(f"cannot read input: {err}", file=sys.stderr)
+        return 2
+    finally:
+        if stream is not sys.stdin:
+            stream.close()
     return 0 if all_ok else 1
 
 

@@ -263,7 +263,10 @@ def load_lexicon(text: str) -> Lexicon:
         else:
             _fail(lineno, f"cannot read {line!r}")
     _flush(lex, current, pending)
-    lex.validate()
+    try:
+        lex.validate()
+    except RecursionError:
+        raise LexiconError("a type or term is nested too deeply") from None
     return lex
 
 
@@ -318,6 +321,8 @@ def _parse(lineno, fn, src, env):
         return fn(src, env)
     except (ParseError, TypingError) as err:
         _fail(lineno, str(err))
+    except RecursionError:
+        _fail(lineno, "nested too deeply")
 
 
 def save_lexicon(lex: Lexicon) -> str:

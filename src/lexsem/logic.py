@@ -15,7 +15,7 @@ from typing import Optional, Union
 from .kernel import (Abs, App, Arrow, Const, Context, Forall, KernelError,
                      PROP, SortRef, Term, TyApp, Type, TypeVar, Var,
                      alpha_equiv, free_vars, fresh_name, render_term,
-                     render_type, type_of)
+                     render_type, subst_term, type_of)
 from .reduction import find_redexes
 
 AND_NAME = "&"
@@ -281,11 +281,19 @@ def _ref_term(r, ctx, env):
 
 _PREC_QUANT, _PREC_IMPLIES, _PREC_OR, _PREC_AND = 0, 1, 2, 3
 
+# per connective: its symbol, its own precedence, and the least precedence
+# its left and right operands print without parentheses
+_CONNECTIVE_PREC = {
+    Implies: ("implies", _PREC_IMPLIES, _PREC_OR, _PREC_IMPLIES),
+    Or: ("or", _PREC_OR, _PREC_OR, _PREC_AND),
+    And: ("and", _PREC_AND, _PREC_AND, _PREC_AND + 1),
+}
+
 _SYMBOLS = {
-    "ascii": {"and": "&", "or": "|", "implies": "=>",
-              "exists": "exists ", "forall": "forall ", "iota": "iota"},
-    "unicode": {"and": "∧", "or": "∨", "implies": "⇒",
-                "exists": "∃", "forall": "∀", "iota": "ι"},
+    "ascii": {"and": "&", "or": "|", "implies": "=>", "exists": "exists ",
+              "forall": "forall ", "iota": "iota", "style": "ascii"},
+    "unicode": {"and": "∧", "or": "∨", "implies": "⇒", "exists": "∃",
+                "forall": "∀", "iota": "ι", "style": "unicode"},
 }
 
 
@@ -293,108 +301,70 @@ def render_formula(f, style: str = "ascii") -> str:
     """Pretty-print with minimal parentheses.
 
     Quantifiers bind weakest, then implication, disjunction, conjunction.
-    Binders shadowing an enclosing binder are renamed first so every
-    rendered quantifier has a distinct name in its scope.
+    A binder shadowing an enclosing binder prints under a fresh name, and
+    its occurrences follow it, so every rendered binder has a distinct
+    name in its scope, inside descriptions and embedded terms too.
     """
     if style not in _SYMBOLS:
         raise ValueError(f"unknown style {style!r}")
-    return _render(_freshen(f, frozenset()), _PREC_QUANT, _SYMBOLS[style], style)
+    return _render(f, _PREC_QUANT, _SYMBOLS[style], frozenset(), {})
 
 
-def _formula_names(f) -> set:
-    match f:
-        case Atom(pred, args):
-            out = set()
-            for r in (pred,) + args:
-                out |= _ref_names(r)
-            return out
-        case And(l, r) | Or(l, r) | Implies(l, r):
-            return _formula_names(l) | _formula_names(r)
+def _names(x) -> set:
+    """Every name in a formula or a reference: binders, variables,
+    constants, and the free variables of embedded terms."""
+    match x:
         case Quant(_, var, _, body):
-            return {var} | _formula_names(body)
-    return set()
-
-
-def _ref_names(r) -> set:
-    match r:
+            return {var} | _names(body)
+        case And(l, r) | Or(l, r) | Implies(l, r):
+            return _names(l) | _names(r)
+        case Atom(head, args) | Applied(head, args):
+            return _names(head).union(*map(_names, args))
         case VarRef(n) | ConstRef(n):
             return {n}
-        case Applied(fun, args):
-            out = _ref_names(fun)
-            for a in args:
-                out |= _ref_names(a)
-            return out
+        case Description(_, t) | TermRef(t):
+            return set(free_vars(t))
     return set()
 
 
-def _freshen(f, scope):
+def _bind(var, body, printed, names):
+    """The name a binder of `var` over `body` prints with, and the printed
+    names and the map (renamed bound variable to printed name) of its
+    body.  A binder not in `printed` shadows nothing and no binder of that
+    name was renamed; a renamed one gets a name fresh for `printed`, which
+    holds every mapped-to name, and for the names in `body`."""
+    if var not in printed:
+        return var, printed | {var}, names
+    new = fresh_name(var, printed | _names(body))
+    return new, printed | {new}, names | {var: new}
+
+
+def _rebind(t, names):
+    """`t` with its free variables renamed as their binders print."""
+    for x, ty in (free_vars(t).items() if names else ()):
+        if x in names:
+            t = subst_term(t, x, Var(names[x], ty))
+    return t
+
+
+def _render(f, prec, sym, printed, names):
     match f:
         case Quant(kind, var, sort, body):
-            if var in scope:
-                new = fresh_name(var, scope | _formula_names(body))
-                body = _rename(body, var, new)
-                var = new
-            return Quant(kind, var, sort, _freshen(body, scope | {var}))
-        case And(l, r):
-            return And(_freshen(l, scope), _freshen(r, scope))
-        case Or(l, r):
-            return Or(_freshen(l, scope), _freshen(r, scope))
-        case Implies(l, r):
-            return Implies(_freshen(l, scope), _freshen(r, scope))
-    return f
-
-
-def _rename(f, old, new):
-    match f:
-        case Quant(kind, var, sort, body):
-            if var == old:
-                return f
-            return Quant(kind, var, sort, _rename(body, old, new))
-        case And(l, r):
-            return And(_rename(l, old, new), _rename(r, old, new))
-        case Or(l, r):
-            return Or(_rename(l, old, new), _rename(r, old, new))
-        case Implies(l, r):
-            return Implies(_rename(l, old, new), _rename(r, old, new))
-        case Atom(pred, args):
-            return Atom(_rename_ref(pred, old, new),
-                        tuple(_rename_ref(a, old, new) for a in args))
-    return f
-
-
-def _rename_ref(r, old, new):
-    match r:
-        case VarRef(n):
-            return VarRef(new) if n == old else r
-        case Applied(fun, args):
-            return Applied(_rename_ref(fun, old, new),
-                           tuple(_rename_ref(a, old, new) for a in args))
-    return r
-
-
-def _render(f, prec, sym, style):
-    match f:
-        case Quant(kind, var, sort, body):
-            s = (f"{sym[kind]}{var}:{_sort_text(sort, style)}. "
-                 f"{_render(body, _PREC_QUANT, sym, style)}")
+            var, inner, inner_names = _bind(var, body, printed, names)
+            s = (f"{sym[kind]}{var}:{_sort_text(sort, sym['style'])}. "
+                 f"{_render(body, _PREC_QUANT, sym, inner, inner_names)}")
             return f"({s})" if prec > _PREC_QUANT else s
-        case Implies(l, r):
-            s = (f"{_render(l, _PREC_OR, sym, style)} {sym['implies']} "
-                 f"{_render(r, _PREC_IMPLIES, sym, style)}")
-            return f"({s})" if prec > _PREC_IMPLIES else s
-        case Or(l, r):
-            s = (f"{_render(l, _PREC_OR, sym, style)} {sym['or']} "
-                 f"{_render(r, _PREC_AND, sym, style)}")
-            return f"({s})" if prec > _PREC_OR else s
-        case And(l, r):
-            s = (f"{_render(l, _PREC_AND, sym, style)} {sym['and']} "
-                 f"{_render(r, _PREC_AND + 1, sym, style)}")
-            return f"({s})" if prec > _PREC_AND else s
+        case And(l, r) | Or(l, r) | Implies(l, r):
+            op, own, left, right = _CONNECTIVE_PREC[type(f)]
+            s = (f"{_render(l, left, sym, printed, names)} {sym[op]} "
+                 f"{_render(r, right, sym, printed, names)}")
+            return f"({s})" if prec > own else s
         case Atom(pred, args):
-            head = _render_ref(pred, sym, style)
+            head = _render_ref(pred, sym, printed, names)
             if not args:
                 return head
-            return f"{head}({', '.join(_render_ref(a, sym, style) for a in args)})"
+            inner = ", ".join(_render_ref(a, sym, printed, names) for a in args)
+            return f"{head}({inner})"
     raise LogicError(f"not a formula: {f!r}")
 
 
@@ -405,17 +375,20 @@ def _sort_text(sort, style):
     return s
 
 
-def _render_ref(r, sym, style):
+def _render_ref(r, sym, printed, names):
     match r:
-        case VarRef(n) | ConstRef(n):
+        case VarRef(n):
+            return names.get(n, n)
+        case ConstRef(n):
             return n
         case Description(sort, pred):
-            return f"{sym['iota']}[{render_type(sort, style)}]({_pred_text(pred, sym, style)})"
+            pred = _pred_text(_rebind(pred, names), sym, printed)
+            return f"{sym['iota']}[{render_type(sort, sym['style'])}]({pred})"
         case Applied(fun, args):
-            inner = ", ".join(_render_ref(a, sym, style) for a in args)
-            return f"{_render_ref(fun, sym, style)}({inner})"
+            inner = ", ".join(_render_ref(a, sym, printed, names) for a in args)
+            return f"{_render_ref(fun, sym, printed, names)}({inner})"
         case TermRef(t):
-            return render_term(t, style)
+            return render_term(_rebind(t, names), sym["style"])
     raise LogicError(f"not a term reference: {r!r}")
 
 
@@ -431,14 +404,17 @@ def _eta_head(pred) -> Optional[str]:
     return None
 
 
-def _pred_text(pred, sym, style):
+def _pred_text(pred, sym, printed):
+    """A description's predicate, whose free variables already carry
+    their printed names."""
     name = _eta_head(pred)
     if name is not None:
         return name
     if isinstance(pred, Abs):
         try:
-            body = _render(_formula(pred.body), _PREC_QUANT, sym, style)
-            return f"{pred.var}. {body}"
+            body = _formula(pred.body)
         except KernelError:
-            pass
-    return render_term(pred, style)
+            return render_term(pred, sym["style"])
+        var, inner, names = _bind(pred.var, body, printed, {})
+        return f"{var}. {_render(body, _PREC_QUANT, sym, inner, names)}"
+    return render_term(pred, sym["style"])

@@ -1,7 +1,13 @@
 import io
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import pytest
 
+import lexsem
 from lexsem.cli import CliConfig, main, parse_args, run
 
 from conftest import FIXTURES
@@ -122,10 +128,71 @@ def test_exit_two_on_missing_input(tmp_path, capsys):
     assert "cannot read input" in capsys.readouterr().err
 
 
+def test_exit_two_on_non_utf8_lexicon(tmp_path, capsys):
+    bad = tmp_path / "latin1.mgl"
+    bad.write_bytes(b"sorts: e\npred caf\xe9 : e\n")
+    inp = trees(tmp_path, "(a b)\n")
+    assert run(config(str(bad), inp)) == 2
+    assert capsys.readouterr().err.startswith("cannot read lexicon: ")
+
+
+def test_exit_two_on_non_utf8_input(tmp_path, capsys):
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes(b"(spread_out Liverpool)\n(caf\xe9 Liverpool)\n")
+    assert run(config(LIVERPOOL, str(bad))) == 2
+    assert capsys.readouterr().err.startswith("cannot read input: ")
+
+
+@pytest.mark.parametrize("text", [
+    "sorts: e\npred p : " + "(" * 3000 + "e" + ")" * 3000 + "\n",
+    "sorts: e\npred k : e\nword w : e = " + "(" * 3000 + "#k" + ")" * 3000,
+    "sorts: e\npred p : " + "e -> " * 3000 + "t\n",
+    "sorts: e\npred p : " + "e -> " * 400 + "t\nword w : "
+    + "e -> " * 400 + "t = #p\n",
+], ids=["paren-type", "paren-term", "arrows", "validated-arrows"])
+def test_exit_two_on_deeply_nested_lexicon(tmp_path, capsys, text):
+    lex = tmp_path / "deep.mgl"
+    lex.write_text(text)
+    inp = trees(tmp_path, "(a b)\n")
+    assert run(config(str(lex), inp)) == 2
+    assert capsys.readouterr().err.startswith("bad lexicon: ")
+
+
 def test_reads_stdin_by_default(monkeypatch, capsys):
     monkeypatch.setattr("sys.stdin", io.StringIO("(spread_out Liverpool)\n"))
     assert run(config(LIVERPOOL)) == 0
     assert capsys.readouterr().out == "spread_out(t3(lpl))\n"
+
+
+def test_lines_split_where_splitlines_splits(tmp_path, capsys):
+    inp = trees(tmp_path, "(spread_out Liverpool)\x0b(voted Liverpool)"
+                          "\u2028# a comment\u2028(spread_out Liverpool)\n")
+    assert run(config(LIVERPOOL, inp)) == 0
+    assert capsys.readouterr().out == \
+        "spread_out(t3(lpl))\n\nvoted(t2(lpl))\n\nspread_out(t3(lpl))\n"
+
+
+def test_each_block_is_printed_before_input_ends():
+    env = dict(os.environ, PYTHONPATH=str(Path(lexsem.__file__).parents[1]))
+    with subprocess.Popen(
+            [sys.executable, "-m", "lexsem.cli", "--lexicon", LIVERPOOL],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
+            env=env) as proc:
+        try:
+            proc.stdin.write("(spread_out Liverpool)\n")
+            proc.stdin.flush()
+            got = []
+            reader = threading.Thread(
+                target=lambda: got.append(proc.stdout.readline()),
+                daemon=True)
+            reader.start()
+            reader.join(timeout=30)
+            # stdin is still open: the block came from that line alone
+            assert got == ["spread_out(t3(lpl))\n"]
+            proc.stdin.close()
+            assert proc.wait(timeout=30) == 0
+        finally:
+            proc.kill()
 
 
 def test_main_raises_system_exit(tmp_path, capsys):

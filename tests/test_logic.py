@@ -2,8 +2,8 @@ import pytest
 
 from lexsem import (Abs, And, App, Applied, Arrow, Atom, Const, ConstRef,
                     Context, Description, Forall, Implies, LogicError, Or,
-                    PROP, Quant, SortRef, TyApp, TypeVar, Var, VarRef,
-                    alpha_equiv, choice_type, connective_type,
+                    PROP, Quant, SortRef, TermRef, TyApp, TypeVar, Var,
+                    VarRef, alpha_equiv, choice_type, connective_type,
                     formula_to_term, logical_constants, logical_signature,
                     normalize, parse_term, quantifier_type, render_formula,
                     to_formula, type_of)
@@ -139,10 +139,30 @@ def test_render_formula_freshens_shadowed_binders():
                                          (VarRef("x"), VarRef("x"))))
     outer = Quant("exists", "x", E, And(Atom(ConstRef("p"), (VarRef("x"),)),
                                         inner))
-    text = render_formula(outer)
-    assert text.count("exists x:e") == 1
     # the inner binder got a new name and its occurrences follow it
-    assert "exists x1:e. r(x1, x1)" in text or "exists x" in text
+    assert render_formula(outer) == \
+        "exists x:e. p(x) & (exists x1:e. r(x1, x1))"
+
+
+def test_render_formula_freshens_inside_descriptions():
+    ctx = sig(p=Arrow(E, PROP), q=Arrow(E, PROP), r=Arrow(E, Arrow(E, PROP)))
+    f = to_formula(parse_term(
+        "#exists{e} (lam x:e. (#& (#p x)) (#exists{e} (lam x:e."
+        " #q (#iota{e} (lam z:e. (#r z) x)))))", ctx))
+    # the description's x is the inner binder's, which prints as x1
+    assert render_formula(f) == \
+        "exists x:e. p(x) & (exists x1:e. q(iota[e](z. r(z, x1))))"
+
+
+def test_render_formula_freshens_inside_embedded_terms():
+    r = Const("r", Arrow(E, Arrow(E, PROP)))
+    f = Atom(ConstRef("q"), (TermRef(App(App(r, Var("x", E)),
+                                         Var("x1", E))),))
+    for name in ("x1", "x", "x1", "x"):
+        f = Quant("exists", name, E, f)
+    # the term's x and x1 are the two innermost binders, printed x2 and x11
+    assert render_formula(f) == ("exists x:e. exists x1:e. exists x2:e."
+                                 " exists x11:e. q(#r x2 x11)")
 
 
 def test_render_description():
