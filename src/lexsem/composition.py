@@ -15,12 +15,12 @@ from itertools import product
 from typing import Optional, Union
 
 from .kernel import (Abs, App, Arrow, Forall, KernelError, PROP, ParseError,
-                     SortRef, Term, TyApp, TypeVar, Var, alpha_equiv,
+                     SortRef, Term, TyApp, Type, TypeVar, Var, alpha_equiv,
                      alpha_key, free_type_vars, fresh_name, render_type,
                      subst_type, type_of)
 from .lexicon import (LexEntry, Lexicon, LexiconError, Morphism, RIGID,
                       candidates, iota, poly_and)
-from .logic import Formula, LogicError, to_formula
+from .logic import Formula, _formula
 from .reduction import FuelExhausted, _normal_form
 
 FELICITOUS = "felicitous"
@@ -159,15 +159,26 @@ class _State:
 @dataclass(frozen=True)
 class _Alt:
     term: "Term"
-    entry: Optional[LexEntry] = None
     morphs: tuple = ()
     presups: tuple = ()
 
 
 @dataclass(frozen=True)
+class _Node:
+    """A tree node with its readings so far.  A coercion only reroutes an
+    argument inside one application, so every alternative has the
+    node's type; they differ in the morphisms chosen below the node and
+    in their presuppositions.  `entry` is a leaf word's, kept by `THE`."""
+
+    type: "Type"
+    alts: list
+    entry: Optional[LexEntry] = None
+
+
+@dataclass(frozen=True)
 class _Marker:
     """`THE` or `AND`, with the conjuncts an `AND` has taken so far: each
-    a list of _Alt or a complete two-conjunct _Marker."""
+    a _Node or a complete two-conjunct _Marker."""
 
     word: str
     conjuncts: tuple = ()
@@ -220,6 +231,40 @@ def _match_forall(fun_type, arg_type):
     return [bind[v] for v in peeled]
 
 
+def _applying(fty, aty, arg_entry, path=()):
+    """How a functor of type `fty` takes an argument of type `aty`.
+
+    Returns `(type_args, morphisms, result_type)`: the types that
+    instantiate a quantified functor, and the morphisms the argument may
+    route through, None standing for a direct application.  No morphism
+    means nothing fits.  The result type is taken with `type_of`'s own
+    instantiation steps, so it is `==` to the applied term's type.
+    """
+    if isinstance(fty, Forall):
+        inst = _match_forall(fty, aty)
+        if inst is None:
+            return (), [], None
+        for ty in inst:
+            fty = subst_type(fty.body, fty.var, ty)
+        return inst, [None], fty.codomain
+    if not isinstance(fty, Arrow):
+        raise CompositionError(f"{render_type(fty)} is not a function type",
+                               path)
+    if alpha_equiv(aty, fty.domain):
+        return (), [None], fty.codomain
+    try:
+        ms = candidates(arg_entry, aty, fty.domain) if arg_entry else []
+    except LexiconError:
+        ms = []
+    return (), ms, fty.codomain
+
+
+def _applied(fun_term, type_args, arg_term, m):
+    for ty in type_args:
+        fun_term = TyApp(fun_term, ty)
+    return App(fun_term, arg_term if m is None else App(m.term, arg_term))
+
+
 def apply_with_coercion(fun_term, arg_term, arg_entry=None):
     """All ways to apply a functor to an argument.
 
@@ -229,27 +274,8 @@ def apply_with_coercion(fun_term, arg_term, arg_entry=None):
     Coercion happens on the argument side only; a quantified functor is
     instantiated to match and admits no coercion.
     """
-    fty = type_of(fun_term)
-    aty = type_of(arg_term)
-    if isinstance(fty, Forall):
-        inst = _match_forall(fty, aty)
-        if inst is None:
-            return []
-        t = fun_term
-        for ty in inst:
-            t = TyApp(t, ty)
-        return [(App(t, arg_term), None)]
-    if not isinstance(fty, Arrow):
-        raise CompositionError(f"{render_type(fty)} is not a function type")
-    if alpha_equiv(aty, fty.domain):
-        return [(App(fun_term, arg_term), None)]
-    if arg_entry is None:
-        return []
-    try:
-        ms = candidates(arg_entry, aty, fty.domain)
-    except LexiconError:
-        return []
-    return [(App(fun_term, App(m.term, arg_term)), m) for m in ms]
+    inst, ms, _ = _applying(type_of(fun_term), type_of(arg_term), arg_entry)
+    return [(_applied(fun_term, inst, arg_term, m), m) for m in ms]
 
 
 # ---------------------------------------------------------------------------
@@ -262,80 +288,39 @@ def _leaf(leaf: Leaf, path, st: _State):
         entry = st.lex.entry(leaf.word)
     except LexiconError as err:
         raise CompositionError(str(err), path) from err
-    return [_Alt(entry.principal, entry)]
+    return _Node(type_of(entry.principal), [_Alt(entry.principal)], entry)
 
 
-def _apply_node(funs, args, path):
-    if not funs or not args:
-        return []
-    out = []
-    failure = None
-    for f, a in product(funs, args):
-        try:
-            apps = apply_with_coercion(f.term, a.term, a.entry)
-        except CompositionError as err:
-            apps = []
-            if failure is None:
-                failure = str(err)
-        if not apps and failure is None:
-            failure = (f"cannot apply {render_type(type_of(f.term))}"
-                       f" to {render_type(type_of(a.term))}")
-        for term, m in apps:
+def _apply_node(fun: _Node, arg: _Node, path):
+    inst, ms, ty = _applying(fun.type, arg.type, arg.entry, path)
+    if not ms:
+        raise CompositionError(f"cannot apply {render_type(fun.type)}"
+                               f" to {render_type(arg.type)}", path)
+    alts = []
+    for f, a in product(fun.alts, arg.alts):
+        for m in ms:
             morphs = f.morphs + a.morphs
             if m is not None:
-                morphs += ((a.entry.word, path + (1,), m.name),)
-            out.append(_Alt(term, None, morphs, f.presups + a.presups))
-    if not out:
-        raise CompositionError(failure, path)
-    return out
+                morphs += ((arg.entry.word, path + (1,), m.name),)
+            alts.append(_Alt(_applied(f.term, inst, a.term, m), morphs,
+                             f.presups + a.presups))
+    return _Node(ty, alts)
 
 
-def _the_node(nouns, path, st: _State):
-    if not nouns:
-        return []
-    out = []
-    failure = None
-    for alt in nouns:
-        ty = type_of(alt.term)
-        if not (isinstance(ty, Arrow) and ty.codomain == PROP):
-            if failure is None:
-                failure = (f"{THE_MARKER} needs a predicate,"
-                           f" got {render_type(ty)}")
-            continue
-        term, presup = iota(ty.domain, alt.term, fuel=st.fuel)
-        out.append(_Alt(term, alt.entry, alt.morphs,
-                        alt.presups + (presup,)))
-    if not out:
-        raise CompositionError(failure or "nothing under THE", path)
-    return out
+def _is_predicate(ty) -> bool:
+    return isinstance(ty, Arrow) and ty.codomain == PROP
 
 
-def _conjunct_alts(side, xi, entry, arg_path, path, st: _State):
-    """A conjunct as (predicate, sort, morphisms, presuppositions) tuples.
-
-    A nested conjunction is resolved here at the shared referent type,
-    so the enclosing node sees it as a predicate over that type with
-    its own morphism choices already made.  The second result is a type
-    failure message when the conjunct cannot be a predicate at all.
-    """
-    if isinstance(side, _Marker):
-        y = fresh_name("y", set(st.lex.context.constants))
-        shared = _Alt(Var(y, xi), entry)
-        inner = _copred_alts(side, [shared], path, arg_path, st)
-        return ([(Abs(y, xi, a.term), xi, a.morphs, a.presups)
-                 for a in inner], None)
-    out = []
-    failure = None
-    for alt in side:
-        ty = type_of(alt.term)
-        if isinstance(ty, Arrow) and ty.codomain == PROP:
-            out.append((alt.term, ty.domain, alt.morphs, alt.presups))
-        elif failure is None:
-            failure = (f"a conjunct must be a one-place predicate,"
-                       f" got {render_type(ty)}")
-    if not out and side:
-        return [], failure
-    return out, None
+def _the_node(noun: _Node, path, st: _State):
+    if not _is_predicate(noun.type):
+        raise CompositionError(f"{THE_MARKER} needs a predicate,"
+                               f" got {render_type(noun.type)}", path)
+    sort = noun.type.domain
+    alts = []
+    for alt in noun.alts:
+        term, presup = iota(sort, alt.term, fuel=st.fuel)
+        alts.append(_Alt(term, alt.morphs, alt.presups + (presup,)))
+    return _Node(sort, alts, noun.entry)
 
 
 def _pair_ok(f: Morphism, g: Morphism) -> bool:
@@ -381,31 +366,42 @@ def _copred_term(left, right, shared, xi, alpha, beta, f, g):
     return App(App(t, f.term), g.term)
 
 
-def _copred_alts(fun: _Marker, args, path, arg_path, st: _State):
+def _nested(conj: _Marker, arg: _Node, path, arg_path, st: _State):
+    """A nested conjunction, resolved at the shared referent type: a
+    predicate over that type with its own morphism choices made.  The
+    bound `y` cannot capture a constant: they live in disjoint
+    namespaces."""
+    xi = arg.type
+    shared = _Node(xi, [_Alt(Var("y", xi))], arg.entry)
+    inner = _copred_node(conj, shared, path, arg_path, st)
+    return _Node(Arrow(xi, PROP), [_Alt(Abs("y", xi, a.term), a.morphs,
+                                        a.presups) for a in inner.alts])
+
+
+def _copred_node(fun: _Marker, arg: _Node, path, arg_path, st: _State):
     st.copred_nodes += 1
-    left, right = fun.conjuncts
-    out = []
-    for arg in args:
-        if arg.entry is None:
-            raise CompositionError(
-                "a shared argument must carry a lexical entry", path)
-        xi = type_of(arg.term)
-        lefts, lfail = _conjunct_alts(left, xi, arg.entry,
-                                      arg_path, path, st)
-        rights, rfail = _conjunct_alts(right, xi, arg.entry,
-                                       arg_path, path, st)
-        if lfail or rfail:
-            raise CompositionError(lfail or rfail, path)
-        for (lt, la, lm, lp), (rt, ra, rm, rp) in product(lefts, rights):
-            pairs = _copred_pairs(arg.entry, xi, la, ra, st.rejections)
-            for f, g in pairs:
-                term = _copred_term(lt, rt, arg.term, xi, la, ra, f, g)
-                recs = (lm + rm + arg.morphs
-                        + ((arg.entry.word, tuple(arg_path), f.name),
-                           (arg.entry.word, tuple(arg_path), g.name)))
-                out.append(_Alt(term, None, recs,
-                                lp + rp + arg.presups))
-    return out
+    if arg.entry is None:
+        raise CompositionError(
+            "a shared argument must carry a lexical entry", path)
+    left, right = (_nested(c, arg, path, arg_path, st)
+                   if isinstance(c, _Marker) else c for c in fun.conjuncts)
+    for side in (left, right):
+        if not _is_predicate(side.type):
+            raise CompositionError(f"a conjunct must be a one-place predicate,"
+                                   f" got {render_type(side.type)}", path)
+    xi, alpha, beta = arg.type, left.type.domain, right.type.domain
+    # a pair is only tried when each conjunct has a reading to pair
+    pairs = (_copred_pairs(arg.entry, xi, alpha, beta, st.rejections)
+             if left.alts and right.alts else [])
+    alts = []
+    for a, l, r in product(arg.alts, left.alts, right.alts):
+        for f, g in pairs:
+            term = _copred_term(l.term, r.term, a.term, xi, alpha, beta, f, g)
+            recs = (l.morphs + r.morphs + a.morphs
+                    + ((arg.entry.word, arg_path, f.name),
+                       (arg.entry.word, arg_path, g.name)))
+            alts.append(_Alt(term, recs, l.presups + r.presups + a.presups))
+    return _Node(PROP, alts)
 
 
 def _node(tree, path, st: _State):
@@ -428,23 +424,22 @@ def _node(tree, path, st: _State):
         return _Marker(AND_MARKER, lv.conjuncts + (rv,))
     if isinstance(rv, _Marker):
         raise CompositionError("a conjunction needs a term argument", path)
-    return _copred_alts(lv, rv, path, path + (1,), st)
+    return _copred_node(lv, rv, path, path + (1,), st)
 
 
-def _finish(alts, st: _State):
-    # terms built from checked parts only: no entry check in reduction
+def _finish(node: _Node, st: _State):
+    # terms built from checked parts only: no entry check in reduction,
+    # and a reading is closed, normal and of the root's type, so a root
+    # of type t reads as a formula with no check left to make
     readings = []
     seen = set()
-    for alt in alts:
+    for alt in node.alts:
         nf = _normal_form(alt.term, st.fuel)
         key = alpha_key(nf)
         if key in seen:
             continue
         seen.add(key)
-        try:
-            formula = to_formula(nf)
-        except LogicError:    # open, or not of type t
-            formula = None
+        formula = _formula(nf) if node.type == PROP else None
         readings.append(Reading(nf, formula, alt.morphs, alt.presups,
                                 alt.term))
     return readings

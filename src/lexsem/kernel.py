@@ -42,40 +42,33 @@ class TypingError(KernelError):
 # ---------------------------------------------------------------------------
 # types
 
-@dataclass(frozen=True)
-class SortRef:
-    name: str
-
+class _TypeNode:
     def __str__(self):
         return render_type(self)
 
 
 @dataclass(frozen=True)
-class TypeVar:
+class SortRef(_TypeNode):
     name: str
-
-    def __str__(self):
-        return render_type(self)
 
 
 @dataclass(frozen=True)
-class Arrow:
+class TypeVar(_TypeNode):
+    name: str
+
+
+@dataclass(frozen=True)
+class Arrow(_TypeNode):
     domain: "Type"
     codomain: "Type"
 
-    def __str__(self):
-        return render_type(self)
-
 
 @dataclass(frozen=True)
-class Forall:
+class Forall(_TypeNode):
     """Second-order quantification; the bound variable may be vacuous."""
 
     var: str
     body: "Type"
-
-    def __str__(self):
-        return render_type(self)
 
 
 Type = Union[SortRef, TypeVar, Arrow, Forall]
@@ -86,70 +79,57 @@ PROP = SortRef("t")
 # ---------------------------------------------------------------------------
 # terms
 
-@dataclass(frozen=True)
-class Var:
-    name: str
-    type: "Type"
-
+class _TermNode:
     def __str__(self):
         return render_term(self)
 
 
 @dataclass(frozen=True)
-class Const:
+class Var(_TermNode):
     name: str
     type: "Type"
 
-    def __str__(self):
-        return render_term(self)
+
+@dataclass(frozen=True)
+class Const(_TermNode):
+    name: str
+    type: "Type"
 
 
 @dataclass(frozen=True)
-class App:
+class App(_TermNode):
     fun: "Term"
     arg: "Term"
 
-    def __str__(self):
-        return render_term(self)
-
 
 @dataclass(frozen=True)
-class Abs:
+class Abs(_TermNode):
     var: str
     var_type: "Type"
     body: "Term"
 
-    def __str__(self):
-        return render_term(self)
-
 
 @dataclass(frozen=True)
-class TyApp:
+class TyApp(_TermNode):
     fun: "Term"
     arg_type: "Type"
 
-    def __str__(self):
-        return render_term(self)
-
 
 @dataclass(frozen=True)
-class TyAbs:
+class TyAbs(_TermNode):
     var: str
     body: "Term"
-
-    def __str__(self):
-        return render_term(self)
 
 
 Term = Union[Var, Const, App, Abs, TyApp, TyAbs]
 
 
 def is_type(x) -> bool:
-    return isinstance(x, (SortRef, TypeVar, Arrow, Forall))
+    return isinstance(x, _TypeNode)
 
 
 def is_term(x) -> bool:
-    return isinstance(x, (Var, Const, App, Abs, TyApp, TyAbs))
+    return isinstance(x, _TermNode)
 
 
 # ---------------------------------------------------------------------------

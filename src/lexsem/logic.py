@@ -104,51 +104,41 @@ class TermRef:
 Ref = Union[ConstRef, VarRef, Description, Applied, TermRef]
 
 
+class _FormulaNode:
+    def __str__(self):
+        return render_formula(self)
+
+
 @dataclass(frozen=True)
-class Atom:
+class Atom(_FormulaNode):
     pred: "Ref"
     args: tuple
 
-    def __str__(self):
-        return render_formula(self)
-
 
 @dataclass(frozen=True)
-class And:
+class And(_FormulaNode):
     left: "Formula"
     right: "Formula"
 
-    def __str__(self):
-        return render_formula(self)
-
 
 @dataclass(frozen=True)
-class Or:
+class Or(_FormulaNode):
     left: "Formula"
     right: "Formula"
 
-    def __str__(self):
-        return render_formula(self)
-
 
 @dataclass(frozen=True)
-class Implies:
+class Implies(_FormulaNode):
     left: "Formula"
     right: "Formula"
 
-    def __str__(self):
-        return render_formula(self)
-
 
 @dataclass(frozen=True)
-class Quant:
+class Quant(_FormulaNode):
     kind: str  # "exists" | "forall"
     var: str
     sort: "Type"
     body: "Formula"
-
-    def __str__(self):
-        return render_formula(self)
 
 
 Formula = Union[Atom, And, Or, Implies, Quant]

@@ -216,6 +216,25 @@ def test_empty_alternatives_propagate():
                for r in verdict.rejection_log)
 
 
+def test_conjunction_node_logs_each_rejection_once():
+    # the nested conjunction has four readings; the outer node's pairs
+    # do not depend on them, so its one rejection is logged once
+    lex = load_lexicon(
+        "sorts: T P F\n"
+        "pred c : T\npred a : T -> P\npred b : T -> P\npred r : T -> F\n"
+        "pred p : P -> t\npred q : P -> t\npred won : F -> t\n"
+        "word w : T = #c\n"
+        "  morph Id : T -> T = lam x:T. x [flexible]\n"
+        "  morph a : T -> P = #a [flexible]\n"
+        "  morph b : T -> P = #b [flexible]\n"
+        "  morph r : T -> F = #r [rigid]\n"
+        "word p : P -> t = #p\nword q : P -> t = #q\n"
+        "word won : F -> t = #won\n")
+    v = felicity(parse_tree("((AND (AND p q) won) w)"), lex)
+    assert v.status == "infelicitous"
+    assert [str(r) for r in v.rejection_log] == ["rigid r excludes Id"]
+
+
 def test_four_readings_when_all_flexible():
     lex = load_lexicon(
         "sorts: xi alpha\n"
@@ -346,6 +365,10 @@ MARKER_ERRORS = [
     ("THE", "at ε: the tree is an unapplied marker"),
     ("((AND Liverpool voted) Liverpool)",
      "at ε: a conjunct must be a one-place predicate, got T"),
+    # the error is reported once, at the node that cannot apply
+    ("(voted (Liverpool voted))", "at 1: T is not a function type"),
+    # the rigid clash below empties the argument, whose type is still t
+    ("(won ((AND voted won) Liverpool))", "at ε: cannot apply F -> t to t"),
 ]
 
 
