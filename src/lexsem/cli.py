@@ -20,7 +20,7 @@ from .composition import (FELICITOUS, INFELICITOUS, RESOURCE_LIMIT, Reading,
 from .kernel import KernelError, render_term
 from .lexicon import load_lexicon
 from .logic import render_formula
-from .reduction import normalize, render_trace
+from .reduction import FuelExhausted, normalize, render_trace
 
 FORMATS = ("formula", "term", "verdict", "trace")
 
@@ -119,6 +119,9 @@ def _tree_block(line: str, lex, config: CliConfig):
         _, trace = normalize(first, fuel=config.fuel)
         return ([render_term(first)] + render_trace(trace).splitlines()
                 + [f"also: {_summary(r)}" for r in readings[1:]]), True
+    except FuelExhausted as err:
+        # the trace's normal-order steps can outnumber the reading's charge
+        return [f"RESOURCE-LIMIT: {err}"], False
     except KernelError as err:
         return [f"ERROR: {err}"], False
     except RecursionError:

@@ -11,17 +11,18 @@ and a rigid morphism tolerates no distinct partner at the same node.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import product
 from typing import Optional, Union
 
 from .kernel import (Abs, App, Arrow, Forall, KernelError, PROP, ParseError,
-                     SortRef, Term, TyApp, Type, TypeVar, Var, alpha_equiv,
-                     alpha_key, free_type_vars, fresh_name, render_type,
-                     subst_type, type_of)
+                     SortRef, Term, TyAbs, TyApp, Type, TypeVar, Var, _apply,
+                     alpha_equiv, alpha_key, free_type_vars, fresh_name,
+                     render_type, subst_type, type_of)
 from .lexicon import (LexEntry, Lexicon, LexiconError, Morphism, RIGID,
-                      candidates, iota, poly_and)
+                      _iota, candidates, poly_and)
 from .logic import Formula, _formula
-from .reduction import FuelExhausted, _normal_form
+from .reduction import FuelExhausted, _Meter, _normal_form
 
 FELICITOUS = "felicitous"
 INFELICITOUS = "infelicitous"
@@ -154,11 +155,19 @@ class _State:
     fuel: int
     rejections: list = field(default_factory=list)
     copred_nodes: int = 0
+    leaves: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
 class _Alt:
+    """One reading of a node: its source term, that term's normal form,
+    and the reduction steps charged to it, which are the steps of all its
+    parts plus the contractions made where they meet.  Past the fuel the
+    normal form is not built, and `nf` is None."""
+
     term: "Term"
+    nf: Optional["Term"]
+    steps: int
     morphs: tuple = ()
     presups: tuple = ()
 
@@ -265,6 +274,16 @@ def _applied(fun_term, type_args, arg_term, m):
     return App(fun_term, arg_term if m is None else App(m.term, arg_term))
 
 
+def _applied_nf(fun_nf, type_args, arg_nf, m, step):
+    """The normal form of `_applied` on normal parts: only the redexes
+    the application makes are contracted."""
+    if m is not None:
+        arg_nf = _apply(_normal_form(m.term, step), arg_nf, step)
+    for ty in type_args:
+        fun_nf = _apply(fun_nf, ty, step)
+    return _apply(fun_nf, arg_nf, step)
+
+
 def apply_with_coercion(fun_term, arg_term, arg_entry=None):
     """All ways to apply a functor to an argument.
 
@@ -281,17 +300,36 @@ def apply_with_coercion(fun_term, arg_term, arg_entry=None):
 # ---------------------------------------------------------------------------
 # node semantics
 
+def _reading(st: _State, spent, build, term, morphs=(), presups=()):
+    """The alternative with source `term` whose parts took `spent` steps:
+    `build(step)` makes its normal form, `step()` counting each
+    contraction.  Once the steps pass the fuel, it and every alternative
+    made from it keep no normal form; `_finish` then reports the tree as
+    out of fuel, if that alternative reaches the root at all."""
+    meter = _Meter(st.fuel)
+    try:
+        meter(spent)
+        return _Alt(term, build(meter), meter.spent, morphs, presups)
+    except FuelExhausted:
+        return _Alt(term, None, meter.spent, morphs, presups)
+
+
 def _leaf(leaf: Leaf, path, st: _State):
     if leaf.word in (THE_MARKER, AND_MARKER):
         return _Marker(leaf.word)
-    try:
-        entry = st.lex.entry(leaf.word)
-    except LexiconError as err:
-        raise CompositionError(str(err), path) from err
-    return _Node(type_of(entry.principal), [_Alt(entry.principal)], entry)
+    node = st.leaves.get(leaf.word)
+    if node is None:
+        try:
+            entry = st.lex.entry(leaf.word)
+        except LexiconError as err:
+            raise CompositionError(str(err), path) from err
+        term = entry.principal
+        alt = _reading(st, 0, lambda step: _normal_form(term, step), term)
+        node = st.leaves[leaf.word] = _Node(type_of(term), [alt], entry)
+    return node
 
 
-def _apply_node(fun: _Node, arg: _Node, path):
+def _apply_node(fun: _Node, arg: _Node, path, st: _State):
     inst, ms, ty = _applying(fun.type, arg.type, arg.entry, path)
     if not ms:
         raise CompositionError(f"cannot apply {render_type(fun.type)}"
@@ -302,8 +340,11 @@ def _apply_node(fun: _Node, arg: _Node, path):
             morphs = f.morphs + a.morphs
             if m is not None:
                 morphs += ((arg.entry.word, path + (1,), m.name),)
-            alts.append(_Alt(_applied(f.term, inst, a.term, m), morphs,
-                             f.presups + a.presups))
+            alts.append(_reading(
+                st, f.steps + a.steps,
+                lambda step: _applied_nf(f.nf, inst, a.nf, m, step),
+                _applied(f.term, inst, a.term, m), morphs,
+                f.presups + a.presups))
     return _Node(ty, alts)
 
 
@@ -318,8 +359,13 @@ def _the_node(noun: _Node, path, st: _State):
     sort = noun.type.domain
     alts = []
     for alt in noun.alts:
-        term, presup = iota(sort, alt.term, fuel=st.fuel)
-        alts.append(_Alt(term, alt.morphs, alt.presups + (presup,)))
+        # the claim is charged its noun's steps and its own, apart from
+        # the reading; running out of fuel there ends the tree at once
+        meter = _Meter(st.fuel)
+        meter(alt.steps)
+        nf, claim = _iota(sort, alt.nf, meter)
+        alts.append(_Alt(App(nf.fun, alt.term), nf, alt.steps, alt.morphs,
+                         alt.presups + (_formula(claim),)))
     return _Node(sort, alts, noun.entry)
 
 
@@ -366,16 +412,49 @@ def _copred_term(left, right, shared, xi, alpha, beta, f, g):
     return App(App(t, f.term), g.term)
 
 
+@lru_cache(maxsize=256)
+def _poly_and_at(alpha, beta, xi):
+    """`poly_and` instantiated at α, β and ξ, as its reductions in
+    `_copred_term` would instantiate it: the names its term binders bind,
+    in order, the body below all its binders, and the number of binders,
+    each of which costs one step to contract.  Built once per triple."""
+    types = iter((alpha, beta, xi))
+    names, steps, t = [], 0, poly_and()
+    while isinstance(t, (Abs, TyAbs)):
+        if isinstance(t, TyAbs):
+            t = subst_type(t.body, t.var, next(types))
+        else:
+            names.append(t.var)
+            t = t.body
+        steps += 1
+    return tuple(names), t, steps
+
+
+def _plug(t, env, step):
+    """The normal form of `t`, a normal term of variables, constants and
+    applications only (the body of `poly_and`), with each variable named
+    in `env` replaced by its normal value."""
+    match t:
+        case Var(n, _):
+            return env.get(n, t)
+        case App(f, a):
+            return _apply(_plug(f, env, step), _plug(a, env, step), step)
+    return t
+
+
 def _nested(conj: _Marker, arg: _Node, path, arg_path, st: _State):
     """A nested conjunction, resolved at the shared referent type: a
     predicate over that type with its own morphism choices made.  The
     bound `y` cannot capture a constant: they live in disjoint
     namespaces."""
     xi = arg.type
-    shared = _Node(xi, [_Alt(Var("y", xi))], arg.entry)
+    y = Var("y", xi)
+    shared = _Node(xi, [_Alt(y, y, 0)], arg.entry)
     inner = _copred_node(conj, shared, path, arg_path, st)
-    return _Node(Arrow(xi, PROP), [_Alt(Abs("y", xi, a.term), a.morphs,
-                                        a.presups) for a in inner.alts])
+    return _Node(Arrow(xi, PROP),
+                 [_Alt(Abs("y", xi, a.term),
+                       None if a.nf is None else Abs("y", xi, a.nf),
+                       a.steps, a.morphs, a.presups) for a in inner.alts])
 
 
 def _copred_node(fun: _Marker, arg: _Node, path, arg_path, st: _State):
@@ -393,6 +472,7 @@ def _copred_node(fun: _Marker, arg: _Node, path, arg_path, st: _State):
     # a pair is only tried when each conjunct has a reading to pair
     pairs = (_copred_pairs(arg.entry, xi, alpha, beta, st.rejections)
              if left.alts and right.alts else [])
+    names, body, own = _poly_and_at(alpha, beta, xi)
     alts = []
     for a, l, r in product(arg.alts, left.alts, right.alts):
         for f, g in pairs:
@@ -400,7 +480,16 @@ def _copred_node(fun: _Marker, arg: _Node, path, arg_path, st: _State):
             recs = (l.morphs + r.morphs + a.morphs
                     + ((arg.entry.word, arg_path, f.name),
                        (arg.entry.word, arg_path, g.name)))
-            alts.append(_Alt(term, recs, l.presups + r.presups + a.presups))
+
+            def build(step):
+                step(own)
+                values = (l.nf, r.nf, a.nf, _normal_form(f.term, step),
+                          _normal_form(g.term, step))
+                return _plug(body, dict(zip(names, values)), step)
+
+            alts.append(_reading(st, l.steps + r.steps + a.steps, build,
+                                 term, recs,
+                                 l.presups + r.presups + a.presups))
     return _Node(PROP, alts)
 
 
@@ -412,7 +501,7 @@ def _node(tree, path, st: _State):
     if not isinstance(lv, _Marker):
         if isinstance(rv, _Marker):
             raise CompositionError("a marker cannot be an argument", path)
-        return _apply_node(lv, rv, path)
+        return _apply_node(lv, rv, path, st)
     if lv.word == THE_MARKER:
         if isinstance(rv, _Marker):
             raise CompositionError(f"{THE_MARKER} needs a noun", path)
@@ -428,19 +517,20 @@ def _node(tree, path, st: _State):
 
 
 def _finish(node: _Node, st: _State):
-    # terms built from checked parts only: no entry check in reduction,
-    # and a reading is closed, normal and of the root's type, so a root
-    # of type t reads as a formula with no check left to make
+    # terms built from checked parts only: a reading is closed, normal and
+    # of the root's type, so a root of type t reads as a formula with no
+    # check left to make
+    for alt in node.alts:
+        _Meter(st.fuel)(alt.steps)    # raises for a reading out of fuel
     readings = []
     seen = set()
     for alt in node.alts:
-        nf = _normal_form(alt.term, st.fuel)
-        key = alpha_key(nf)
+        key = alpha_key(alt.nf)
         if key in seen:
             continue
         seen.add(key)
-        formula = _formula(nf) if node.type == PROP else None
-        readings.append(Reading(nf, formula, alt.morphs, alt.presups,
+        formula = _formula(alt.nf) if node.type == PROP else None
+        readings.append(Reading(alt.nf, formula, alt.morphs, alt.presups,
                                 alt.term))
     return readings
 
@@ -465,7 +555,7 @@ def compose(tree: ParseTree, lex: Lexicon, fuel: int = 10000):
 
 def felicity(tree: ParseTree, lex: Lexicon, fuel: int = 10000) -> Verdict:
     """Judge a tree: felicitous, infelicitous, a type error, or a resource
-    limit when a normalization runs out of fuel."""
+    limit when a reading is charged more steps than `fuel` allows."""
     try:
         readings, st = _run(tree, lex, fuel)
     except FuelExhausted as err:

@@ -338,34 +338,64 @@ def subst_term(body, var: str, value):
         if not alpha_equiv(actual, expected):
             raise TypingError(
                 f"cannot substitute a term of type {actual} for '{var}' of type {expected}")
-    return _subst(body, var, value, set(free_vars(value)), free_type_vars(value))
+    return _subst(body, var, value, set(free_vars(value)))
 
 
-def _subst(t, x, v, v_fvs, v_ftvs):
+def _subst(t, x, v, v_fvs, step=None):
+    """`t` with `v`, whose free variables are `v_fvs`, for `x`.
+
+    With `step`, `t` and `v` are normal and the substitution is
+    hereditary: a redex it makes, where `v` lands at the head of an
+    application, is contracted at once (see `_apply`), so the result is
+    normal too.
+    """
     match t:
         case Var(n, _):
             return v if n == x else t
         case Const(_, _):
             return t
         case App(f, a):
-            return App(_subst(f, x, v, v_fvs, v_ftvs), _subst(a, x, v, v_fvs, v_ftvs))
+            f, a = _subst(f, x, v, v_fvs, step), _subst(a, x, v, v_fvs, step)
+            return App(f, a) if step is None else _apply(f, a, step)
         case Abs(y, ty, b):
             if y == x:
                 return t
             if y in v_fvs and x in free_vars(b):
                 y1 = fresh_name(y, v_fvs | set(free_vars(b)) | {x})
-                b = _subst(b, y, Var(y1, ty), {y1}, set())
-                return Abs(y1, ty, _subst(b, x, v, v_fvs, v_ftvs))
-            return Abs(y, ty, _subst(b, x, v, v_fvs, v_ftvs))
+                b = _subst(b, y, Var(y1, ty), {y1})
+                return Abs(y1, ty, _subst(b, x, v, v_fvs, step))
+            return Abs(y, ty, _subst(b, x, v, v_fvs, step))
         case TyApp(f, ty):
-            return TyApp(_subst(f, x, v, v_fvs, v_ftvs), ty)
+            f = _subst(f, x, v, v_fvs, step)
+            return TyApp(f, ty) if step is None else _apply(f, ty, step)
         case TyAbs(a, b):
-            if a in v_ftvs and x in free_vars(b):
-                a1 = fresh_name(a, v_ftvs | free_type_vars(b))
+            if a in free_type_vars(v) and x in free_vars(b):
+                a1 = fresh_name(a, free_type_vars(v) | free_type_vars(b))
                 b = subst_type(b, a, TypeVar(a1))
-                return TyAbs(a1, _subst(b, x, v, v_fvs, v_ftvs))
-            return TyAbs(a, _subst(b, x, v, v_fvs, v_ftvs))
+                return TyAbs(a1, _subst(b, x, v, v_fvs, step))
+            return TyAbs(a, _subst(b, x, v, v_fvs, step))
     raise KernelError(f"not a term: {t!r}")
+
+
+def _apply(f, a, step):
+    """The normal form of `f` applied to the term or type `a`, both normal.
+
+    Only the application itself can be a redex; it is contracted by
+    hereditary substitution, which contracts in turn the redexes that
+    substitution makes, and `step()` is called once per contraction.
+    Type substitution makes no term redex, so a type-beta step ends there.
+    """
+    if is_type(a):
+        if isinstance(f, TyAbs):
+            step()
+            return subst_type(f.body, f.var, a)
+        return TyApp(f, a)
+    if isinstance(f, Abs):
+        step()
+        if isinstance(a, Var) and a.name == f.var:
+            return f.body    # a variable for itself: nothing to substitute
+        return _subst(f.body, f.var, a, set(free_vars(a)), step)
+    return App(f, a)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from .kernel import (Abs, App, Arrow, Const, Context, KernelError, PROP,
                      alpha_equiv, parse_term, parse_type, render_term,
                      render_type, type_of)
 from .logic import Formula, choice_type, logical_constants, to_formula
-from .reduction import _normal_form
+from .reduction import _Meter, _normal_form
 
 RIGID = "rigid"
 FLEXIBLE = "flexible"
@@ -206,9 +206,15 @@ def iota(sort, predicate, fuel: int = 10000):
         raise LexiconError(
             f"a referent of {render_type(sort)} needs a predicate of"
             f" {render_type(Arrow(sort, PROP))}, got {render_type(pty)}")
-    term = App(TyApp(Const("iota", choice_type()), sort), predicate)
-    claim = _normal_form(App(predicate, term), fuel)  # parts checked above
+    term, claim = _iota(sort, predicate, _Meter(fuel))
     return term, to_formula(claim)
+
+
+def _iota(sort, predicate, step):
+    """`iota` unchecked, for a predicate of type `sort -> t`: the choice
+    term and the claim's normal form, `step()` counting its steps."""
+    term = App(TyApp(Const("iota", choice_type()), sort), predicate)
+    return term, _normal_form(App(predicate, term), step)
 
 
 # ---------------------------------------------------------------------------

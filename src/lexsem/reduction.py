@@ -12,8 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .kernel import (Abs, App, KernelError, Term, TyAbs, TyApp, _subst,
-                     free_type_vars, free_vars, render_term, subst_type,
-                     type_of)
+                     free_vars, render_term, subst_type, type_of)
 
 BETA = "beta"
 TYPE_BETA = "type-beta"
@@ -74,8 +73,7 @@ def reduce_at(term, path):
     if not path:
         match term:
             case App(Abs(x, _, body), arg):
-                return _subst(body, x, arg, set(free_vars(arg)),
-                              free_type_vars(arg))
+                return _subst(body, x, arg, set(free_vars(arg)))
             case TyApp(TyAbs(v, body), ty):
                 return subst_type(body, v, ty)
         raise KernelError(f"no redex at the given position: {render_term(term)}")
@@ -112,8 +110,7 @@ def normalize(term, fuel: int = 10000, strategy: str = "leftmost", rng=None):
     random.Random).
     """
     type_of(term)
-    if fuel < 1:
-        raise ValueError("fuel must be >= 1")
+    step = _Meter(fuel)
     if strategy not in ("leftmost", "random"):
         raise ValueError(f"unknown strategy {strategy!r}")
     if strategy == "random" and rng is None:
@@ -121,8 +118,7 @@ def normalize(term, fuel: int = 10000, strategy: str = "leftmost", rng=None):
     steps = []
     current = term
     while redexes := find_redexes(current):
-        if len(steps) == fuel:
-            raise FuelExhausted(f"no normal form after {fuel} steps")
+        step()
         path, rule = redexes[0] if strategy == "leftmost" else rng.choice(redexes)
         current = reduce_at(current, path)
         steps.append(TraceStep(path, rule, current))
@@ -141,21 +137,31 @@ def normal_form(term, fuel: int = 10000):
     TypingError, exactly when that does.
     """
     type_of(term)
-    return _normal_form(term, fuel)
+    return _normal_form(term, _Meter(fuel))
 
 
-def _normal_form(term, fuel):
+class _Meter:
+    """Counts reduction steps against `fuel`: calling it spends `n` steps
+    and raises FuelExhausted once more than `fuel` are spent."""
+
+    def __init__(self, fuel):
+        if fuel < 1:
+            raise ValueError("fuel must be >= 1")
+        self.fuel = fuel
+        self.spent = 0
+
+    def __call__(self, n=1):
+        self.spent += n
+        if self.spent > self.fuel:
+            raise FuelExhausted(f"no normal form after {self.fuel} steps")
+
+
+def _normal_form(term, step):
     """`normal_form` without the entry check, for terms built from
-    type-checked parts."""
-    if fuel < 1:
-        raise ValueError("fuel must be >= 1")
-    left = fuel
+    type-checked parts; `step()` is called before each contraction."""
 
     def contract(redex):
-        nonlocal left
-        if not left:
-            raise FuelExhausted(f"no normal form after {fuel} steps")
-        left -= 1
+        step()
         return reduce_at(redex, ())
 
     def nf(t):

@@ -109,6 +109,17 @@ def test_fuel_exhaustion_is_a_resource_limit(tmp_path, capsys):
     assert blocks[1].startswith("TYPE-ERROR: ")
 
 
+def test_trace_out_of_fuel_is_a_resource_limit(tmp_path, capsys):
+    # normal order contracts the shared Id_v coercion twice, so the trace
+    # takes 20 steps where the reading is charged 19
+    inp = trees(tmp_path,
+                "((AND (AND furou ilegivel) atrasou) (THE assinatura))\n")
+    assert run(config(ASSINATURA, inp, format="trace", fuel=19)) == 1
+    assert capsys.readouterr().out == \
+        "RESOURCE-LIMIT: no normal form after 19 steps\n"
+    assert run(config(ASSINATURA, inp, format="trace", fuel=20)) == 0
+
+
 def test_exit_two_on_missing_lexicon(tmp_path, capsys):
     inp = trees(tmp_path, "(a b)\n")
     assert run(config(str(tmp_path / "nope.mgl"), inp)) == 2

@@ -1,10 +1,12 @@
 import pytest
 
-from lexsem import (App, Arrow, CompositionError, Const, Leaf, Node,
-                    PROP, ParseError, RESOURCE_LIMIT, Rejection, SortRef,
-                    alpha_equiv, apply_with_coercion, compose, felicity,
-                    load_lexicon, normalize, parse_tree, poly_and,
-                    quantifier_type, render_formula, type_of)
+from lexsem import (App, Arrow, CompositionError, Const, FELICITOUS,
+                    FuelExhausted, Leaf, Node, PROP, ParseError,
+                    RESOURCE_LIMIT, Rejection, SortRef, TYPE_ERROR,
+                    alpha_equiv, alpha_key, apply_with_coercion, compose,
+                    felicity, load_lexicon, normal_form, normalize,
+                    parse_tree, poly_and, quantifier_type, render_formula,
+                    type_of)
 
 import termgen
 from conftest import fixture_text
@@ -390,12 +392,16 @@ def test_rejection_str():
 # every reading, and every step that led to it, must keep the type of the
 # term it was normalized from
 
-def _fixture_cases():
+def _fixture_trees():
     for name in ("montague", "liverpool", "assinatura"):
         lex = load_lexicon(fixture_text(f"{name}.mgl"))
         for line in fixture_text(f"trees_{name}.txt").splitlines():
             if line.strip() and not line.startswith("#"):
                 yield lex, line
+
+
+def _fixture_cases():
+    yield from _fixture_trees()
     gen = termgen.RandomCopreds(23)
     for _ in range(200):
         inst = gen.instance()
@@ -412,3 +418,89 @@ def test_readings_keep_their_source_type():
                 assert type_of(step.result, lex.context) == want, text
             readings += 1
     assert readings >= 60
+
+
+# ---------------------------------------------------------------------------
+# a node builds its readings' normal forms from its children's, contracting
+# only the redexes it makes; the result must still be the normal form of the
+# reading's source, bound variable names included
+
+def _nested_and(depth):
+    tree = "spread_out"
+    for i in range(depth):
+        tree = f"(AND {('voted', 'spread_out')[i % 2]} {tree})"
+    return f"({tree} Liverpool)"
+
+
+def _fan_out_lexicon(m):
+    """A word with `m` flexible morphisms into its predicates' sort."""
+    preds = "".join(f"pred u{i} : T -> A\n" for i in range(m))
+    morphs = "".join(f"  morph u{i} : T -> A = #u{i} [flexible]\n"
+                     for i in range(m))
+    return load_lexicon(
+        f"sorts: T A\npred c : T\n{preds}pred p : A -> t\npred q : A -> t\n"
+        f"word w : T = #c\n{morphs}word p : A -> t = #p\n"
+        f"word q : A -> t = #q\n")
+
+
+def _normal_form_cases():
+    yield from _fixture_cases()
+    liverpool = load_lexicon(fixture_text("liverpool.mgl"))
+    for depth in range(2, 13):
+        yield liverpool, _nested_and(depth)
+    for m in range(1, 7):
+        # conjunction depth 2: m ** 3 readings
+        yield _fan_out_lexicon(m), "((AND (AND p q) p) w)"
+
+
+def test_readings_are_normal_forms_of_their_sources():
+    readings = 0
+    for lex, text in _normal_form_cases():
+        for r in felicity(parse_tree(text), lex).readings:
+            nf = normal_form(r.source)
+            assert r.term == nf, text
+            assert alpha_key(r.term) == alpha_key(nf), text
+            readings += 1
+    assert readings >= 500
+
+
+def _runs_out(source, fuel):
+    try:
+        normalize(source, fuel)
+    except FuelExhausted:
+        return True
+    return False
+
+
+def test_fuel_bounds_the_steps_of_each_reading():
+    # a reading is charged the steps of its parts plus those of their
+    # meeting; on the fixture trees that is what normalizing its source
+    # takes, so --format trace never runs out where the verdict did not
+    for lex, text in _fixture_trees():
+        tree = parse_tree(text)
+        readings = felicity(tree, lex).readings
+        most = max((len(normalize(r.source)[1]) for r in readings), default=0)
+        for fuel in range(1, most + 2):
+            out = any(_runs_out(r.source, fuel) for r in readings)
+            v = felicity(tree, lex, fuel=fuel)
+            assert (v.status == RESOURCE_LIMIT) == out, (text, fuel)
+
+
+def test_a_coercion_shared_by_two_conjuncts_is_charged_once(assinatura):
+    # the nested conjunction gets Id_v(iota[v](assi)) and puts it in both
+    # of its conjuncts: normal order contracts that redex twice, while the
+    # reading is charged the one contraction made where it was built
+    tree = parse_tree("((AND (AND furou ilegivel) atrasou) (THE assinatura))")
+    [r] = felicity(tree, assinatura).readings
+    assert len(normalize(r.source)[1]) == 20
+    assert _runs_out(r.source, 19)
+    assert felicity(tree, assinatura, fuel=19).status == FELICITOUS
+    assert felicity(tree, assinatura, fuel=18).status == RESOURCE_LIMIT
+
+
+def test_a_type_error_outranks_running_out_of_fuel(montague):
+    # (some club) takes two steps, but the tree above it cannot be typed
+    tree = parse_tree("(((some club) (defeated Leeds)) Leeds)")
+    v = felicity(tree, montague, fuel=1)
+    assert v.status == TYPE_ERROR
+    assert v.error == "at ε: t is not a function type"

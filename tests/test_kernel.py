@@ -8,8 +8,8 @@ from lexsem import (Abs, App, Arrow, Const, Context, Forall, PROP, ParseError,
                     SortRef, TyAbs, TyApp, TypeVar, TypingError, Var,
                     alpha_equiv, alpha_key, choice_type, free_type_vars,
                     free_vars, fresh_name, parse_term, parse_type,
-                    quantifier_type, render_term, render_type, subst_term,
-                    subst_type, type_of)
+                    quantifier_type, reduce_at, render_term, render_type,
+                    subst_term, subst_type, type_of)
 
 import termgen
 
@@ -192,6 +192,20 @@ def test_subst_term_capture_avoidance():
     assert isinstance(out, Abs)
     assert out.var != "y"
     assert free_vars(out) == {"y": Arrow(E, E)}
+
+
+def test_beta_step_renames_a_type_binder_the_argument_needs():
+    # (lam z:e. Lam 'b. lam w:'b. z) ((lam q:'b. #c) v): the argument's
+    # free type variable 'b must not be captured by the body's Lam 'b
+    c = Context(sorts={"e"}, constants={"c": E}, variables={"v": TypeVar("b")})
+    term = parse_term(
+        "(lam z:e. Lam 'b. lam w:'b. z) ((lam q:'b. #c) v)", c)
+    out = reduce_at(term, ())
+    assert isinstance(out, TyAbs) and out.var != "b"
+    assert out.body.var_type == TypeVar(out.var)
+    assert out.body.body == term.arg
+    assert free_type_vars(out) == {"b"}
+    assert subst_term(term.fun.body, "z", term.arg) == out
 
 
 def test_subst_term_checks_value_type():

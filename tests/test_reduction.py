@@ -2,11 +2,13 @@ import random
 
 import pytest
 
-from lexsem import (Abs, App, Const, FuelExhausted, PROP, SortRef, TyAbs,
-                    TyApp, TypeVar, TypingError, Var, alpha_equiv,
-                    find_redexes, normal_form, normalize, parse_term,
-                    reduce_at, reduce_step, render_term, render_trace,
-                    type_of)
+from lexsem import (Abs, App, Arrow, Const, Context, FuelExhausted, PROP,
+                    SortRef, TyAbs, TyApp, TypeVar, TypingError, Var,
+                    alpha_equiv, find_redexes, normal_form, normalize,
+                    parse_term, reduce_at, reduce_step, render_term,
+                    render_trace, type_of)
+from lexsem.kernel import _apply
+from lexsem.reduction import _Meter
 
 import termgen
 
@@ -17,7 +19,6 @@ POLY_ID = TyAbs("a", Abs("x", TypeVar("a"), Var("x", TypeVar("a"))))
 
 
 def test_find_redexes_empty_on_normal_form():
-    from lexsem import Arrow
     assert find_redexes(K) == []
     assert find_redexes(ID_E) == []
     pred = Const("p", Arrow(type_of(ID_E), PROP))
@@ -181,6 +182,35 @@ def test_normal_form_under_binders_and_type_applications():
     assert normal_form(t) == normalize(t)[0] == K
     stuck = Abs("z", E, App(Const("p", type_of(ID_E)), App(ID_E, Var("z", E))))
     assert normal_form(stuck) == normalize(stuck)[0]
+
+
+def test_hereditary_application_reaches_the_normal_form():
+    # `_apply` takes normal parts and contracts only the redexes the
+    # application makes, yet lands on normal order's normal form
+    gen = termgen.RandomTerms(12)
+    applied = 0
+    for f in POPULATION:
+        ty = type_of(f)
+        if isinstance(ty, Arrow):
+            a = gen.term(ty.domain, 3, [])
+            out = _apply(normal_form(f), normal_form(a), _Meter(10**6))
+            assert out == normal_form(App(f, a)), render_term(App(f, a))
+            applied += 1
+    assert applied > 100
+
+
+def test_hereditary_application_contracts_the_redexes_it_makes():
+    # F lands at the head of F (lam x:e. #p x), which then puts #k under
+    # #p: three contractions, each made where the one before it landed
+    ctx = Context(sorts={"e"}, constants={"p": Arrow(E, PROP), "k": E})
+    f = parse_term("lam F:(e -> t) -> t. F (lam x:e. #p x)", ctx)
+    a = parse_term("lam Q:e -> t. Q #k", ctx)
+    meter = _Meter(3)
+    assert _apply(f, a, meter) == normal_form(App(f, a)) == \
+        parse_term("#p #k", ctx)
+    assert meter.spent == 3 == len(normalize(App(f, a))[1])
+    with pytest.raises(FuelExhausted):
+        _apply(f, a, _Meter(2))
 
 
 def test_normal_form_fuel_validation():
