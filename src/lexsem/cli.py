@@ -60,7 +60,7 @@ def parse_args(argv=None) -> CliConfig:
                         help="print every reading, not just the first")
     parser.add_argument("--fuel", type=_positive_int, default=10000,
                         metavar="N", help="reduction step budget per"
-                                          " normalization (default: 10000)")
+                                          " reading (default: 10000)")
     ns = parser.parse_args(argv)
     return CliConfig(ns.lexicon, ns.input, ns.format,
                      ns.all_readings, ns.fuel)

@@ -15,13 +15,13 @@ from functools import lru_cache
 from itertools import product
 from typing import Optional, Union
 
-from .kernel import (Abs, App, Arrow, Forall, KernelError, PROP, ParseError,
-                     SortRef, Term, TyAbs, TyApp, Type, TypeVar, Var, _apply,
-                     alpha_equiv, alpha_key, free_type_vars, fresh_name,
-                     render_type, subst_type, type_of)
+from .kernel import (Abs, App, Arrow, Const, Forall, KernelError, PROP,
+                     ParseError, SortRef, Term, TyAbs, TyApp, Type, TypeVar,
+                     Var, _apply, alpha_equiv, alpha_key, free_type_vars,
+                     fresh_name, render_type, subst_type, type_of)
 from .lexicon import (LexEntry, Lexicon, LexiconError, Morphism, RIGID,
                       _iota, candidates, poly_and)
-from .logic import Formula, _formula
+from .logic import IOTA_NAME, Formula, _formula, choice_type
 from .reduction import FuelExhausted, _Meter, _normal_form
 
 FELICITOUS = "felicitous"
@@ -357,14 +357,21 @@ def _the_node(noun: _Node, path, st: _State):
         raise CompositionError(f"{THE_MARKER} needs a predicate,"
                                f" got {render_type(noun.type)}", path)
     sort = noun.type.domain
+    choice = TyApp(Const(IOTA_NAME, choice_type()), sort)
     alts = []
     for alt in noun.alts:
+        term = App(choice, alt.term)
         # the claim is charged its noun's steps and its own, apart from
-        # the reading; running out of fuel there ends the tree at once
+        # the reading; past the fuel it is held back like a reading, with
+        # no normal form and the steps it was charged
         meter = _Meter(st.fuel)
-        meter(alt.steps)
-        nf, claim = _iota(sort, alt.nf, meter)
-        alts.append(_Alt(App(nf.fun, alt.term), nf, alt.steps, alt.morphs,
+        try:
+            meter(alt.steps)
+            nf, claim = _iota(sort, alt.nf, meter)
+        except FuelExhausted:
+            alts.append(_Alt(term, None, meter.spent, alt.morphs, alt.presups))
+            continue
+        alts.append(_Alt(term, nf, alt.steps, alt.morphs,
                          alt.presups + (_formula(claim),)))
     return _Node(sort, alts, noun.entry)
 
@@ -546,7 +553,8 @@ def _run(tree, lex, fuel):
 def compose(tree: ParseTree, lex: Lexicon, fuel: int = 10000):
     """All readings of a tree, deduplicated up to alpha-equivalence.
 
-    Raises CompositionError when the tree cannot be typed at all; an
+    Raises CompositionError when the tree cannot be typed at all, and
+    FuelExhausted when a reading is charged more steps than `fuel`; an
     empty result means every candidate reading was rejected.
     """
     readings, _ = _run(tree, lex, fuel)

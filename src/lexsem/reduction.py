@@ -1,10 +1,11 @@
 """Beta and type-beta reduction with step traces.
 
 The default strategy is leftmost-outermost; a randomized strategy is
-available for cross-checking confluence.  Well-typed terms always
-normalize, but every loop is still fuel-guarded.  `normalize` and
-`normal_form` type-check their input once, on entry: beta and type-beta
-preserve types, so no reduction step checks them again.
+available for cross-checking confluence.  `normalize`, `normal_form`
+and the unchecked `_normal_form` run one fuel-guarded loop: find the
+redexes, spend a step, contract one.  The first two type-check their
+input once, on entry: beta and type-beta preserve types, so no step
+checks them again.
 """
 
 from __future__ import annotations
@@ -116,26 +117,12 @@ def normalize(term, fuel: int = 10000, strategy: str = "leftmost", rng=None):
     if strategy == "random" and rng is None:
         raise ValueError("the random strategy needs an rng")
     steps = []
-    current = term
-    while redexes := find_redexes(current):
-        step()
-        path, rule = redexes[0] if strategy == "leftmost" else rng.choice(redexes)
-        current = reduce_at(current, path)
-        steps.append(TraceStep(path, rule, current))
-    return current, ReductionTrace(steps)
+    choose = rng.choice if strategy == "random" else None
+    return _normal_form(term, step, choose, steps), ReductionTrace(steps)
 
 
 def normal_form(term, fuel: int = 10000):
-    """The normal form `normalize` reaches, without building a trace.
-
-    One recursive pass in normal order: reduce the head of the
-    application spine (type applications included), then normalize the
-    head's body and the arguments from left to right.  It contracts the
-    redexes the leftmost-outermost stepper contracts, in the same order
-    and with the same substitutions, so its result is identical (`==`) to
-    `normalize(term, fuel)[0]` and it raises FuelExhausted, or on entry
-    TypingError, exactly when that does.
-    """
+    """`normalize(term, fuel)[0]`, by the same loop, without the trace."""
     type_of(term)
     return _normal_form(term, _Meter(fuel))
 
@@ -156,44 +143,18 @@ class _Meter:
             raise FuelExhausted(f"no normal form after {self.fuel} steps")
 
 
-def _normal_form(term, step):
-    """`normal_form` without the entry check, for terms built from
-    type-checked parts; `step()` is called before each contraction."""
-
-    def contract(redex):
+def _normal_form(term, step, choose=None, trace=None):
+    """The reduction loop, without the entry check, for terms built from
+    type-checked parts: until no redex is left, call `step()` and contract
+    the redex `choose` picks from `find_redexes` (the leftmost-outermost
+    one by default), appending a TraceStep to `trace` if given."""
+    while redexes := find_redexes(term):
         step()
-        return reduce_at(redex, ())
-
-    def nf(t):
-        spine = []    # the application nodes above the head, outermost first
-        while True:
-            while isinstance(t, (App, TyApp)):
-                spine.append(t)
-                t = t.fun
-            if not spine:
-                break
-            match spine[-1], t:
-                case App(_, a), Abs():
-                    t = contract(App(t, a))
-                case TyApp(_, ty), TyAbs():
-                    t = contract(TyApp(t, ty))
-                case _:
-                    break
-            spine.pop()
-        match t:
-            case Abs(x, ty, b):
-                t = Abs(x, ty, nf(b))
-            case TyAbs(v, b):
-                t = TyAbs(v, nf(b))
-        for node in reversed(spine):
-            match node:
-                case App(_, a):
-                    t = App(t, nf(a))
-                case TyApp(_, ty):
-                    t = TyApp(t, ty)
-        return t
-
-    return nf(term)
+        path, rule = choose(redexes) if choose else redexes[0]
+        term = reduce_at(term, path)
+        if trace is not None:
+            trace.append(TraceStep(path, rule, term))
+    return term
 
 
 def render_trace(trace) -> str:

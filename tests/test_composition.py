@@ -498,9 +498,57 @@ def test_a_coercion_shared_by_two_conjuncts_is_charged_once(assinatura):
     assert felicity(tree, assinatura, fuel=18).status == RESOURCE_LIMIT
 
 
-def test_a_type_error_outranks_running_out_of_fuel(montague):
+@pytest.mark.parametrize("text,error", [
     # (some club) takes two steps, but the tree above it cannot be typed
-    tree = parse_tree("(((some club) (defeated Leeds)) Leeds)")
-    v = felicity(tree, montague, fuel=1)
+    ("(((some club) (defeated Leeds)) Leeds)",
+     "at ε: t is not a function type"),
+    # the claim of THE takes two steps too, and is held back like a reading
+    ("((THE (defeated Leeds)) Leeds)", "at ε: e is not a function type"),
+], ids=["reading", "the-claim"])
+def test_a_type_error_outranks_running_out_of_fuel(montague, text, error):
+    v = felicity(parse_tree(text), montague, fuel=1)
     assert v.status == TYPE_ERROR
-    assert v.error == "at ε: t is not a function type"
+    assert v.error == error
+
+
+def test_a_the_claim_out_of_fuel_is_a_resource_limit(montague):
+    tree = parse_tree("(THE (defeated Leeds))")
+    v = felicity(tree, montague, fuel=1)
+    assert v.status == RESOURCE_LIMIT
+    assert v.error == "no normal form after 1 steps"
+    assert felicity(tree, montague, fuel=2).status == FELICITOUS
+
+
+# lexicon terms that are not normal: the principals and morphisms are
+# normalized where composition takes them, and charged for it
+NON_NORMAL = """\
+sorts: T P Pl
+pred lpl : T
+pred t2 : T -> P
+pred t3 : T -> Pl
+pred spread_out : Pl -> t
+pred voted : P -> t
+word Liverpool : T = (lam x:T. x) #lpl
+  morph t2 : T -> P = lam x:T. (lam y:T. #t2 y) x [flexible]
+  morph t3 : T -> Pl = lam x:T. (lam y:T. #t3 y) x [flexible]
+word spread_out : Pl -> t = lam x:Pl. (lam y:Pl. #spread_out y) x
+word voted : P -> t = #voted
+"""
+
+
+@pytest.mark.parametrize("text,charge,normal_order", [
+    ("(spread_out Liverpool)", 5, 5),
+    # normal order copies Liverpool's redex into each conjunct; the
+    # reading is charged it once
+    ("((AND spread_out voted) Liverpool)", 15, 16),
+    ("((AND (AND spread_out voted) spread_out) Liverpool)", 29, 32),
+])
+def test_lexicon_terms_that_are_not_normal(text, charge, normal_order):
+    lex = load_lexicon(NON_NORMAL)
+    tree = parse_tree(text)
+    v = felicity(tree, lex, fuel=charge)
+    assert v.status == FELICITOUS
+    for r in v.readings:
+        assert r.term == normal_form(r.source), text
+        assert len(normalize(r.source)[1]) == normal_order, text
+    assert felicity(tree, lex, fuel=charge - 1).status == RESOURCE_LIMIT
