@@ -11,13 +11,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
-from pathlib import Path
-from typing import Optional
 
 from .composition import (FELICITOUS, INFELICITOUS, RESOURCE_LIMIT, Reading,
                           Verdict, felicity, parse_tree)
-from .kernel import KernelError, render_term
+from .kernel import KernelError, record, render_term
 from .lexicon import load_lexicon
 from .logic import render_formula
 from .reduction import FuelExhausted, normalize, render_trace
@@ -25,10 +22,10 @@ from .reduction import FuelExhausted, normalize, render_trace
 FORMATS = ("formula", "term", "verdict", "trace")
 
 
-@dataclass
+@record
 class CliConfig:
     lexicon_path: str
-    input_path: Optional[str]
+    input_path: str | None
     format: str
     all_readings: bool
     fuel: int
@@ -140,7 +137,8 @@ def _tree_lines(stream):
 
 def run(config: CliConfig) -> int:
     try:
-        lex = load_lexicon(Path(config.lexicon_path).read_text(encoding="utf-8"))
+        with open(config.lexicon_path, encoding="utf-8") as f:
+            lex = load_lexicon(f.read())
     except (OSError, UnicodeDecodeError) as err:
         print(f"cannot read lexicon: {err}", file=sys.stderr)
         return 2

@@ -10,15 +10,13 @@ and a rigid morphism tolerates no distinct partner at the same node.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
-from typing import Optional, Union
 
 from .kernel import (Abs, App, Arrow, Const, Forall, KernelError, PROP,
                      ParseError, SortRef, Term, TyAbs, TyApp, Type, TypeVar,
                      Var, _apply, alpha_equiv, alpha_key, free_type_vars,
-                     fresh_name, render_type, subst_type, type_of)
+                     fresh_name, record, render_type, subst_type, type_of)
 from .lexicon import (LexEntry, Lexicon, LexiconError, Morphism, RIGID,
                       _iota, candidates, poly_and)
 from .logic import IOTA_NAME, Formula, _formula, choice_type
@@ -43,7 +41,7 @@ class CompositionError(KernelError):
 # ---------------------------------------------------------------------------
 # parse trees
 
-@dataclass(frozen=True)
+@record
 class Leaf:
     word: str
 
@@ -51,7 +49,7 @@ class Leaf:
         return self.word
 
 
-@dataclass(frozen=True)
+@record
 class Node:
     fun: "ParseTree"
     arg: "ParseTree"
@@ -60,7 +58,7 @@ class Node:
         return f"({self.fun} {self.arg})"
 
 
-ParseTree = Union[Leaf, Node]
+ParseTree = Leaf | Node
 
 
 def parse_tree(text: str) -> ParseTree:
@@ -117,16 +115,16 @@ def parse_tree(text: str) -> ParseTree:
 # ---------------------------------------------------------------------------
 # results
 
-@dataclass(frozen=True)
+@record
 class Reading:
     term: "Term"
-    formula: Optional[Formula]
+    formula: Formula | None
     used_morphisms: tuple = ()
     presuppositions: tuple = ()
-    source: Optional["Term"] = None
+    source: Term | None = None
 
 
-@dataclass(frozen=True)
+@record
 class Rejection:
     """A morphism assignment that was tried and refused, with the reason."""
 
@@ -137,28 +135,28 @@ class Rejection:
         return self.reason
 
 
-@dataclass(frozen=True)
+@record
 class Verdict:
     status: str
     readings: tuple = ()
     rejection_log: tuple = ()
     notes: tuple = ()
-    error: Optional[str] = None
+    error: str | None = None
 
 
 # ---------------------------------------------------------------------------
 # internal evaluation state
 
-@dataclass
 class _State:
-    lex: Lexicon
-    fuel: int
-    rejections: list = field(default_factory=list)
-    copred_nodes: int = 0
-    leaves: dict = field(default_factory=dict)
+    def __init__(self, lex: Lexicon, fuel: int):
+        self.lex = lex
+        self.fuel = fuel
+        self.rejections = []
+        self.copred_nodes = 0
+        self.leaves = {}
 
 
-@dataclass(frozen=True)
+@record
 class _Alt:
     """One reading of a node: its source term, that term's normal form,
     and the reduction steps charged to it, which are the steps of all its
@@ -166,13 +164,13 @@ class _Alt:
     normal form is not built, and `nf` is None."""
 
     term: "Term"
-    nf: Optional["Term"]
+    nf: Term | None
     steps: int
     morphs: tuple = ()
     presups: tuple = ()
 
 
-@dataclass(frozen=True)
+@record
 class _Node:
     """A tree node with its readings so far.  A coercion only reroutes an
     argument inside one application, so every alternative has the
@@ -181,10 +179,10 @@ class _Node:
 
     type: "Type"
     alts: list
-    entry: Optional[LexEntry] = None
+    entry: LexEntry | None = None
 
 
-@dataclass(frozen=True)
+@record
 class _Marker:
     """`THE` or `AND`, with the conjuncts an `AND` has taken so far: each
     a _Node or a complete two-conjunct _Marker."""

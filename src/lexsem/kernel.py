@@ -18,8 +18,6 @@ is pure.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Optional, Union
 
 
 class KernelError(Exception):
@@ -40,6 +38,52 @@ class TypingError(KernelError):
 
 
 # ---------------------------------------------------------------------------
+# records
+
+_RECORD_METHODS = """\
+def __init__(self, {params}):
+{sets}
+def __eq__(self, other):
+    if other.__class__ is self.__class__:
+        return ({mine}) == ({theirs})
+    return NotImplemented
+def __hash__(self):
+    return hash(({mine}))
+def __repr__(self):
+    return f"{name}({shown})"
+"""
+
+
+def record(cls):
+    """Make `cls` an immutable record of its annotated fields, in order;
+    a class attribute named like a trailing field is its default.
+    Records are built by position or keyword, equal only to records of
+    their own class with equal fields, hashed on their fields, shown as
+    `Name(field=value, ...)`, matched by position, and read-only.  The
+    methods are compiled once per class: a constructor that loops over
+    the fields would slow down every term built."""
+    names = tuple(cls.__annotations__)
+    methods = {"_set": object.__setattr__}
+    exec(_RECORD_METHODS.format(
+        name=cls.__qualname__, params=", ".join(names),
+        sets="".join(f"    _set(self, {n!r}, {n})\n" for n in names),
+        mine="".join(f"self.{n}, " for n in names),
+        theirs="".join(f"other.{n}, " for n in names),
+        shown=", ".join(f"{n}={{self.{n}!r}}" for n in names)), methods)
+    methods["__init__"].__defaults__ = tuple(
+        cls.__dict__[n] for n in names if n in cls.__dict__) or None
+    for name in ("__init__", "__eq__", "__hash__", "__repr__"):
+        setattr(cls, name, methods[name])
+    cls.__match_args__ = names
+    cls.__setattr__ = cls.__delattr__ = _read_only
+    return cls
+
+
+def _read_only(self, name, value=None):
+    raise AttributeError(f"{self.__class__.__name__}.{name} is read-only")
+
+
+# ---------------------------------------------------------------------------
 # types
 
 class _TypeNode:
@@ -47,23 +91,23 @@ class _TypeNode:
         return render_type(self)
 
 
-@dataclass(frozen=True)
+@record
 class SortRef(_TypeNode):
     name: str
 
 
-@dataclass(frozen=True)
+@record
 class TypeVar(_TypeNode):
     name: str
 
 
-@dataclass(frozen=True)
+@record
 class Arrow(_TypeNode):
     domain: "Type"
     codomain: "Type"
 
 
-@dataclass(frozen=True)
+@record
 class Forall(_TypeNode):
     """Second-order quantification; the bound variable may be vacuous."""
 
@@ -71,7 +115,7 @@ class Forall(_TypeNode):
     body: "Type"
 
 
-Type = Union[SortRef, TypeVar, Arrow, Forall]
+Type = SortRef | TypeVar | Arrow | Forall
 
 PROP = SortRef("t")
 
@@ -84,44 +128,44 @@ class _TermNode:
         return render_term(self)
 
 
-@dataclass(frozen=True)
+@record
 class Var(_TermNode):
     name: str
     type: "Type"
 
 
-@dataclass(frozen=True)
+@record
 class Const(_TermNode):
     name: str
     type: "Type"
 
 
-@dataclass(frozen=True)
+@record
 class App(_TermNode):
     fun: "Term"
     arg: "Term"
 
 
-@dataclass(frozen=True)
+@record
 class Abs(_TermNode):
     var: str
     var_type: "Type"
     body: "Term"
 
 
-@dataclass(frozen=True)
+@record
 class TyApp(_TermNode):
     fun: "Term"
     arg_type: "Type"
 
 
-@dataclass(frozen=True)
+@record
 class TyAbs(_TermNode):
     var: str
     body: "Term"
 
 
-Term = Union[Var, Const, App, Abs, TyApp, TyAbs]
+Term = Var | Const | App | Abs | TyApp | TyAbs
 
 
 def is_type(x) -> bool:
@@ -401,7 +445,7 @@ def _apply(f, a, step):
 # ---------------------------------------------------------------------------
 # typing
 
-def type_of(term, ctx: Optional[Context] = None):
+def type_of(term, ctx: Context | None = None):
     """The unique type of a Church-annotated term.
 
     With a context, free variables and constants must be declared there and
@@ -490,7 +534,7 @@ _TOKEN_RE = re.compile(
 _KEYWORDS = ("lam", "Lam", "Pi")
 
 
-@dataclass(frozen=True)
+@record
 class _Tok:
     kind: str
     text: str

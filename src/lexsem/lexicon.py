@@ -19,14 +19,12 @@ use.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from functools import cache, cached_property
-from typing import Optional
 
 from .kernel import (Abs, App, Arrow, Const, Context, KernelError, PROP,
                      ParseError, Term, TyApp, Type, TypingError, Var,
                      alpha_equiv, parse_term, parse_type, render_term,
-                     render_type, type_of)
+                     record, render_type, type_of)
 from .logic import Formula, choice_type, logical_constants, to_formula
 from .reduction import _Meter, _normal_form
 
@@ -40,7 +38,7 @@ class LexiconError(KernelError):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class Morphism:
     name: str
     term: "Term"
@@ -57,7 +55,7 @@ class Morphism:
         return f"{self.name} : {arrow} [{self.rigidity}]"
 
 
-@dataclass(frozen=True)
+@record
 class LexEntry:
     word: str
     principal: "Term"
@@ -80,11 +78,12 @@ class LexEntry:
         return pt
 
 
-@dataclass
 class Lexicon:
-    sorts: set
-    predicates: dict
-    entries: dict = field(default_factory=dict)
+    def __init__(self, sorts: set, predicates: dict,
+                 entries: dict | None = None):
+        self.sorts = sorts
+        self.predicates = predicates
+        self.entries = {} if entries is None else entries
 
     @cached_property
     def context(self) -> Context:
@@ -250,7 +249,7 @@ def load_lexicon(text: str) -> Lexicon:
         raise LexiconError("a lexicon needs at least one individual sort")
 
     lex = Lexicon(sorts=sorts, predicates={})
-    current: Optional[str] = None
+    current: str | None = None
     pending: list = []
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()

@@ -9,13 +9,10 @@ rebuilds a term, so eta-long formulae round-trip.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Union
-
 from .kernel import (Abs, App, Arrow, Const, Context, Forall, KernelError,
                      PROP, SortRef, Term, TyApp, Type, TypeVar, Var,
                      alpha_equiv, free_vars, fresh_name, render_term,
-                     render_type, subst_term, type_of)
+                     record, render_type, subst_term, type_of)
 from .reduction import find_redexes
 
 AND_NAME = "&"
@@ -70,17 +67,17 @@ def logical_signature(sorts) -> Context:
 # ---------------------------------------------------------------------------
 # formulae
 
-@dataclass(frozen=True)
+@record
 class ConstRef:
     name: str
 
 
-@dataclass(frozen=True)
+@record
 class VarRef:
     name: str
 
 
-@dataclass(frozen=True)
+@record
 class Description:
     """A choice-operator description: the `pred` such that iota[sort](pred)."""
 
@@ -88,20 +85,20 @@ class Description:
     pred: "Term"
 
 
-@dataclass(frozen=True)
+@record
 class Applied:
     fun: "Ref"
     args: tuple
 
 
-@dataclass(frozen=True)
+@record
 class TermRef:
     """Fallback for higher-order arguments with no first-order shape."""
 
     term: "Term"
 
 
-Ref = Union[ConstRef, VarRef, Description, Applied, TermRef]
+Ref = ConstRef | VarRef | Description | Applied | TermRef
 
 
 class _FormulaNode:
@@ -109,31 +106,31 @@ class _FormulaNode:
         return render_formula(self)
 
 
-@dataclass(frozen=True)
+@record
 class Atom(_FormulaNode):
     pred: "Ref"
     args: tuple
 
 
-@dataclass(frozen=True)
+@record
 class And(_FormulaNode):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
+@record
 class Or(_FormulaNode):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
+@record
 class Implies(_FormulaNode):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
+@record
 class Quant(_FormulaNode):
     kind: str  # "exists" | "forall"
     var: str
@@ -141,7 +138,7 @@ class Quant(_FormulaNode):
     body: "Formula"
 
 
-Formula = Union[Atom, And, Or, Implies, Quant]
+Formula = Atom | And | Or | Implies | Quant
 
 _BINARY = {AND_NAME: And, OR_NAME: Or, IMPLIES_NAME: Implies}
 
@@ -382,7 +379,7 @@ def _render_ref(r, sym, printed, names):
     raise LogicError(f"not a term reference: {r!r}")
 
 
-def _eta_head(pred) -> Optional[str]:
+def _eta_head(pred) -> str | None:
     """Name of the predicate when it is one, or an eta-expansion of one."""
     match pred:
         case Const(n, _) | Var(n, _):

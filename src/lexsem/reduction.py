@@ -10,10 +10,8 @@ checks them again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .kernel import (Abs, App, KernelError, Term, TyAbs, TyApp, _subst,
-                     free_vars, render_term, subst_type, type_of)
+                     free_vars, record, render_term, subst_type, type_of)
 
 BETA = "beta"
 TYPE_BETA = "type-beta"
@@ -23,14 +21,14 @@ class FuelExhausted(KernelError):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class TraceStep:
     path: tuple
     rule: str
     result: "Term"
 
 
-@dataclass
+@record
 class ReductionTrace:
     steps: list
 

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import lexsem
 
@@ -9,3 +13,17 @@ def test_all_lists_resolvable_public_names():
         assert not name.startswith("_"), name
         value = getattr(lexsem, name)
         assert not isinstance(value, types.ModuleType), name
+
+
+def test_import_loads_no_heavy_standard_modules():
+    # every start of the command would pay for these, and the package
+    # needs none of them; dataclasses alone pulls in inspect, dis, ast
+    # and tokenize
+    src = str(Path(lexsem.__file__).parents[1])
+    out = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, lexsem.cli; print(' '.join(sorted(sys.modules)))"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+        text=True, check=True).stdout.split()
+    for name in ("dataclasses", "inspect", "typing", "pathlib"):
+        assert name not in out, name
