@@ -10,6 +10,7 @@ and a rigid morphism tolerates no distinct partner at the same node.
 
 from __future__ import annotations
 
+import re
 from functools import lru_cache
 from itertools import product
 
@@ -20,7 +21,7 @@ from .kernel import (Abs, App, Arrow, Const, Forall, KernelError, PROP,
 from .lexicon import (LexEntry, Lexicon, LexiconError, Morphism, RIGID,
                       _iota, candidates, poly_and)
 from .logic import IOTA_NAME, Formula, _formula, choice_type
-from .reduction import FuelExhausted, _Meter, _normal_form
+from .reduction import FuelExhausted, _Meter
 
 FELICITOUS = "felicitous"
 INFELICITOUS = "infelicitous"
@@ -63,22 +64,6 @@ ParseTree = Leaf | Node
 
 def parse_tree(text: str) -> ParseTree:
     """Read an s-expression; longer lists associate to the left."""
-    tokens = []
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c.isspace():
-            i += 1
-        elif c in "()":
-            tokens.append((c, i))
-            i += 1
-        else:
-            j = i
-            while j < len(text) and not text[j].isspace() and text[j] not in "()":
-                j += 1
-            tokens.append((text[i:j], i))
-            i = j
-
     def fail(msg, at):
         raise ParseError(msg, 1, at + 1)
 
@@ -86,7 +71,10 @@ def parse_tree(text: str) -> ParseTree:
     # the nesting depth is bounded by memory alone
     stack = []
     tree = None
-    for tok, at in tokens:
+    # a token is a parenthesis or a run of anything else up to whitespace,
+    # where `\s` matches exactly the characters `str.isspace` accepts
+    for match in re.finditer(r"[()]|[^\s()]+", text):
+        tok, at = match.group(), match.start()
         if tree is not None:
             fail("trailing input after tree", at)
         if tok == "(":
@@ -153,7 +141,6 @@ class _State:
         self.fuel = fuel
         self.rejections = []
         self.copred_nodes = 0
-        self.leaves = {}
 
 
 @record
@@ -272,11 +259,12 @@ def _applied(fun_term, type_args, arg_term, m):
     return App(fun_term, arg_term if m is None else App(m.term, arg_term))
 
 
-def _applied_nf(fun_nf, type_args, arg_nf, m, step):
-    """The normal form of `_applied` on normal parts: only the redexes
-    the application makes are contracted."""
+def _applied_nf(lex, entry, fun_nf, type_args, arg_nf, m, step):
+    """The normal form of `_applied` on normal parts, `m` being a
+    morphism of the argument's `entry`: only the redexes the application
+    makes are contracted."""
     if m is not None:
-        arg_nf = _apply(_normal_form(m.term, step), arg_nf, step)
+        arg_nf = _apply(lex._normal(entry, step, m)[0], arg_nf, step)
     for ty in type_args:
         fun_nf = _apply(fun_nf, ty, step)
     return _apply(fun_nf, arg_nf, step)
@@ -315,16 +303,16 @@ def _reading(st: _State, spent, build, term, morphs=(), presups=()):
 def _leaf(leaf: Leaf, path, st: _State):
     if leaf.word in (THE_MARKER, AND_MARKER):
         return _Marker(leaf.word)
-    node = st.leaves.get(leaf.word)
-    if node is None:
-        try:
-            entry = st.lex.entry(leaf.word)
-        except LexiconError as err:
-            raise CompositionError(str(err), path) from err
-        term = entry.principal
-        alt = _reading(st, 0, lambda step: _normal_form(term, step), term)
-        node = st.leaves[leaf.word] = _Node(type_of(term), [alt], entry)
-    return node
+    try:
+        entry = st.lex.entry(leaf.word)
+    except LexiconError as err:
+        raise CompositionError(str(err), path) from err
+    meter = _Meter(st.fuel)
+    try:
+        nf, ty = st.lex._normal(entry, meter)
+    except FuelExhausted:
+        nf, ty = None, type_of(entry.principal)
+    return _Node(ty, [_Alt(entry.principal, nf, meter.spent)], entry)
 
 
 def _apply_node(fun: _Node, arg: _Node, path, st: _State):
@@ -340,7 +328,8 @@ def _apply_node(fun: _Node, arg: _Node, path, st: _State):
                 morphs += ((arg.entry.word, path + (1,), m.name),)
             alts.append(_reading(
                 st, f.steps + a.steps,
-                lambda step: _applied_nf(f.nf, inst, a.nf, m, step),
+                lambda step: _applied_nf(st.lex, arg.entry, f.nf, inst, a.nf,
+                                         m, step),
                 _applied(f.term, inst, a.term, m), morphs,
                 f.presups + a.presups))
     return _Node(ty, alts)
@@ -488,8 +477,9 @@ def _copred_node(fun: _Marker, arg: _Node, path, arg_path, st: _State):
 
             def build(step):
                 step(own)
-                values = (l.nf, r.nf, a.nf, _normal_form(f.term, step),
-                          _normal_form(g.term, step))
+                values = (l.nf, r.nf, a.nf,
+                          st.lex._normal(arg.entry, step, f)[0],
+                          st.lex._normal(arg.entry, step, g)[0])
                 return _plug(body, dict(zip(names, values)), step)
 
             alts.append(_reading(st, l.steps + r.steps + a.steps, build,
@@ -525,19 +515,17 @@ def _finish(node: _Node, st: _State):
     # terms built from checked parts only: a reading is closed, normal and
     # of the root's type, so a root of type t reads as a formula with no
     # check left to make
-    for alt in node.alts:
+    alts = node.alts
+    for alt in alts:
         _Meter(st.fuel)(alt.steps)    # raises for a reading out of fuel
-    readings = []
-    seen = set()
-    for alt in node.alts:
-        key = alpha_key(alt.nf)
-        if key in seen:
-            continue
-        seen.add(key)
-        formula = _formula(alt.nf) if node.type == PROP else None
-        readings.append(Reading(alt.nf, formula, alt.morphs, alt.presups,
-                                alt.term))
-    return readings
+    if len(alts) > 1:
+        # keep the first reading of each normal form, up to α-equivalence
+        first = {}
+        for alt in alts:
+            first.setdefault(alpha_key(alt.nf), alt)
+        alts = first.values()
+    return [Reading(alt.nf, _formula(alt.nf) if node.type == PROP else None,
+                    alt.morphs, alt.presups, alt.term) for alt in alts]
 
 
 def _run(tree, lex, fuel):

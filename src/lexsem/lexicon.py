@@ -84,6 +84,9 @@ class Lexicon:
         self.sorts = sorts
         self.predicates = predicates
         self.entries = {} if entries is None else entries
+        # word, or (word, morphism name) -> (owner, normal form, steps,
+        # type): see `_normal`
+        self._normals = {}
 
     @cached_property
     def context(self) -> Context:
@@ -95,6 +98,33 @@ class Lexicon:
         if word not in self.entries:
             raise LexiconError(f"unknown word '{word}'")
         return self.entries[word]
+
+    def _normal(self, entry: LexEntry, step, m: Morphism | None = None):
+        """The normal form and the type of `entry`'s principal term, or of
+        the term of its morphism `m`, with the steps that normal form
+        takes charged to the meter `step`.
+
+        Each declared term is normalized once per lexicon, on first use.
+        Its owner, the entry or the morphism, is checked with `is`, so a
+        record replaced in `entries` misses, and a term that ran out of
+        the caller's fuel is not kept.  An implicit identity, built anew
+        for every use, is normalized in place of being kept.
+        """
+        if m is None:
+            key, owner, term = entry.word, entry, entry.principal
+        elif any(m is d for d in entry.morphisms):
+            key, owner, term = (entry.word, m.name), m, m.term
+        else:
+            return _normal_form(m.term, step), Arrow(m.source, m.target)
+        hit = self._normals.get(key)
+        if hit is None or hit[0] is not owner:
+            before = step.spent
+            nf = _normal_form(term, step)
+            hit = self._normals[key] = (owner, nf, step.spent - before,
+                                        type_of(term))
+        else:
+            step(hit[2])
+        return hit[1], hit[3]
 
     def validate(self):
         if not (set(self.sorts) - {"t"}):

@@ -30,17 +30,23 @@ class LogicError(KernelError):
     pass
 
 
+# types are immutable, so each is built once and shared by every caller
+_CONNECTIVE_TYPE = Arrow(PROP, Arrow(PROP, PROP))
+_QUANTIFIER_TYPE = Forall("a", Arrow(Arrow(TypeVar("a"), PROP), PROP))
+_CHOICE_TYPE = Forall("a", Arrow(Arrow(TypeVar("a"), PROP), TypeVar("a")))
+
+
 def connective_type() -> Type:
-    return Arrow(PROP, Arrow(PROP, PROP))
+    return _CONNECTIVE_TYPE
 
 
 def quantifier_type() -> Type:
-    return Forall("a", Arrow(Arrow(TypeVar("a"), PROP), PROP))
+    return _QUANTIFIER_TYPE
 
 
 def choice_type() -> Type:
     """The choice operator turns a predicate into one of its witnesses."""
-    return Forall("a", Arrow(Arrow(TypeVar("a"), PROP), TypeVar("a")))
+    return _CHOICE_TYPE
 
 
 def logical_constants() -> dict:

@@ -1,8 +1,10 @@
+import sys
+
 import pytest
 
 from lexsem import (App, Arrow, CompositionError, Const, FELICITOUS,
-                    FuelExhausted, Leaf, Node, PROP, ParseError,
-                    RESOURCE_LIMIT, Rejection, SortRef, TYPE_ERROR,
+                    FuelExhausted, LexEntry, Leaf, Morphism, Node, PROP,
+                    ParseError, RESOURCE_LIMIT, Rejection, SortRef, TYPE_ERROR,
                     alpha_equiv, alpha_key, apply_with_coercion, compose,
                     felicity, load_lexicon, normal_form, normalize,
                     parse_tree, poly_and, quantifier_type, render_formula,
@@ -36,6 +38,15 @@ def test_parse_tree_singleton_unwraps():
 
 def test_parse_tree_bare_leaf():
     assert parse_tree("  Liverpool ") == Leaf("Liverpool")
+
+
+WHITESPACE = [c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace()]
+
+
+@pytest.mark.parametrize("space", WHITESPACE, ids=lambda c: f"U+{ord(c):04X}")
+def test_parse_tree_splits_at_every_whitespace_character(space):
+    assert len(WHITESPACE) == 29
+    assert parse_tree(f"(a{space}b)") == Node(Leaf("a"), Leaf("b"))
 
 
 @pytest.mark.parametrize("text,fragment", [
@@ -552,3 +563,59 @@ def test_lexicon_terms_that_are_not_normal(text, charge, normal_order):
         assert r.term == normal_form(r.source), text
         assert len(normalize(r.source)[1]) == normal_order, text
     assert felicity(tree, lex, fuel=charge - 1).status == RESOURCE_LIMIT
+
+
+# ---------------------------------------------------------------------------
+# a lexicon normalizes each of its terms once, on first use, and keeps the
+# result: what one tree leaves behind must not change another's verdict
+
+def _memo_cases():
+    for name in ("montague", "liverpool", "assinatura"):
+        yield fixture_text(f"{name}.mgl"), [
+            line for line in fixture_text(f"trees_{name}.txt").splitlines()
+            if line.strip() and not line.startswith("#")]
+    # terms that take steps to normalize, so a memo hit charges them
+    yield NON_NORMAL, [
+        "(spread_out Liverpool)", "((AND spread_out voted) Liverpool)",
+        "((AND (AND spread_out voted) spread_out) Liverpool)"]
+    gen = termgen.RandomCopreds(31)
+    for _ in range(50):
+        inst = gen.instance()
+        yield inst.lexicon_text, [inst.tree_text]
+
+
+def test_a_shared_lexicon_gives_a_fresh_lexicons_verdicts():
+    for text, trees in _memo_cases():
+        # every tree at the default fuel, then each tree at fuels 1 to 12
+        runs = ([(tree, 10000) for tree in trees]
+                + [(tree, fuel) for tree in trees for fuel in range(1, 13)])
+        want = {run: felicity(parse_tree(run[0]), load_lexicon(text), run[1])
+                for run in runs}
+        for order in (runs, runs[::-1]):
+            shared = load_lexicon(text)
+            for tree, fuel in order:
+                got = felicity(parse_tree(tree), shared, fuel)
+                assert got == want[tree, fuel], (tree, fuel)
+
+
+def test_a_replaced_entry_misses_the_memo():
+    lex = load_lexicon(fixture_text("liverpool.mgl"))
+    tree = parse_tree("(spread_out Liverpool)")
+
+    def formula():
+        [r] = felicity(tree, lex).readings
+        return render_formula(r.formula)
+
+    assert formula() == "spread_out(t3(lpl))"
+    old = lex.entries["Liverpool"]
+    town = old.principal_type
+    lex.entries["Liverpool"] = LexEntry(
+        old.word, Const("everton", town), town, old.morphisms)
+    assert formula() == "spread_out(t3(everton))"
+    # a morphism of the same name with another term
+    *kept, t3 = old.morphisms
+    t4 = Morphism(t3.name, Const("t4", Arrow(t3.source, t3.target)),
+                  t3.source, t3.target, t3.rigidity)
+    lex.entries["Liverpool"] = LexEntry(
+        old.word, old.principal, town, (*kept, t4))
+    assert formula() == "spread_out(t4(lpl))"

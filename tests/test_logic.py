@@ -36,6 +36,12 @@ def test_choice_type():
                                               TypeVar("a")))
 
 
+def test_signature_types_are_built_once():
+    assert choice_type() is choice_type()
+    assert connective_type() is connective_type()
+    assert quantifier_type() is quantifier_type()
+
+
 def test_logical_signature_contents():
     ctx = logical_signature({"e", "t"})
     assert type_of(Const("&", connective_type()), ctx) == connective_type()
