@@ -19,7 +19,7 @@ from .kernel import (Abs, App, Arrow, Const, Forall, KernelError, PROP,
                      Var, _apply, alpha_equiv, alpha_key, free_type_vars,
                      fresh_name, record, render_type, subst_type, type_of)
 from .lexicon import (LexEntry, Lexicon, LexiconError, Morphism, RIGID,
-                      _iota, candidates, poly_and)
+                      candidates, poly_and)
 from .logic import IOTA_NAME, Formula, _formula, choice_type
 from .reduction import FuelExhausted, _Meter
 
@@ -350,11 +350,15 @@ def _the_node(noun: _Node, path, st: _State):
         term = App(choice, alt.term)
         # the claim is charged its noun's steps and its own, apart from
         # the reading; past the fuel it is held back like a reading, with
-        # no normal form and the steps it was charged
+        # no normal form and the steps it was charged.  The choice term
+        # has a constant at its head, so substituting it into the noun's
+        # normal form makes no redex: the claim costs one step for a noun
+        # that is an abstraction, none otherwise
         meter = _Meter(st.fuel)
         try:
             meter(alt.steps)
-            nf, claim = _iota(sort, alt.nf, meter)
+            nf = App(choice, alt.nf)
+            claim = _apply(alt.nf, nf, meter)
         except FuelExhausted:
             alts.append(_Alt(term, None, meter.spent, alt.morphs, alt.presups))
             continue

@@ -325,10 +325,36 @@ def _key(x, venv, tenv):
 
 def alpha_equiv(a, b) -> bool:
     """True iff `a` and `b` are identical up to consistent renaming of bound
-    term and type variables.  Both arguments must be of the same kind."""
-    if not ((is_type(a) and is_type(b)) or (is_term(a) and is_term(b))):
-        return False
-    return a == b or alpha_key(a) == alpha_key(b)
+    term and type variables.  Both arguments must be of the same kind.
+
+    Two types are walked together and the walk stops at the first
+    difference; two terms compare their `alpha_key`s."""
+    if is_type(a) and is_type(b):
+        return a == b or _same_type(a, b, (), ())
+    if is_term(a) and is_term(b):
+        return a == b or alpha_key(a) == alpha_key(b)
+    return False
+
+
+def _same_type(a, b, abound, bbound):
+    """Whether types `a` and `b` have one `alpha_key`, where `abound` and
+    `bbound` are the type variables bound around each, innermost last:
+    a bound variable is compared by its de Bruijn index, a free one by
+    its name."""
+    while a.__class__ is b.__class__:
+        match a:
+            case Arrow(d, c):
+                if not _same_type(d, b.domain, abound, bbound):
+                    return False
+                a, b = c, b.codomain
+            case Forall(v, body):
+                abound, bbound = abound + (v,), bbound + (b.var,)
+                a, b = body, b.body
+            case TypeVar(n):
+                return _index(abound, n) == _index(bbound, b.name)
+            case _:
+                return a == b
+    return False
 
 
 # ---------------------------------------------------------------------------

@@ -96,7 +96,11 @@ class Lexicon:
 
     def entry(self, word: str) -> LexEntry:
         if word not in self.entries:
-            raise LexiconError(f"unknown word '{word}'")
+            # a character that does not print is shown by its escape, so
+            # an input word cannot write control bytes into the output
+            shown = "".join(c if c.isprintable() else repr(c)[1:-1]
+                            for c in word)
+            raise LexiconError(f"unknown word '{shown}'")
         return self.entries[word]
 
     def _normal(self, entry: LexEntry, step, m: Morphism | None = None):
@@ -235,15 +239,8 @@ def iota(sort, predicate, fuel: int = 10000):
         raise LexiconError(
             f"a referent of {render_type(sort)} needs a predicate of"
             f" {render_type(Arrow(sort, PROP))}, got {render_type(pty)}")
-    term, claim = _iota(sort, predicate, _Meter(fuel))
-    return term, to_formula(claim)
-
-
-def _iota(sort, predicate, step):
-    """`iota` unchecked, for a predicate of type `sort -> t`: the choice
-    term and the claim's normal form, `step()` counting its steps."""
     term = App(TyApp(Const("iota", choice_type()), sort), predicate)
-    return term, _normal_form(App(predicate, term), step)
+    return term, to_formula(_normal_form(App(predicate, term), _Meter(fuel)))
 
 
 # ---------------------------------------------------------------------------

@@ -100,6 +100,14 @@ def test_exit_one_on_unknown_word(tmp_path, capsys):
     assert "Everton" in out
 
 
+def test_unknown_words_print_no_control_characters(monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO("\x00\n(voted \x1b[31mX)\n"))
+    assert run(config(LIVERPOOL)) == 1
+    assert capsys.readouterr().out == (
+        "TYPE-ERROR: at ε: unknown word '\\x00'\n\n"
+        "TYPE-ERROR: at 1: unknown word '\\x1b[31mX'\n")
+
+
 def test_fuel_exhaustion_is_a_resource_limit(tmp_path, capsys):
     inp = trees(tmp_path, "((AND spread_out voted) Liverpool)\n"
                           "(spread_out voted)\n")

@@ -3,12 +3,16 @@ import sys
 import pytest
 
 from lexsem import (App, Arrow, CompositionError, Const, FELICITOUS,
-                    FuelExhausted, LexEntry, Leaf, Morphism, Node, PROP,
-                    ParseError, RESOURCE_LIMIT, Rejection, SortRef, TYPE_ERROR,
-                    alpha_equiv, alpha_key, apply_with_coercion, compose,
-                    felicity, load_lexicon, normal_form, normalize,
-                    parse_tree, poly_and, quantifier_type, render_formula,
+                    FuelExhausted, LexEntry, Leaf, Lexicon, Morphism, Node,
+                    PROP, ParseError, RESOURCE_LIMIT, Rejection, SortRef,
+                    THE_MARKER, TYPE_ERROR, TyApp, alpha_equiv, alpha_key,
+                    apply_with_coercion, choice_type, compose, felicity,
+                    load_lexicon, normal_form, normalize, parse_tree,
+                    poly_and, quantifier_type, render_formula, to_formula,
                     type_of)
+from lexsem import reduction
+from lexsem.kernel import _apply
+from lexsem.reduction import _Meter, _normal_form
 
 import termgen
 from conftest import fixture_text
@@ -619,3 +623,82 @@ def test_a_replaced_entry_misses_the_memo():
     lex.entries["Liverpool"] = LexEntry(
         old.word, old.principal, town, (*kept, t4))
     assert formula() == "spread_out(t4(lpl))"
+
+
+# ---------------------------------------------------------------------------
+# a THE claim applies its noun's normal form to the choice term by
+# hereditary substitution; normal order on the same application is the
+# reference for its normal form and for the steps it is charged
+
+# nouns that take steps: one normalizes to an abstraction, one to a constant
+NON_NORMAL_NOUNS = """\
+sorts: T
+pred p : T -> t
+word abstraction : T -> t = lam x:T. (lam y:T. #p y) x
+word constant : T -> t = (lam f:T -> t. f) #p
+"""
+
+
+def _nouns():
+    for text in (fixture_text("montague.mgl"), fixture_text("liverpool.mgl"),
+                 fixture_text("assinatura.mgl"), NON_NORMAL, NON_NORMAL_NOUNS):
+        lex = load_lexicon(text)
+        for entry in lex.entries.values():
+            ty = entry.principal_type
+            if isinstance(ty, Arrow) and ty.codomain == PROP:
+                yield lex, entry
+
+
+def test_a_the_claim_matches_normal_order_on_its_noun():
+    charges = []
+    for lex, entry in _nouns():
+        sort = entry.principal_type.domain
+        noun, trace = normalize(entry.principal)
+        choice = App(TyApp(Const("iota", choice_type()), sort), noun)
+        loop = _Meter(10000)
+        claim = _normal_form(App(noun, choice), loop)
+        hereditary = _Meter(10000)
+        assert _apply(noun, choice, hereditary) == claim, entry.word
+        assert hereditary.spent == loop.spent, entry.word
+        charge = len(trace) + loop.spent
+        tree = parse_tree(f"(THE {entry.word})")
+        [r] = felicity(tree, lex).readings
+        assert r.presuppositions == (to_formula(claim),), entry.word
+        # the claim is charged its noun's steps and its own: one step more
+        # than the reading when the noun is an abstraction
+        for fuel in range(1, charge + 2):
+            want = FELICITOUS if fuel >= charge else RESOURCE_LIMIT
+            assert felicity(tree, lex, fuel).status == want, (entry.word, fuel)
+        charges.append(charge)
+    assert len(charges) == 12
+    assert set(charges) == {0, 1, 2}
+
+
+def test_judging_a_the_tree_normalizes_lexicon_terms_only(monkeypatch):
+    normal, find = Lexicon._normal, reduction.find_redexes
+    depth, inside, outside = [0], [], []
+
+    def counted_normal(*args):
+        depth[0] += 1
+        try:
+            return normal(*args)
+        finally:
+            depth[0] -= 1
+
+    def counted_find(term):
+        (inside if depth[0] else outside).append(term)
+        return find(term)
+
+    monkeypatch.setattr(Lexicon, "_normal", counted_normal)
+    monkeypatch.setattr(reduction, "find_redexes", counted_find)
+    # fresh lexica, so that their terms are normalized here
+    cases = [(lex, text) for lex, text in _fixture_trees()
+             if THE_MARKER in text]
+    non_normal = load_lexicon(NON_NORMAL)
+    cases += [(non_normal, "(THE spread_out)"),
+              (non_normal, "(spread_out (THE spread_out))")]
+    for lex, text in cases:
+        v = felicity(parse_tree(text), lex)
+        assert v.status not in (TYPE_ERROR, RESOURCE_LIMIT), text
+    assert inside
+    assert outside == []

@@ -418,6 +418,53 @@ def test_alpha_key_differs_on_free_names_and_annotations(a, b):
     assert not alpha_equiv(a, b)
 
 
+# types are compared by a walk that stops at the first difference; it must
+# agree with their keys everywhere
+
+def _poly_type(rng, depth):
+    """A type over one sort whose quantifiers and type variables draw from
+    a two-name pool, so binders shadow each other and variables occur
+    both bound and free."""
+    r = rng.random()
+    if depth <= 0 or r < 0.3:
+        return rng.choice((E, TypeVar("a"), TypeVar("b")))
+    if r < 0.65:
+        return Arrow(_poly_type(rng, depth - 1), _poly_type(rng, depth - 1))
+    return Forall(rng.choice("ab"), _poly_type(rng, depth - 1))
+
+
+@pytest.mark.parametrize("a,b,want", [
+    ("Pi 'a. Pi 'a. 'a", "Pi 'b. Pi 'c. 'c", True),
+    ("Pi 'a. Pi 'a. 'a", "Pi 'b. Pi 'c. 'b", False),
+    ("Pi 'a. 'b", "Pi 'b. 'b", False),
+    ("Pi 'a. 'a -> 'b", "Pi 'c. 'c -> 'b", True),
+    ("Pi 'a. 'a -> 'b", "Pi 'b. 'b -> 'b", False),
+    ("e", "'e", False),
+    ("Pi 'a. e", "Pi 'b. 'e", False),
+])
+def test_alpha_equiv_on_hand_picked_types(a, b, want):
+    a, b = parse_type(a, {"e"}), parse_type(b, {"e"})
+    assert (alpha_key(a) == alpha_key(b)) == want
+    assert alpha_equiv(a, b) == alpha_equiv(b, a) == want
+
+
+def test_alpha_equiv_on_types_agrees_with_alpha_key():
+    rng = random.Random(7)
+    gen = termgen.RandomTerms(13)
+    pairs = []
+    for _ in range(400):
+        pairs.append((gen.type(3), gen.type(3)))
+        a = _poly_type(rng, 4)
+        pairs += [(a, _poly_type(rng, 4)), (a, _rename_type(a, rng))]
+    renamed = 0
+    for a, b in pairs:
+        same = alpha_key(a) == alpha_key(b)
+        assert alpha_equiv(a, b) == alpha_equiv(b, a) == same, \
+            (render_type(a), render_type(b))
+        renamed += same and a != b
+    assert renamed > 50
+
+
 def test_alpha_key_of_a_type_never_equals_a_term_key():
     terms = termgen.RandomTerms(3).population(200)
     term_keys = {alpha_key(t) for t in terms}

@@ -46,6 +46,19 @@ def test_unknown_word(liverpool):
         liverpool.entry("Everton")
 
 
+@pytest.mark.parametrize("word,shown", [
+    ("Everton", "Everton"),
+    ("caf\u00e9\\x00", "caf\u00e9\\x00"),
+    ("\x00", "\\x00"),
+    ("\x1b[31mX", "\\x1b[31mX"),
+    ("a\u200bb\x7f", "a\\u200bb\\x7f"),
+])
+def test_unknown_word_escapes_only_what_does_not_print(liverpool, word, shown):
+    with pytest.raises(LexiconError) as err:
+        liverpool.entry(word)
+    assert str(err.value) == f"unknown word '{shown}'"
+
+
 def test_comments_and_blank_lines():
     lex = load_lexicon("# header\n\nsorts: e\n\npred p : e -> t\n"
                        "pred a0 : e\nword a : e = #a0\n")
