@@ -11,16 +11,16 @@ and a rigid morphism tolerates no distinct partner at the same node.
 from __future__ import annotations
 
 import re
-from functools import lru_cache
 from itertools import product
 
 from .kernel import (Abs, App, Arrow, Const, Forall, KernelError, PROP,
-                     ParseError, SortRef, Term, TyAbs, TyApp, Type, TypeVar,
+                     ParseError, SortRef, Term, TyApp, Type, TypeVar,
                      Var, _apply, alpha_equiv, alpha_key, free_type_vars,
                      fresh_name, record, render_type, subst_type, type_of)
-from .lexicon import (LexEntry, Lexicon, LexiconError, Morphism, RIGID,
-                      candidates, poly_and)
-from .logic import IOTA_NAME, Formula, _formula, choice_type
+from .lexicon import (LexEntry, Lexicon, LexiconError, Morphism,
+                      POLY_AND_BINDERS, RIGID, candidates, poly_and)
+from .logic import (AND_NAME, IOTA_NAME, Formula, _formula, choice_type,
+                    connective_type)
 from .reduction import FuelExhausted, _Meter
 
 FELICITOUS = "felicitous"
@@ -30,6 +30,8 @@ RESOURCE_LIMIT = "resourceLimit"
 
 THE_MARKER = "THE"
 AND_MARKER = "AND"
+
+_CONJUNCTION = Const(AND_NAME, connective_type())
 
 
 class CompositionError(KernelError):
@@ -403,43 +405,6 @@ def _copred_pairs(entry, xi, alpha, beta, rejections: list):
     return out
 
 
-def _copred_term(left, right, shared, xi, alpha, beta, f, g):
-    t = TyApp(TyApp(poly_and(), alpha), beta)
-    t = App(App(t, left), right)
-    t = App(TyApp(t, xi), shared)
-    return App(App(t, f.term), g.term)
-
-
-@lru_cache(maxsize=256)
-def _poly_and_at(alpha, beta, xi):
-    """`poly_and` instantiated at α, β and ξ, as its reductions in
-    `_copred_term` would instantiate it: the names its term binders bind,
-    in order, the body below all its binders, and the number of binders,
-    each of which costs one step to contract.  Built once per triple."""
-    types = iter((alpha, beta, xi))
-    names, steps, t = [], 0, poly_and()
-    while isinstance(t, (Abs, TyAbs)):
-        if isinstance(t, TyAbs):
-            t = subst_type(t.body, t.var, next(types))
-        else:
-            names.append(t.var)
-            t = t.body
-        steps += 1
-    return tuple(names), t, steps
-
-
-def _plug(t, env, step):
-    """The normal form of `t`, a normal term of variables, constants and
-    applications only (the body of `poly_and`), with each variable named
-    in `env` replaced by its normal value."""
-    match t:
-        case Var(n, _):
-            return env.get(n, t)
-        case App(f, a):
-            return _apply(_plug(f, env, step), _plug(a, env, step), step)
-    return t
-
-
 def _nested(conj: _Marker, arg: _Node, path, arg_path, st: _State):
     """A nested conjunction, resolved at the shared referent type: a
     predicate over that type with its own morphism choices made.  The
@@ -470,24 +435,42 @@ def _copred_node(fun: _Marker, arg: _Node, path, arg_path, st: _State):
     # a pair is only tried when each conjunct has a reading to pair
     pairs = (_copred_pairs(arg.entry, xi, alpha, beta, st.rejections)
              if left.alts and right.alts else [])
-    names, body, own = _poly_and_at(alpha, beta, xi)
+    # poly_and's body conjoins two halves, each a conjunct applied to the
+    # argument through one morphism: built once, under a meter of its own,
+    # a half is charged to each reading holding it
+    head = TyApp(TyApp(poly_and(), alpha), beta)
+    lex, entry, halves = st.lex, arg.entry, {}
+
+    def half(c, a, m, m_nf, step):
+        key = id(c), id(a), id(m)    # each lives as long as the node
+        if key not in halves:
+            meter = _Meter(st.fuel)
+            try:
+                nf = _apply(c.nf, _apply(m_nf, a.nf, meter), meter)
+            except FuelExhausted:
+                nf = None
+            halves[key] = nf, meter.spent
+        nf, spent = halves[key]
+        step(spent)    # raises for a half out of fuel
+        return nf
+
     alts = []
     for a, l, r in product(arg.alts, left.alts, right.alts):
         for f, g in pairs:
-            term = _copred_term(l.term, r.term, a.term, xi, alpha, beta, f, g)
+            term = App(TyApp(App(App(head, l.term), r.term), xi), a.term)
             recs = (l.morphs + r.morphs + a.morphs
-                    + ((arg.entry.word, arg_path, f.name),
-                       (arg.entry.word, arg_path, g.name)))
+                    + ((entry.word, arg_path, f.name),
+                       (entry.word, arg_path, g.name)))
 
             def build(step):
-                step(own)
-                values = (l.nf, r.nf, a.nf,
-                          st.lex._normal(arg.entry, step, f)[0],
-                          st.lex._normal(arg.entry, step, g)[0])
-                return _plug(body, dict(zip(names, values)), step)
+                step(POLY_AND_BINDERS)
+                f_nf = lex._normal(entry, step, f)[0]
+                g_nf = lex._normal(entry, step, g)[0]
+                return App(App(_CONJUNCTION, half(l, a, f, f_nf, step)),
+                           half(r, a, g, g_nf, step))
 
             alts.append(_reading(st, l.steps + r.steps + a.steps, build,
-                                 term, recs,
+                                 App(App(term, f.term), g.term), recs,
                                  l.presups + r.presups + a.presups))
     return _Node(PROP, alts)
 
@@ -522,18 +505,21 @@ def _finish(node: _Node, st: _State):
     alts = node.alts
     for alt in alts:
         _Meter(st.fuel)(alt.steps)    # raises for a reading out of fuel
+    keys, formulas = {}, {}    # a part shared by readings is walked once
     if len(alts) > 1:
         # keep the first reading of each normal form, up to α-equivalence
         first = {}
         for alt in alts:
-            first.setdefault(alpha_key(alt.nf), alt)
+            first.setdefault(alpha_key(alt.nf, keys), alt)
         alts = first.values()
-    return [Reading(alt.nf, _formula(alt.nf) if node.type == PROP else None,
+    return [Reading(alt.nf,
+                    _formula(alt.nf, formulas) if node.type == PROP else None,
                     alt.morphs, alt.presups, alt.term) for alt in alts]
 
 
 def _run(tree, lex, fuel):
     st = _State(lex, fuel)
+    poly_and()    # parsed on first use: here, not under a deep tree
     value = _node(tree, (), st)
     if isinstance(value, _Marker):
         raise CompositionError("the tree is an unapplied marker")

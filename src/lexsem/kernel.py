@@ -282,7 +282,7 @@ def fresh_name(base: str, avoid) -> str:
 # ---------------------------------------------------------------------------
 # alpha-equivalence
 
-def alpha_key(x):
+def alpha_key(x, memo=None):
     """A hashable canonical form of a type or term: two keys are equal
     exactly when their arguments are alpha-equivalent.
 
@@ -290,37 +290,49 @@ def alpha_key(x):
     counted separately; free variables and constants keep their names and
     the keys of their annotations.  Every node is tagged by its
     constructor, so the key of a type never equals the key of a term.
+    With `memo`, a dict the caller keeps, each term node's key outside
+    all binders is kept under its id, with the node, so a shared part is
+    walked once.
     """
-    return _key(x, (), ())
+    return _key(x, (), (), memo)
 
 
 def _index(bound, name):
     return bound[::-1].index(name) if name in bound else name
 
 
-def _key(x, venv, tenv):
+def _key(x, venv, tenv, memo=None):
+    if memo is not None:
+        hit = memo.get(id(x))
+        if hit is not None and hit[0] is x:
+            return hit[1]
     match x:
         case SortRef(n):
-            return ("SortRef", n)
+            key = ("SortRef", n)
         case TypeVar(n):
-            return ("TypeVar", _index(tenv, n))
+            key = ("TypeVar", _index(tenv, n))
         case Arrow(d, c):
-            return ("Arrow", _key(d, venv, tenv), _key(c, venv, tenv))
+            key = ("Arrow", _key(d, venv, tenv), _key(c, venv, tenv))
         case Forall(v, b):
-            return ("Forall", _key(b, venv, tenv + (v,)))
+            key = ("Forall", _key(b, venv, tenv + (v,)))
         case Var(n, ty):
-            return ("Var", _index(venv, n), _key(ty, venv, tenv))
+            key = ("Var", _index(venv, n), _key(ty, venv, tenv))
         case Const(n, ty):
-            return ("Const", n, _key(ty, venv, tenv))
+            key = ("Const", n, _key(ty, venv, tenv))
         case App(f, a):
-            return ("App", _key(f, venv, tenv), _key(a, venv, tenv))
+            key = ("App", _key(f, venv, tenv, memo),
+                   _key(a, venv, tenv, memo))
         case Abs(v, ty, b):
-            return ("Abs", _key(ty, venv, tenv), _key(b, venv + (v,), tenv))
+            key = ("Abs", _key(ty, venv, tenv), _key(b, venv + (v,), tenv))
         case TyApp(f, ty):
-            return ("TyApp", _key(f, venv, tenv), _key(ty, venv, tenv))
+            key = ("TyApp", _key(f, venv, tenv, memo), _key(ty, venv, tenv))
         case TyAbs(v, b):
-            return ("TyAbs", _key(b, venv, tenv + (v,)))
-    raise KernelError(f"not a type or term: {x!r}")
+            key = ("TyAbs", _key(b, venv, tenv + (v,)))
+        case _:
+            raise KernelError(f"not a type or term: {x!r}")
+    if memo is not None:
+        memo[id(x)] = x, key
+    return key
 
 
 def alpha_equiv(a, b) -> bool:

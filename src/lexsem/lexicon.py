@@ -214,6 +214,8 @@ _POLY_AND_SRC = (
     "Lam 'c. lam x:'c. lam f:'c -> 'a. lam g:'c -> 'b. "
     "(#& (P (f x))) (Q (g x))"
 )
+# its binders, each of which costs one step to contract
+POLY_AND_BINDERS = 8
 
 
 @cache

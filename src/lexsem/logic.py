@@ -178,17 +178,29 @@ def _spine(t):
     return t, list(reversed(args))
 
 
-def _formula(t):
+def _formula(t, memo=None):
+    """The formula of `t`.  With `memo`, a dict the caller keeps, each
+    node's formula is kept under its id, with the node, so a shared part
+    is read once."""
+    if memo is not None:
+        hit = memo.get(id(t))
+        if hit is not None and hit[0] is t:
+            return hit[1]
     match t:
         case App(App(Const(name, _), a), b) if name in _CONNECTIVES:
-            return _BINARY[name](_formula(a), _formula(b))
+            f = _BINARY[name](_formula(a, memo), _formula(b, memo))
         case App(TyApp(Const(name, _), sort), p) if name in _QUANTIFIERS:
             if isinstance(p, Abs):
-                return Quant(name, p.var, sort, _formula(p.body))
-            x = fresh_name("x", set(free_vars(p)))
-            return Quant(name, x, sort, _formula(App(p, Var(x, sort))))
-    head, args = _head(t)
-    return Atom(head, tuple(_ref(a) for a in args))
+                f = Quant(name, p.var, sort, _formula(p.body, memo))
+            else:
+                x = fresh_name("x", set(free_vars(p)))
+                f = Quant(name, x, sort, _formula(App(p, Var(x, sort)), memo))
+        case _:
+            head, args = _head(t)
+            f = Atom(head, tuple(_ref(a) for a in args))
+    if memo is not None:
+        memo[id(t)] = t, f
+    return f
 
 
 def _head(t):

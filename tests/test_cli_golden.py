@@ -17,7 +17,7 @@ from lexsem.cli import FORMATS, CliConfig, run
 from conftest import FIXTURES
 
 GOLDEN = FIXTURES / "golden"
-LEXICA = ("montague", "liverpool", "assinatura")
+LEXICA = ("montague", "liverpool", "assinatura", "fanout")
 CASES = [(lex, fmt, every) for lex in LEXICA for fmt in FORMATS
          for every in (False, True)]
 

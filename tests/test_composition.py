@@ -1,4 +1,5 @@
 import sys
+import traceback
 
 import pytest
 
@@ -10,7 +11,7 @@ from lexsem import (App, Arrow, CompositionError, Const, FELICITOUS,
                     load_lexicon, normal_form, normalize, parse_tree,
                     poly_and, quantifier_type, render_formula, to_formula,
                     type_of)
-from lexsem import reduction
+from lexsem import lexicon, reduction
 from lexsem.kernel import _apply
 from lexsem.reduction import _Meter, _normal_form
 
@@ -447,14 +448,23 @@ def _nested_and(depth):
     return f"({tree} Liverpool)"
 
 
-def _fan_out_lexicon(m):
-    """A word with `m` flexible morphisms into its predicates' sort."""
+def _fan_out_lexicon(m, kind="normal"):
+    """A word with `m` flexible morphisms into its predicates' sort.  Of
+    kind "non-normal", the word, the predicate `p` and every morphism are
+    terms that take steps to normalize; of kind "odd", the word, `p` and
+    the odd-numbered morphisms only."""
     preds = "".join(f"pred u{i} : T -> A\n" for i in range(m))
-    morphs = "".join(f"  morph u{i} : T -> A = #u{i} [flexible]\n"
-                     for i in range(m))
+    slow = {"normal": (), "non-normal": range(m), "odd": range(1, m, 2)}[kind]
+    w, p = "#c", "#p"
+    if kind != "normal":
+        w, p = "(lam z:T. z) #c", "lam z:A. (lam k:A. #p k) z"
+    morphs = "".join(
+        f"  morph u{i} : T -> A = "
+        + (f"lam z:T. (lam k:T. #u{i} k) z" if i in slow else f"#u{i}")
+        + " [flexible]\n" for i in range(m))
     return load_lexicon(
         f"sorts: T A\npred c : T\n{preds}pred p : A -> t\npred q : A -> t\n"
-        f"word w : T = #c\n{morphs}word p : A -> t = #p\n"
+        f"word w : T = {w}\n{morphs}word p : A -> t = {p}\n"
         f"word q : A -> t = #q\n")
 
 
@@ -477,6 +487,79 @@ def test_readings_are_normal_forms_of_their_sources():
             assert alpha_key(r.term) == alpha_key(nf), text
             readings += 1
     assert readings >= 500
+
+
+def _frames():
+    return len(traceback.extract_stack())
+
+
+def test_poly_and_is_parsed_before_the_tree_is_walked(monkeypatch, liverpool):
+    # parsed on first use under the frames of the innermost conjunction, it
+    # made how deep a tree can be depend on what the process judged before
+    parsed_at, parse = [], lexicon.parse_term
+
+    def counted_parse(*args):
+        parsed_at.append(_frames())
+        return parse(*args)
+
+    monkeypatch.setattr(lexicon, "parse_term", counted_parse)
+    poly_and.cache_clear()
+    top = _frames()
+    assert felicity(parse_tree(_nested_and(50)), liverpool).status == \
+        FELICITOUS
+    [at] = parsed_at
+    assert at - top < 5
+
+
+def test_a_conjunct_is_built_once_per_node():
+    # each half of a reading, a conjunct applied to the shared argument
+    # through one morphism, is one object for every reading that holds it
+    readings = felicity(parse_tree("((AND (AND p q) p) w)"),
+                        _fan_out_lexicon(6)).readings
+    assert len(readings) == 216
+    assert len({id(r.term.fun.arg) for r in readings}) == 36
+    assert len({id(r.term.arg) for r in readings}) == 6
+
+
+# the smallest fuel at which each tree is judged, recorded before the
+# halves of a conjunction were shared between its readings: per kind of
+# fan-out lexicon, at m = 1 to 5, for the trees of FAN_OUT_TREES; then
+# for the first 100 RandomCopreds(41) instances.  In kind "odd" a reading
+# through two slow morphisms costs most, and the halves it holds were
+# first built for cheaper readings
+FAN_OUT_TREES = ("((AND p q) w)", "((AND (AND p q) p) w)",
+                 "((AND p (AND q p)) w)")
+FAN_OUT_CHARGES = {
+    "normal": [(8, 18, 18)] * 5,
+    "non-normal": [(15, 29, 29)] * 5,
+    "odd": [(11, 23, 23)] + [(15, 29, 29)] * 4,
+}
+RANDOM_COPRED_CHARGES = (
+    1, 1, 1, 21, 1, 1, 1, 21, 1, 1, 8, 10, 1, 1, 1, 18, 1, 1, 1, 1,
+    8, 1, 21, 1, 9, 1, 1, 1, 1, 1, 1, 10, 1, 1, 1, 18, 17, 1, 19, 1,
+    1, 1, 1, 1, 1, 10, 1, 9, 1, 1, 1, 1, 1, 16, 1, 8, 8, 1, 18, 1,
+    8, 18, 1, 1, 1, 1, 10, 1, 1, 1, 1, 8, 1, 8, 1, 1, 8, 1, 1, 20,
+    1, 1, 1, 1, 1, 1, 8, 10, 1, 1, 8, 1, 1, 1, 9, 1, 1, 1, 10, 1)
+
+
+def _charge_cases():
+    for kind, per_m in FAN_OUT_CHARGES.items():
+        for m, charges in enumerate(per_m, 1):
+            lex = _fan_out_lexicon(m, kind)
+            yield from ((lex, t, c) for t, c in zip(FAN_OUT_TREES, charges))
+    gen = termgen.RandomCopreds(41)
+    for charge in RANDOM_COPRED_CHARGES:
+        inst = gen.instance()
+        yield inst.lexicon, inst.tree_text, charge
+
+
+def test_fuel_charges_are_pinned():
+    for lex, text, charge in _charge_cases():
+        tree = parse_tree(text)
+        assert felicity(tree, lex, charge).status != RESOURCE_LIMIT, text
+        if charge > 1:
+            v = felicity(tree, lex, charge - 1)
+            assert v.status == RESOURCE_LIMIT, text
 
 
 def _runs_out(source, fuel):

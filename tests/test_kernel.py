@@ -390,6 +390,20 @@ def test_alpha_key_equal_on_renamed_copies():
         assert alpha_key(copy) == alpha_key(ty)
 
 
+def test_alpha_key_with_a_memo_agrees_without_one():
+    # one memo serves many terms: a part met under a binder and outside
+    # one is keyed where it stands, not where it was met first
+    terms = []
+    for t in termgen.RandomTerms(17).population(200):
+        terms.append(t)
+        if isinstance(t, (Abs, TyAbs)):
+            terms += [t.body, App(t, t.body), TyApp(t.body, E)]
+    memo = {}
+    for t in terms + terms[::-1]:
+        assert alpha_key(t, memo) == alpha_key(t), render_term(t)
+    assert len(terms) > 250    # more than 16 binders
+
+
 def test_alpha_key_shadowing():
     a = parse_term("lam x:e. lam x:e. x", ctx())
     b = parse_term("lam y:e. lam z:e. z", ctx())

@@ -182,6 +182,22 @@ def test_poly_and_value():
     assert alpha_equiv(poly_and(), want)
 
 
+def test_poly_and_binders_and_body():
+    # composition charges each conjunction POLY_AND_BINDERS steps and
+    # builds its normal form as `#& (P (f x)) (Q (g x))`
+    from lexsem import Abs, Context, TyAbs, logical_constants
+    from lexsem.lexicon import POLY_AND_BINDERS
+    body, binders = poly_and(), 0
+    while isinstance(body, (Abs, TyAbs)):
+        body, binders = body.body, binders + 1
+    assert binders == POLY_AND_BINDERS == 8
+    a, b, c = TypeVar("a"), TypeVar("b"), TypeVar("c")
+    ctx = Context(sorts={"t"}, constants=logical_constants(), variables={
+        "P": Arrow(a, PROP), "Q": Arrow(b, PROP), "x": c,
+        "f": Arrow(c, a), "g": Arrow(c, b)})
+    assert body == parse_term("#& (P (f x)) (Q (g x))", ctx)
+
+
 # ---------------------------------------------------------------------------
 # definite descriptions
 
