@@ -32,6 +32,7 @@ THE_MARKER = "THE"
 AND_MARKER = "AND"
 
 _CONJUNCTION = Const(AND_NAME, connective_type())
+_CHOICE = Const(IOTA_NAME, choice_type())
 
 
 class CompositionError(KernelError):
@@ -261,12 +262,12 @@ def _applied(fun_term, type_args, arg_term, m):
     return App(fun_term, arg_term if m is None else App(m.term, arg_term))
 
 
-def _applied_nf(lex, entry, fun_nf, type_args, arg_nf, m, step):
-    """The normal form of `_applied` on normal parts, `m` being a
-    morphism of the argument's `entry`: only the redexes the application
+def _applied_nf(fun_nf, type_args, arg_nf, m_nf, step):
+    """The normal form of `_applied` on normal parts, `m_nf` being the
+    morphism's normal form or None: only the redexes the application
     makes are contracted."""
-    if m is not None:
-        arg_nf = _apply(lex._normal(entry, step, m)[0], arg_nf, step)
+    if m_nf is not None:
+        arg_nf = _apply(m_nf, arg_nf, step)
     for ty in type_args:
         fun_nf = _apply(fun_nf, ty, step)
     return _apply(fun_nf, arg_nf, step)
@@ -288,18 +289,19 @@ def apply_with_coercion(fun_term, arg_term, arg_entry=None):
 # ---------------------------------------------------------------------------
 # node semantics
 
-def _reading(st: _State, spent, build, term, morphs=(), presups=()):
-    """The alternative with source `term` whose parts took `spent` steps:
+def _built(fuel, spent, build):
+    """`(nf, steps)` of an alternative whose parts took `spent` steps:
     `build(step)` makes its normal form, `step()` counting each
-    contraction.  Once the steps pass the fuel, it and every alternative
-    made from it keep no normal form; `_finish` then reports the tree as
-    out of fuel, if that alternative reaches the root at all."""
-    meter = _Meter(st.fuel)
+    contraction.  Every alternative keeps one invariant: its `nf` is None
+    exactly when its steps exceed the fuel, so nothing is built on a part
+    past the fuel; `_finish` reports the tree as out of fuel if such an
+    alternative reaches the root."""
+    meter = _Meter(fuel)
     try:
         meter(spent)
-        return _Alt(term, build(meter), meter.spent, morphs, presups)
+        return build(meter), meter.spent
     except FuelExhausted:
-        return _Alt(term, None, meter.spent, morphs, presups)
+        return None, meter.spent
 
 
 def _leaf(leaf: Leaf, path, st: _State):
@@ -309,12 +311,8 @@ def _leaf(leaf: Leaf, path, st: _State):
         entry = st.lex.entry(leaf.word)
     except LexiconError as err:
         raise CompositionError(str(err), path) from err
-    meter = _Meter(st.fuel)
-    try:
-        nf, ty = st.lex._normal(entry, meter)
-    except FuelExhausted:
-        nf, ty = None, type_of(entry.principal)
-    return _Node(ty, [_Alt(entry.principal, nf, meter.spent)], entry)
+    nf, steps, ty = st.lex._normal(entry, st.fuel)
+    return _Node(ty, [_Alt(entry.principal, nf, steps)], entry)
 
 
 def _apply_node(fun: _Node, arg: _Node, path, st: _State):
@@ -322,18 +320,21 @@ def _apply_node(fun: _Node, arg: _Node, path, st: _State):
     if not ms:
         raise CompositionError(f"cannot apply {render_type(fun.type)}"
                                f" to {render_type(arg.type)}", path)
+    # each morphism's normal form and lexicon steps, looked up once
+    coercions = [(None, None, 0) if m is None
+                 else (m, *st.lex._normal(arg.entry, st.fuel, m)[:2])
+                 for m in ms]
     alts = []
     for f, a in product(fun.alts, arg.alts):
-        for m in ms:
+        for m, m_nf, m_steps in coercions:
             morphs = f.morphs + a.morphs
             if m is not None:
                 morphs += ((arg.entry.word, path + (1,), m.name),)
-            alts.append(_reading(
-                st, f.steps + a.steps,
-                lambda step: _applied_nf(st.lex, arg.entry, f.nf, inst, a.nf,
-                                         m, step),
-                _applied(f.term, inst, a.term, m), morphs,
-                f.presups + a.presups))
+            nf, steps = _built(
+                st.fuel, f.steps + a.steps + m_steps,
+                lambda step: _applied_nf(f.nf, inst, a.nf, m_nf, step))
+            alts.append(_Alt(_applied(f.term, inst, a.term, m), nf, steps,
+                             morphs, f.presups + a.presups))
     return _Node(ty, alts)
 
 
@@ -346,26 +347,24 @@ def _the_node(noun: _Node, path, st: _State):
         raise CompositionError(f"{THE_MARKER} needs a predicate,"
                                f" got {render_type(noun.type)}", path)
     sort = noun.type.domain
-    choice = TyApp(Const(IOTA_NAME, choice_type()), sort)
+    choice = TyApp(_CHOICE, sort)
     alts = []
     for alt in noun.alts:
         term = App(choice, alt.term)
+        nf = App(choice, alt.nf)
         # the claim is charged its noun's steps and its own, apart from
         # the reading; past the fuel it is held back like a reading, with
         # no normal form and the steps it was charged.  The choice term
         # has a constant at its head, so substituting it into the noun's
         # normal form makes no redex: the claim costs one step for a noun
         # that is an abstraction, none otherwise
-        meter = _Meter(st.fuel)
-        try:
-            meter(alt.steps)
-            nf = App(choice, alt.nf)
-            claim = _apply(alt.nf, nf, meter)
-        except FuelExhausted:
-            alts.append(_Alt(term, None, meter.spent, alt.morphs, alt.presups))
-            continue
-        alts.append(_Alt(term, nf, alt.steps, alt.morphs,
-                         alt.presups + (_formula(claim),)))
+        claim, steps = _built(st.fuel, alt.steps,
+                              lambda step: _apply(alt.nf, nf, step))
+        if claim is None:
+            alts.append(_Alt(term, None, steps, alt.morphs, alt.presups))
+        else:
+            alts.append(_Alt(term, nf, alt.steps, alt.morphs,
+                             alt.presups + (_formula(claim),)))
     return _Node(sort, alts, noun.entry)
 
 
@@ -383,19 +382,18 @@ def _rejected(f: Morphism, g: Morphism) -> Rejection:
 
 def _copred_pairs(entry, xi, alpha, beta, rejections: list):
     """Admissible morphism pairs routing one referent to two sorts."""
-    def side(target):
-        try:
-            ms = candidates(entry, xi, target)
-        except LexiconError as err:
-            rejections.append(Rejection((), str(err)))
-            return []
+    try:
+        # both sides leave from `xi`: an entry that has no coercions from
+        # it is rejected once, for the node
+        fs, gs = (candidates(entry, xi, target) for target in (alpha, beta))
+    except LexiconError as err:
+        rejections.append(Rejection((), str(err)))
+        return []
+    for ms, target in ((fs, alpha), (gs, beta)):
         if not ms:
             rejections.append(Rejection(
                 (), f"'{entry.word}' has no morphism from {render_type(xi)}"
                     f" to {render_type(target)}"))
-        return ms
-    fs = side(alpha)
-    gs = side(beta)
     out = []
     for f, g in product(fs, gs):
         if _pair_ok(f, g):
@@ -435,25 +433,26 @@ def _copred_node(fun: _Marker, arg: _Node, path, arg_path, st: _State):
     # a pair is only tried when each conjunct has a reading to pair
     pairs = (_copred_pairs(arg.entry, xi, alpha, beta, st.rejections)
              if left.alts and right.alts else [])
-    # poly_and's body conjoins two halves, each a conjunct applied to the
-    # argument through one morphism: built once, under a meter of its own,
-    # a half is charged to each reading holding it
-    head = TyApp(TyApp(poly_and(), alpha), beta)
-    lex, entry, halves = st.lex, arg.entry, {}
+    # each morphism's normal form and lexicon steps, looked up once
+    entry, halves = arg.entry, {}
+    tried = {id(m): m for pair in pairs for m in pair}
+    normals = {k: st.lex._normal(entry, st.fuel, m)[:2]
+               for k, m in tried.items()}
 
-    def half(c, a, m, m_nf, step):
+    # a half, one conjunct applied to the argument through one morphism,
+    # is built once per node for each such triple
+    def half(c, a, m):
         key = id(c), id(a), id(m)    # each lives as long as the node
         if key not in halves:
-            meter = _Meter(st.fuel)
-            try:
-                nf = _apply(c.nf, _apply(m_nf, a.nf, meter), meter)
-            except FuelExhausted:
-                nf = None
-            halves[key] = nf, meter.spent
-        nf, spent = halves[key]
-        step(spent)    # raises for a half out of fuel
-        return nf
+            m_nf, m_steps = normals[id(m)]
+            halves[key] = _built(
+                st.fuel, c.steps + a.steps + m_steps,
+                lambda step: _applied_nf(c.nf, (), a.nf, m_nf, step))
+        return halves[key]
 
+    # a reading is poly_and applied to its parts, and its normal form is
+    # poly_and's body, #& L R, over its two halves
+    head = TyApp(TyApp(poly_and(), alpha), beta)
     alts = []
     for a, l, r in product(arg.alts, left.alts, right.alts):
         for f, g in pairs:
@@ -461,17 +460,13 @@ def _copred_node(fun: _Marker, arg: _Node, path, arg_path, st: _State):
             recs = (l.morphs + r.morphs + a.morphs
                     + ((entry.word, arg_path, f.name),
                        (entry.word, arg_path, g.name)))
-
-            def build(step):
-                step(POLY_AND_BINDERS)
-                f_nf = lex._normal(entry, step, f)[0]
-                g_nf = lex._normal(entry, step, g)[0]
-                return App(App(_CONJUNCTION, half(l, a, f, f_nf, step)),
-                           half(r, a, g, g_nf, step))
-
-            alts.append(_reading(st, l.steps + r.steps + a.steps, build,
-                                 App(App(term, f.term), g.term), recs,
-                                 l.presups + r.presups + a.presups))
+            (l_nf, l_steps), (r_nf, r_steps) = half(l, a, f), half(r, a, g)
+            # the argument both halves hold is charged once
+            steps = POLY_AND_BINDERS + l_steps + r_steps - a.steps
+            nf = (App(App(_CONJUNCTION, l_nf), r_nf) if steps <= st.fuel
+                  else None)
+            alts.append(_Alt(App(App(term, f.term), g.term), nf, steps, recs,
+                             l.presups + r.presups + a.presups))
     return _Node(PROP, alts)
 
 
@@ -518,6 +513,8 @@ def _finish(node: _Node, st: _State):
 
 
 def _run(tree, lex, fuel):
+    if fuel < 1:
+        raise ValueError("fuel must be >= 1")
     st = _State(lex, fuel)
     poly_and()    # parsed on first use: here, not under a deep tree
     value = _node(tree, (), st)
@@ -529,7 +526,8 @@ def _run(tree, lex, fuel):
 def compose(tree: ParseTree, lex: Lexicon, fuel: int = 10000):
     """All readings of a tree, deduplicated up to alpha-equivalence.
 
-    Raises CompositionError when the tree cannot be typed at all, and
+    Raises ValueError for a `fuel` below 1, before anything else,
+    CompositionError when the tree cannot be typed at all, and
     FuelExhausted when a reading is charged more steps than `fuel`; an
     empty result means every candidate reading was rejected.
     """

@@ -26,7 +26,7 @@ from .kernel import (Abs, App, Arrow, Const, Context, KernelError, PROP,
                      alpha_equiv, parse_term, parse_type, render_term,
                      record, render_type, type_of)
 from .logic import Formula, choice_type, logical_constants, to_formula
-from .reduction import _Meter, _normal_form
+from .reduction import FuelExhausted, _Meter, _normal_form
 
 RIGID = "rigid"
 FLEXIBLE = "flexible"
@@ -103,32 +103,29 @@ class Lexicon:
             raise LexiconError(f"unknown word '{shown}'")
         return self.entries[word]
 
-    def _normal(self, entry: LexEntry, step, m: Morphism | None = None):
-        """The normal form and the type of `entry`'s principal term, or of
-        the term of its morphism `m`, with the steps that normal form
-        takes charged to the meter `step`.
+    def _normal(self, entry: LexEntry, fuel, m: Morphism | None = None):
+        """`(normal form, steps, type)` of `entry`'s principal term, or of
+        the term of its morphism `m`; the normal form is None when its
+        steps exceed `fuel`.
 
-        Each declared term is normalized once per lexicon, on first use.
-        Its owner, the entry or the morphism, is checked with `is`, so a
-        record replaced in `entries` misses, and a term that ran out of
-        the caller's fuel is not kept.  An implicit identity, built anew
-        for every use, is normalized in place of being kept.
+        Each term is normalized once per lexicon, on first use, under a
+        meter of its own: a caller adds the steps to its own charge.  Its
+        owner, the entry or the morphism, is checked with `is`, so a
+        record replaced in `entries`, or an implicit identity built anew
+        for every use, misses; a term that ran out of fuel is not kept.
         """
-        if m is None:
-            key, owner, term = entry.word, entry, entry.principal
-        elif any(m is d for d in entry.morphisms):
-            key, owner, term = (entry.word, m.name), m, m.term
-        else:
-            return _normal_form(m.term, step), Arrow(m.source, m.target)
+        key, owner, term = ((entry.word, entry, entry.principal) if m is None
+                            else ((entry.word, m.name), m, m.term))
         hit = self._normals.get(key)
         if hit is None or hit[0] is not owner:
-            before = step.spent
-            nf = _normal_form(term, step)
-            hit = self._normals[key] = (owner, nf, step.spent - before,
-                                        type_of(term))
-        else:
-            step(hit[2])
-        return hit[1], hit[3]
+            meter = _Meter(fuel)
+            try:
+                nf = _normal_form(term, meter)
+            except FuelExhausted:
+                return None, meter.spent, type_of(term)
+            hit = self._normals[key] = owner, nf, meter.spent, type_of(term)
+        _, nf, steps, ty = hit
+        return nf if steps <= fuel else None, steps, ty
 
     def validate(self):
         if not (set(self.sorts) - {"t"}):

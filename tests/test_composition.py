@@ -253,6 +253,20 @@ def test_conjunction_node_logs_each_rejection_once():
     assert [str(r) for r in v.rejection_log] == ["rigid r excludes Id"]
 
 
+
+@pytest.mark.parametrize("name,text,word,source", [
+    ("liverpool", "((AND voted won) voted)", "voted", "P -> t"),
+    ("fanout", "((AND p p) q)", "q", "A -> t"),
+])
+def test_a_shared_argument_with_no_coercions_is_rejected_once(
+        name, text, word, source):
+    # both conjuncts would coerce from the argument's type; the entry has
+    # no coercions from it, which rejects the node once, not per conjunct
+    v = felicity(parse_tree(text), load_lexicon(fixture_text(f"{name}.mgl")))
+    assert v.status == "infelicitous"
+    assert v.rejection_log == (
+        Rejection((), f"'{word}' has no coercions from {source}"),)
+
 def test_four_readings_when_all_flexible():
     lex = load_lexicon(
         "sorts: xi alpha\n"
@@ -683,6 +697,46 @@ def test_a_shared_lexicon_gives_a_fresh_lexicons_verdicts():
             for tree, fuel in order:
                 got = felicity(parse_tree(tree), shared, fuel)
                 assert got == want[tree, fuel], (tree, fuel)
+
+
+
+@pytest.mark.parametrize("fuel", [0, -1])
+def test_fuel_below_one_is_refused_before_anything_else(fuel):
+    # on a fresh lexicon and on one whose memo every fixture tree has
+    # filled, for a well-typed tree and an ill-typed one
+    text = fixture_text("liverpool.mgl")
+    warm = load_lexicon(text)
+    for line in fixture_text("trees_liverpool.txt").splitlines():
+        if line.strip() and not line.startswith("#"):
+            felicity(parse_tree(line), warm)
+    for lex in (load_lexicon(text), warm):
+        for tree in ("(voted Liverpool)", "(Liverpool voted)"):
+            for judge in (compose, felicity):
+                with pytest.raises(ValueError, match="^fuel must be >= 1$"):
+                    judge(parse_tree(tree), lex, fuel)
+
+
+@pytest.mark.parametrize("text,lookups", [
+    # the 4 word leaves; the inner conjunction node tries the 6 morphisms
+    # of w into A, and the outer one, at the referent type T, those 6 and
+    # the implicit identity
+    ("((AND (AND p q) p) w)", 4 + 6 + 7),
+    # the 2 word leaves, and one application coercing w through each of
+    # its 6 morphisms
+    ("(p w)", 2 + 6),
+])
+def test_a_node_looks_up_each_lexicon_term_once(monkeypatch, text, lookups):
+    normal, calls = Lexicon._normal, []
+
+    def counted_normal(*args):
+        calls.append(args)
+        return normal(*args)
+
+    monkeypatch.setattr(Lexicon, "_normal", counted_normal)
+    v = felicity(parse_tree(text), _fan_out_lexicon(6))
+    assert v.status == FELICITOUS
+    # at most one lookup per leaf, and one per morphism per node
+    assert len(calls) <= lookups
 
 
 def test_a_replaced_entry_misses_the_memo():
