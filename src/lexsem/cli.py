@@ -17,7 +17,8 @@ from .composition import (FELICITOUS, INFELICITOUS, RESOURCE_LIMIT, Reading,
 from .kernel import KernelError, record, render_term
 from .lexicon import load_lexicon
 from .logic import render_formula
-from .reduction import FuelExhausted, normalize, render_trace
+from .reduction import (FuelExhausted, ReductionTrace, _Meter, _normal_form,
+                        render_trace)
 
 FORMATS = ("formula", "term", "verdict", "trace")
 
@@ -111,10 +112,12 @@ def _tree_block(line: str, lex, config: CliConfig):
             return [render_term(r.term) for r in readings], True
         if config.format == "formula":
             return [_summary(r) for r in readings], True
-        # trace: the first reading's derivation, then a line per other one
-        first = readings[0].source
-        _, trace = normalize(first, fuel=config.fuel)
-        return ([render_term(first)] + render_trace(trace).splitlines()
+        # trace: the first reading's derivation, then a line per other one;
+        # its source was built from type-checked parts: no entry check
+        first, steps = readings[0].source, []
+        _normal_form(first, _Meter(config.fuel), None, steps)
+        return ([render_term(first)]
+                + render_trace(ReductionTrace(steps)).splitlines()
                 + [f"also: {_summary(r)}" for r in readings[1:]]), True
     except FuelExhausted as err:
         # the trace's normal-order steps can outnumber the reading's charge

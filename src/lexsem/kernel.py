@@ -792,37 +792,47 @@ def _rty(ty, sym):
     raise KernelError(f"not a type: {ty!r}")
 
 
-def render_term(term, style: str = "ascii") -> str:
+def render_term(term, style: str = "ascii", memo=None) -> str:
     """ASCII rendering re-parses to an alpha-equivalent term; the unicode
-    rendering is for display only."""
-    return _rt(term, _symbols(style))
+    rendering is for display only.  With `memo`, a dict the caller keeps
+    for one style, a node shared by several terms is printed once."""
+    return _rt(term, _symbols(style), memo)
 
 
-def _rt(t, sym):
+def _rt(t, sym, memo):
     match t:
         case Var(name, _):
             return name
         case Const(name, _):
             return f"{sym['const']}{name}"
+    if memo is not None:
+        hit = memo.get(id(t))
+        if hit is not None and hit[0] is t:
+            return hit[1]
+    match t:
         case Abs(x, ty, b):
             ann = _rty(ty, sym)
             # a superscript annotation needs parentheses when compound
             if sym["paren_ann"] and isinstance(ty, (Arrow, Forall)):
                 ann = f"({ann})"
-            return f"{sym['lam']}{x}{sym['colon']}{ann}. {_rt(b, sym)}"
+            s = f"{sym['lam']}{x}{sym['colon']}{ann}. {_rt(b, sym, memo)}"
         case TyAbs(a, b):
-            return f"{sym['tylam']}{sym['tyvar']}{a}. {_rt(b, sym)}"
+            s = f"{sym['tylam']}{sym['tyvar']}{a}. {_rt(b, sym, memo)}"
         case App(f, a):
-            fun = _rt(f, sym)
+            fun = _rt(f, sym, memo)
             if isinstance(f, (Abs, TyAbs)):
                 fun = f"({fun})"
-            arg = _rt(a, sym)
+            arg = _rt(a, sym, memo)
             if isinstance(a, (App, Abs, TyAbs)):
                 arg = f"({arg})"
-            return f"{fun} {arg}"
+            s = f"{fun} {arg}"
         case TyApp(f, ty):
-            fun = _rt(f, sym)
+            fun = _rt(f, sym, memo)
             if isinstance(f, (App, Abs, TyAbs)):
                 fun = f"({fun})"
-            return f"{fun}{{{_rty(ty, sym)}}}"
-    raise KernelError(f"not a term: {t!r}")
+            s = f"{fun}{{{_rty(ty, sym)}}}"
+        case _:
+            raise KernelError(f"not a term: {t!r}")
+    if memo is not None:
+        memo[id(t)] = t, s
+    return s

@@ -108,6 +108,8 @@ Ref = ConstRef | VarRef | Description | Applied | TermRef
 
 
 class _FormulaNode:
+    _ascii = _unicode = None  # top-scope text per style, kept by `_render`
+
     def __str__(self):
         return render_formula(self)
 
@@ -286,19 +288,25 @@ def _ref_term(r, ctx, env):
 
 _PREC_QUANT, _PREC_IMPLIES, _PREC_OR, _PREC_AND = 0, 1, 2, 3
 
-# per connective: its symbol, its own precedence, and the least precedence
-# its left and right operands print without parentheses
+# per connective: its symbol and the least precedence its left and right
+# operands print without parentheses
 _CONNECTIVE_PREC = {
-    Implies: ("implies", _PREC_IMPLIES, _PREC_OR, _PREC_IMPLIES),
-    Or: ("or", _PREC_OR, _PREC_OR, _PREC_AND),
-    And: ("and", _PREC_AND, _PREC_AND, _PREC_AND + 1),
+    Implies: ("implies", _PREC_OR, _PREC_IMPLIES),
+    Or: ("or", _PREC_OR, _PREC_AND),
+    And: ("and", _PREC_AND, _PREC_AND + 1),
 }
+
+# the precedence of a node's own text; an atom never takes parentheses
+_OWN_PREC = {Quant: _PREC_QUANT, Implies: _PREC_IMPLIES, Or: _PREC_OR,
+             And: _PREC_AND}
 
 _SYMBOLS = {
     "ascii": {"and": "&", "or": "|", "implies": "=>", "exists": "exists ",
-              "forall": "forall ", "iota": "iota", "style": "ascii"},
+              "forall": "forall ", "iota": "iota", "style": "ascii",
+              "kept": "_ascii"},
     "unicode": {"and": "∧", "or": "∨", "implies": "⇒", "exists": "∃",
-                "forall": "∀", "iota": "ι", "style": "unicode"},
+                "forall": "∀", "iota": "ι", "style": "unicode",
+                "kept": "_unicode"},
 }
 
 
@@ -353,24 +361,32 @@ def _rebind(t, names):
 
 
 def _render(f, prec, sym, printed, names):
-    match f:
-        case Quant(kind, var, sort, body):
-            var, inner, inner_names = _bind(var, body, printed, names)
-            s = (f"{sym[kind]}{var}:{_sort_text(sort, sym['style'])}. "
-                 f"{_render(body, _PREC_QUANT, sym, inner, inner_names)}")
-            return f"({s})" if prec > _PREC_QUANT else s
-        case And(l, r) | Or(l, r) | Implies(l, r):
-            op, own, left, right = _CONNECTIVE_PREC[type(f)]
-            s = (f"{_render(l, left, sym, printed, names)} {sym[op]} "
-                 f"{_render(r, right, sym, printed, names)}")
-            return f"({s})" if prec > own else s
-        case Atom(pred, args):
-            head = _render_ref(pred, sym, printed, names)
-            if not args:
-                return head
-            inner = ", ".join(_render_ref(a, sym, printed, names) for a in args)
-            return f"{head}({inner})"
-    raise LogicError(f"not a formula: {f!r}")
+    """`f`'s text, in parentheses if its precedence is below `prec`.  With
+    no binder in scope the text depends on `f` and the style alone, so it
+    is kept on the node (not as a field) and a shared node is printed
+    once; under a binder, where a shadowed name prints fresh, it is not."""
+    s = None if printed else getattr(f, sym["kept"], None)
+    if s is None:
+        match f:
+            case Quant(kind, var, sort, body):
+                var, inner, inner_names = _bind(var, body, printed, names)
+                s = (f"{sym[kind]}{var}:{_sort_text(sort, sym['style'])}. "
+                     f"{_render(body, _PREC_QUANT, sym, inner, inner_names)}")
+            case And(l, r) | Or(l, r) | Implies(l, r):
+                op, left, right = _CONNECTIVE_PREC[type(f)]
+                s = (f"{_render(l, left, sym, printed, names)} {sym[op]} "
+                     f"{_render(r, right, sym, printed, names)}")
+            case Atom(pred, args):
+                s = _render_ref(pred, sym, printed, names)
+                if args:
+                    inner = ", ".join(_render_ref(a, sym, printed, names)
+                                      for a in args)
+                    s = f"{s}({inner})"
+            case _:
+                raise LogicError(f"not a formula: {f!r}")
+        if not printed:
+            object.__setattr__(f, sym["kept"], s)
+    return f"({s})" if prec > _OWN_PREC.get(type(f), prec) else s
 
 
 def _sort_text(sort, style):

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import lexsem
+from lexsem import reduction
 from lexsem.cli import CliConfig, main, parse_args, run
 
 from conftest import FIXTURES
@@ -126,6 +127,20 @@ def test_trace_out_of_fuel_is_a_resource_limit(tmp_path, capsys):
     assert capsys.readouterr().out == \
         "RESOURCE-LIMIT: no normal form after 19 steps\n"
     assert run(config(ASSINATURA, inp, format="trace", fuel=20)) == 0
+
+
+def test_trace_does_not_type_check_the_source_again(tmp_path, capsys,
+                                                    monkeypatch):
+    # composition built the source from type-checked parts
+    inp = trees(tmp_path,
+                "((AND (AND furou ilegivel) atrasou) (THE assinatura))\n")
+    assert run(config(ASSINATURA, inp, format="trace")) == 0
+    want = capsys.readouterr().out
+    checked = []
+    monkeypatch.setattr(reduction, "type_of", checked.append)
+    assert run(config(ASSINATURA, inp, format="trace")) == 0
+    assert capsys.readouterr().out == want
+    assert checked == []
 
 
 def test_exit_two_on_missing_lexicon(tmp_path, capsys):

@@ -5,10 +5,13 @@ from lexsem import (Abs, And, App, Applied, Arrow, Atom, Const, ConstRef,
                     PROP, Quant, SortRef, TermRef, TyApp, TypeVar, Var,
                     VarRef, alpha_equiv, choice_type, connective_type,
                     formula_to_term, logical_constants, logical_signature,
-                    normalize, parse_term, quantifier_type, render_formula,
-                    to_formula, type_of)
+                    felicity, normalize, parse_term, parse_tree,
+                    quantifier_type, render_formula, render_term,
+                    render_trace, to_formula, type_of)
+from lexsem import logic
 
 import termgen
+from test_composition import _fan_out_lexicon
 
 E = SortRef("e")
 
@@ -189,6 +192,78 @@ def test_render_applied_compound():
 def test_render_formula_bad_style():
     with pytest.raises(ValueError):
         render_formula(Atom(ConstRef("a"), ()), "latex")
+
+
+def test_shared_subformulas_are_rendered_once(monkeypatch):
+    # 216 readings over 36 distinct left and 6 distinct right conjuncts
+    v = felicity(parse_tree("((AND (AND p q) p) w)"), _fan_out_lexicon(6))
+    assert len(v.readings) == 216
+    calls, render_ref = [0], logic._render_ref
+
+    def counted(*args):
+        calls[0] += 1
+        return render_ref(*args)
+
+    monkeypatch.setattr(logic, "_render_ref", counted)
+    for r in v.readings:
+        render_formula(r.formula)
+    # every reading printed from scratch makes 2,592 calls
+    assert calls[0] < 600
+
+
+def _shadowing():
+    """A binder of x over a formula with a binder of x inside it, and
+    every node of it: the inner nodes print renamed under the outer one."""
+    body = Atom(ConstRef("r"), (VarRef("x"), VarRef("x")))
+    inner = Quant("exists", "x", E, body)
+    conj = And(Atom(ConstRef("p"), (VarRef("x"),)), inner)
+    return [body, inner, conj, Quant("exists", "x", E, conj)]
+
+
+def test_render_order_does_not_change_the_text():
+    fresh = {style: [render_formula(f, style) for f in _shadowing()]
+             for style in ("ascii", "unicode")}
+    assert fresh["ascii"][3] == "exists x:e. p(x) & (exists x1:e. r(x1, x1))"
+    # top scope first, then under the binder the inner nodes shadow
+    nodes = _shadowing()
+    for style in ("ascii", "unicode"):
+        assert [render_formula(f, style) for f in nodes] == fresh[style]
+    # under the binder first, then at top scope
+    nodes = _shadowing()
+    for style in ("unicode", "ascii"):
+        assert [render_formula(f, style)
+                for f in reversed(nodes)] == fresh[style][::-1]
+    # one style's kept text never answers for the other
+    for first, then in (("ascii", "unicode"), ("unicode", "ascii")):
+        nodes = _shadowing()
+        render_formula(nodes[3], first)
+        assert render_formula(nodes[3], then) == fresh[then][3]
+
+
+def test_rendering_leaves_the_record_unchanged():
+    rendered, copy = _shadowing(), _shadowing()
+    for f in rendered:
+        render_formula(f)
+        render_formula(f, "unicode")
+    for f, g in zip(rendered, copy):
+        assert f == g and g == f
+        assert hash(f) == hash(g)
+        assert repr(f) == repr(g)
+    match rendered[3]:
+        case Quant(kind, var, sort, And(left, right)):
+            got = (kind, var, sort, left, right)
+    assert got == ("exists", "x", E, copy[2].left, copy[2].right)
+    with pytest.raises(AttributeError):
+        rendered[3].body = None
+
+
+def test_render_trace_is_render_term_per_step():
+    for t in termgen.RandomTerms(29).population(150):
+        _, trace = normalize(t)
+        want = [f"{i} {s.rule} at {'.'.join(map(str, s.path)) or 'ε'}"
+                f" ⇒ {render_term(s.result)}"
+                for i, s in enumerate(trace.steps, 1)]
+        assert render_trace(trace) == "\n".join(want)
 
 
 # ---------------------------------------------------------------------------
