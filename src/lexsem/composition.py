@@ -500,15 +500,13 @@ def _finish(node: _Node, st: _State):
     alts = node.alts
     for alt in alts:
         _Meter(st.fuel)(alt.steps)    # raises for a reading out of fuel
-    keys, formulas = {}, {}    # a part shared by readings is walked once
     if len(alts) > 1:
         # keep the first reading of each normal form, up to α-equivalence
         first = {}
         for alt in alts:
-            first.setdefault(alpha_key(alt.nf, keys), alt)
+            first.setdefault(alpha_key(alt.nf), alt)
         alts = first.values()
-    return [Reading(alt.nf,
-                    _formula(alt.nf, formulas) if node.type == PROP else None,
+    return [Reading(alt.nf, _formula(alt.nf) if node.type == PROP else None,
                     alt.morphs, alt.presups, alt.term) for alt in alts]
 
 

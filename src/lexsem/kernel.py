@@ -87,6 +87,8 @@ def _read_only(self, name, value=None):
 # types
 
 class _TypeNode:
+    _key = None  # `alpha_key`, kept by `_key`
+
     def __str__(self):
         return render_type(self)
 
@@ -124,6 +126,10 @@ PROP = SortRef("t")
 # terms
 
 class _TermNode:
+    # kept on the node, not as fields: its `alpha_key`, its text per style
+    # (see `_rt`) and its formula (see `logic._formula`)
+    _key = _ascii = _unicode = _formula = None
+
     def __str__(self):
         return render_term(self)
 
@@ -166,6 +172,9 @@ class TyAbs(_TermNode):
 
 
 Term = Var | Const | App | Abs | TyApp | TyAbs
+
+
+_NODES = (_TypeNode, _TermNode)
 
 
 def is_type(x) -> bool:
@@ -282,7 +291,7 @@ def fresh_name(base: str, avoid) -> str:
 # ---------------------------------------------------------------------------
 # alpha-equivalence
 
-def alpha_key(x, memo=None):
+def alpha_key(x):
     """A hashable canonical form of a type or term: two keys are equal
     exactly when their arguments are alpha-equivalent.
 
@@ -290,22 +299,24 @@ def alpha_key(x, memo=None):
     counted separately; free variables and constants keep their names and
     the keys of their annotations.  Every node is tagged by its
     constructor, so the key of a type never equals the key of a term.
-    With `memo`, a dict the caller keeps, each term node's key outside
-    all binders is kept under its id, with the node, so a shared part is
-    walked once.
     """
-    return _key(x, (), (), memo)
+    return _key(x, (), ())
 
 
 def _index(bound, name):
     return bound[::-1].index(name) if name in bound else name
 
 
-def _key(x, venv, tenv, memo=None):
-    if memo is not None:
-        hit = memo.get(id(x))
-        if hit is not None and hit[0] is x:
-            return hit[1]
+def _key(x, venv, tenv):
+    """`x`'s key under the term variables `venv` and the type variables
+    `tenv` bound around it, innermost last.  Outside every binder (for a
+    type, outside every type binder: it holds no term variable) the key
+    depends on the node alone, so it is kept on the node and a shared
+    node is walked once; under a binder it is not."""
+    top = not tenv and (not venv or isinstance(x, _TypeNode))
+    key = getattr(x, "_key", None) if top else None
+    if key is not None:
+        return key
     match x:
         case SortRef(n):
             key = ("SortRef", n)
@@ -320,52 +331,26 @@ def _key(x, venv, tenv, memo=None):
         case Const(n, ty):
             key = ("Const", n, _key(ty, venv, tenv))
         case App(f, a):
-            key = ("App", _key(f, venv, tenv, memo),
-                   _key(a, venv, tenv, memo))
+            key = ("App", _key(f, venv, tenv), _key(a, venv, tenv))
         case Abs(v, ty, b):
             key = ("Abs", _key(ty, venv, tenv), _key(b, venv + (v,), tenv))
         case TyApp(f, ty):
-            key = ("TyApp", _key(f, venv, tenv, memo), _key(ty, venv, tenv))
+            key = ("TyApp", _key(f, venv, tenv), _key(ty, venv, tenv))
         case TyAbs(v, b):
             key = ("TyAbs", _key(b, venv, tenv + (v,)))
         case _:
             raise KernelError(f"not a type or term: {x!r}")
-    if memo is not None:
-        memo[id(x)] = x, key
+    if top:
+        object.__setattr__(x, "_key", key)
     return key
 
 
 def alpha_equiv(a, b) -> bool:
     """True iff `a` and `b` are identical up to consistent renaming of bound
-    term and type variables.  Both arguments must be of the same kind.
-
-    Two types are walked together and the walk stops at the first
-    difference; two terms compare their `alpha_key`s."""
-    if is_type(a) and is_type(b):
-        return a == b or _same_type(a, b, (), ())
-    if is_term(a) and is_term(b):
-        return a == b or alpha_key(a) == alpha_key(b)
-    return False
-
-
-def _same_type(a, b, abound, bbound):
-    """Whether types `a` and `b` have one `alpha_key`, where `abound` and
-    `bbound` are the type variables bound around each, innermost last:
-    a bound variable is compared by its de Bruijn index, a free one by
-    its name."""
-    while a.__class__ is b.__class__:
-        match a:
-            case Arrow(d, c):
-                if not _same_type(d, b.domain, abound, bbound):
-                    return False
-                a, b = c, b.codomain
-            case Forall(v, body):
-                abound, bbound = abound + (v,), bbound + (b.var,)
-                a, b = body, b.body
-            case TypeVar(n):
-                return _index(abound, n) == _index(bbound, b.name)
-            case _:
-                return a == b
+    term and type variables: two types or two terms with one
+    `alpha_key`."""
+    if isinstance(a, _NODES) and isinstance(b, _NODES):
+        return a is b or alpha_key(a) == alpha_key(b)
     return False
 
 
@@ -757,12 +742,18 @@ def parse_term(text: str, ctx: Context):
 # ---------------------------------------------------------------------------
 # rendering
 
+# one table per style, for terms, types and formulae (see `logic`);
+# "kept" names the attribute a node keeps its text in
 _SYMBOLS = {
     "ascii": {"tyvar": "'", "arrow": " -> ", "pi": "Pi ", "const": "#",
               "lam": "lam ", "colon": ":", "tylam": "Lam ",
-              "paren_ann": False},
+              "paren_ann": False, "and": "&", "or": "|", "implies": "=>",
+              "exists": "exists ", "forall": "forall ", "iota": "iota",
+              "kept": "_ascii"},
     "unicode": {"tyvar": "", "arrow": "→", "pi": "Π", "const": "",
-                "lam": "λ", "colon": "^", "tylam": "Λ", "paren_ann": True},
+                "lam": "λ", "colon": "^", "tylam": "Λ", "paren_ann": True,
+                "and": "∧", "or": "∨", "implies": "⇒", "exists": "∃",
+                "forall": "∀", "iota": "ι", "kept": "_unicode"},
 }
 
 
@@ -792,47 +783,47 @@ def _rty(ty, sym):
     raise KernelError(f"not a type: {ty!r}")
 
 
-def render_term(term, style: str = "ascii", memo=None) -> str:
+def render_term(term, style: str = "ascii") -> str:
     """ASCII rendering re-parses to an alpha-equivalent term; the unicode
-    rendering is for display only.  With `memo`, a dict the caller keeps
-    for one style, a node shared by several terms is printed once."""
-    return _rt(term, _symbols(style), memo)
+    rendering is for display only."""
+    return _rt(term, _symbols(style))
 
 
-def _rt(t, sym, memo):
+def _rt(t, sym):
+    """`t`'s text.  It depends on the node and the style alone, so a
+    compound node keeps it, in the attribute that `sym["kept"]` names,
+    and a node shared by several terms is printed once."""
     match t:
         case Var(name, _):
             return name
         case Const(name, _):
             return f"{sym['const']}{name}"
-    if memo is not None:
-        hit = memo.get(id(t))
-        if hit is not None and hit[0] is t:
-            return hit[1]
+    s = getattr(t, sym["kept"], None)
+    if s is not None:
+        return s
     match t:
         case Abs(x, ty, b):
             ann = _rty(ty, sym)
             # a superscript annotation needs parentheses when compound
             if sym["paren_ann"] and isinstance(ty, (Arrow, Forall)):
                 ann = f"({ann})"
-            s = f"{sym['lam']}{x}{sym['colon']}{ann}. {_rt(b, sym, memo)}"
+            s = f"{sym['lam']}{x}{sym['colon']}{ann}. {_rt(b, sym)}"
         case TyAbs(a, b):
-            s = f"{sym['tylam']}{sym['tyvar']}{a}. {_rt(b, sym, memo)}"
+            s = f"{sym['tylam']}{sym['tyvar']}{a}. {_rt(b, sym)}"
         case App(f, a):
-            fun = _rt(f, sym, memo)
+            fun = _rt(f, sym)
             if isinstance(f, (Abs, TyAbs)):
                 fun = f"({fun})"
-            arg = _rt(a, sym, memo)
+            arg = _rt(a, sym)
             if isinstance(a, (App, Abs, TyAbs)):
                 arg = f"({arg})"
             s = f"{fun} {arg}"
         case TyApp(f, ty):
-            fun = _rt(f, sym, memo)
+            fun = _rt(f, sym)
             if isinstance(f, (App, Abs, TyAbs)):
                 fun = f"({fun})"
             s = f"{fun}{{{_rty(ty, sym)}}}"
         case _:
             raise KernelError(f"not a term: {t!r}")
-    if memo is not None:
-        memo[id(t)] = t, s
+    object.__setattr__(t, sym["kept"], s)
     return s

@@ -10,8 +10,8 @@ rebuilds a term, so eta-long formulae round-trip.
 from __future__ import annotations
 
 from .kernel import (Abs, App, Arrow, Const, Context, Forall, KernelError,
-                     PROP, SortRef, Term, TyApp, Type, TypeVar, Var,
-                     alpha_equiv, free_vars, fresh_name, render_term,
+                     PROP, SortRef, Term, TyApp, Type, TypeVar, Var, _rt,
+                     _rty, _symbols, alpha_equiv, free_vars, fresh_name,
                      record, render_type, subst_term, type_of)
 from .reduction import find_redexes
 
@@ -180,28 +180,25 @@ def _spine(t):
     return t, list(reversed(args))
 
 
-def _formula(t, memo=None):
-    """The formula of `t`.  With `memo`, a dict the caller keeps, each
-    node's formula is kept under its id, with the node, so a shared part
-    is read once."""
-    if memo is not None:
-        hit = memo.get(id(t))
-        if hit is not None and hit[0] is t:
-            return hit[1]
+def _formula(t):
+    """The formula of `t`.  It depends on the term node alone, so the node
+    keeps it (not as a field) and a shared part is read once."""
+    f = t._formula
+    if f is not None:
+        return f
     match t:
         case App(App(Const(name, _), a), b) if name in _CONNECTIVES:
-            f = _BINARY[name](_formula(a, memo), _formula(b, memo))
+            f = _BINARY[name](_formula(a), _formula(b))
         case App(TyApp(Const(name, _), sort), p) if name in _QUANTIFIERS:
             if isinstance(p, Abs):
-                f = Quant(name, p.var, sort, _formula(p.body, memo))
+                f = Quant(name, p.var, sort, _formula(p.body))
             else:
                 x = fresh_name("x", set(free_vars(p)))
-                f = Quant(name, x, sort, _formula(App(p, Var(x, sort)), memo))
+                f = Quant(name, x, sort, _formula(App(p, Var(x, sort))))
         case _:
             head, args = _head(t)
             f = Atom(head, tuple(_ref(a) for a in args))
-    if memo is not None:
-        memo[id(t)] = t, f
+    object.__setattr__(t, "_formula", f)
     return f
 
 
@@ -300,15 +297,6 @@ _CONNECTIVE_PREC = {
 _OWN_PREC = {Quant: _PREC_QUANT, Implies: _PREC_IMPLIES, Or: _PREC_OR,
              And: _PREC_AND}
 
-_SYMBOLS = {
-    "ascii": {"and": "&", "or": "|", "implies": "=>", "exists": "exists ",
-              "forall": "forall ", "iota": "iota", "style": "ascii",
-              "kept": "_ascii"},
-    "unicode": {"and": "∧", "or": "∨", "implies": "⇒", "exists": "∃",
-                "forall": "∀", "iota": "ι", "style": "unicode",
-                "kept": "_unicode"},
-}
-
 
 def render_formula(f, style: str = "ascii") -> str:
     """Pretty-print with minimal parentheses.
@@ -318,9 +306,7 @@ def render_formula(f, style: str = "ascii") -> str:
     its occurrences follow it, so every rendered binder has a distinct
     name in its scope, inside descriptions and embedded terms too.
     """
-    if style not in _SYMBOLS:
-        raise ValueError(f"unknown style {style!r}")
-    return _render(f, _PREC_QUANT, _SYMBOLS[style], frozenset(), {})
+    return _render(f, _PREC_QUANT, _symbols(style), frozenset(), {})
 
 
 def _names(x) -> set:
@@ -370,7 +356,7 @@ def _render(f, prec, sym, printed, names):
         match f:
             case Quant(kind, var, sort, body):
                 var, inner, inner_names = _bind(var, body, printed, names)
-                s = (f"{sym[kind]}{var}:{_sort_text(sort, sym['style'])}. "
+                s = (f"{sym[kind]}{var}:{_sort_text(sort, sym)}. "
                      f"{_render(body, _PREC_QUANT, sym, inner, inner_names)}")
             case And(l, r) | Or(l, r) | Implies(l, r):
                 op, left, right = _CONNECTIVE_PREC[type(f)]
@@ -389,8 +375,8 @@ def _render(f, prec, sym, printed, names):
     return f"({s})" if prec > _OWN_PREC.get(type(f), prec) else s
 
 
-def _sort_text(sort, style):
-    s = render_type(sort, style)
+def _sort_text(sort, sym):
+    s = _rty(sort, sym)
     if not isinstance(sort, (SortRef, TypeVar)):
         s = f"({s})"
     return s
@@ -404,12 +390,12 @@ def _render_ref(r, sym, printed, names):
             return n
         case Description(sort, pred):
             pred = _pred_text(_rebind(pred, names), sym, printed)
-            return f"{sym['iota']}[{render_type(sort, sym['style'])}]({pred})"
+            return f"{sym['iota']}[{_rty(sort, sym)}]({pred})"
         case Applied(fun, args):
             inner = ", ".join(_render_ref(a, sym, printed, names) for a in args)
             return f"{_render_ref(fun, sym, printed, names)}({inner})"
         case TermRef(t):
-            return render_term(_rebind(t, names), sym["style"])
+            return _rt(_rebind(t, names), sym)
     raise LogicError(f"not a term reference: {r!r}")
 
 
@@ -435,7 +421,7 @@ def _pred_text(pred, sym, printed):
         try:
             body = _formula(pred.body)
         except KernelError:
-            return render_term(pred, sym["style"])
+            return _rt(pred, sym)
         var, inner, names = _bind(pred.var, body, printed, {})
         return f"{var}. {_render(body, _PREC_QUANT, sym, inner, names)}"
-    return render_term(pred, sym["style"])
+    return _rt(pred, sym)

@@ -158,10 +158,9 @@ def _normal_form(term, step, choose=None, trace=None):
 def render_trace(trace) -> str:
     """One line per step: `<step#> <rule> at <path> ⇒ <term>`.  A step
     shares every subterm off the contracted path with the step before,
-    so one memo across the steps prints each distinct subterm once."""
-    lines, memo = [], {}
+    and a shared node keeps its text, so each is printed once."""
+    lines = []
     for i, step in enumerate(trace.steps, 1):
         at = ".".join(str(c) for c in step.path) or "ε"
-        text = render_term(step.result, memo=memo)
-        lines.append(f"{i} {step.rule} at {at} ⇒ {text}")
+        lines.append(f"{i} {step.rule} at {at} ⇒ {render_term(step.result)}")
     return "\n".join(lines)

@@ -181,15 +181,22 @@ def test_exit_two_on_non_utf8_input(tmp_path, capsys):
     "sorts: e\npred p : " + "(" * 3000 + "e" + ")" * 3000 + "\n",
     "sorts: e\npred k : e\nword w : e = " + "(" * 3000 + "#k" + ")" * 3000,
     "sorts: e\npred p : " + "e -> " * 3000 + "t\n",
-    "sorts: e\npred p : " + "e -> " * 400 + "t\nword w : "
-    + "e -> " * 400 + "t = #p\n",
-], ids=["paren-type", "paren-term", "arrows", "validated-arrows"])
+], ids=["paren-type", "paren-term", "arrows"])
 def test_exit_two_on_deeply_nested_lexicon(tmp_path, capsys, text):
     lex = tmp_path / "deep.mgl"
     lex.write_text(text)
     inp = trees(tmp_path, "(a b)\n")
     assert run(config(str(lex), inp)) == 2
     assert capsys.readouterr().err.startswith("bad lexicon: ")
+
+
+def test_a_word_whose_declared_type_has_400_arrows_loads(tmp_path, capsys):
+    # validating the word compares two 400-arrow types by their keys
+    lex = tmp_path / "deep.mgl"
+    lex.write_text("sorts: e\npred p : " + "e -> " * 400 + "t\nword w : "
+                   + "e -> " * 400 + "t = #p\n")
+    assert run(config(str(lex), trees(tmp_path, "w\n"))) == 0
+    assert capsys.readouterr() == ("#p\n", "")
 
 
 def test_reads_stdin_by_default(monkeypatch, capsys):

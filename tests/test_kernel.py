@@ -10,6 +10,7 @@ from lexsem import (Abs, App, Arrow, Const, Context, Forall, PROP, ParseError,
                     free_vars, fresh_name, parse_term, parse_type,
                     quantifier_type, reduce_at, render_term, render_type,
                     subst_term, subst_type, type_of)
+from lexsem.kernel import is_term, is_type
 
 import termgen
 
@@ -390,18 +391,47 @@ def test_alpha_key_equal_on_renamed_copies():
         assert alpha_key(copy) == alpha_key(ty)
 
 
-def test_alpha_key_with_a_memo_agrees_without_one():
-    # one memo serves many terms: a part met under a binder and outside
-    # one is keyed where it stands, not where it was met first
-    terms = []
-    for t in termgen.RandomTerms(17).population(200):
-        terms.append(t)
-        if isinstance(t, (Abs, TyAbs)):
-            terms += [t.body, App(t, t.body), TyApp(t.body, E)]
-    memo = {}
-    for t in terms + terms[::-1]:
-        assert alpha_key(t, memo) == alpha_key(t), render_term(t)
-    assert len(terms) > 250    # more than 16 binders
+def _unshared(x):
+    """A copy of a type or term that shares no node with it, so it keeps
+    nothing that `x` or its parts have kept."""
+    if not (is_type(x) or is_term(x)):
+        return x
+    return type(x)(*(_unshared(getattr(x, f)) for f in x.__match_args__))
+
+
+def test_a_kept_key_does_not_depend_on_where_it_was_made():
+    # a body keyed under its binder, where the bound variable is an
+    # index, keeps nothing that answers for it alone, where it is free,
+    # and the other way round
+    rng = random.Random(17)
+    binders = [t for t in termgen.RandomTerms(17).population(200)
+               if isinstance(t, Abs)]
+    binders += [ty for ty in (_poly_type(rng, 4) for _ in range(100))
+                if isinstance(ty, Forall)]
+    binders += [parse_term(s, ctx()) for s in (
+        "Lam 'a. lam x:'a. x", "Lam 'a. Lam 'a. lam x:'a. x",
+        "Lam 'a. Lam 'b. lam f:'a -> 'b. lam x:'a. f x")]
+    assert len(binders) > 50
+    for body_first in (False, True):
+        for x in binders:
+            x = _unshared(x)
+            want = alpha_key(_unshared(x)), alpha_key(_unshared(x.body))
+            if body_first:
+                assert alpha_key(x.body) == want[1], str(x)
+            assert alpha_key(x) == want[0], str(x)
+            assert alpha_key(x.body) == want[1], str(x)
+            assert alpha_key(x) == want[0], str(x)
+
+
+def test_render_term_keeps_each_style_apart():
+    terms = termgen.RandomTerms(19).population(100)
+    for first, then in (("ascii", "unicode"), ("unicode", "ascii")):
+        for t in map(_unshared, terms):
+            want = {s: render_term(_unshared(t), s) for s in (first, then)}
+            assert want[first] != want[then] or isinstance(t, (Var, Const))
+            assert render_term(t, first) == want[first]
+            assert render_term(t, then) == want[then]
+            assert render_term(t, first) == want[first]
 
 
 def test_alpha_key_shadowing():
@@ -432,8 +462,7 @@ def test_alpha_key_differs_on_free_names_and_annotations(a, b):
     assert not alpha_equiv(a, b)
 
 
-# types are compared by a walk that stops at the first difference; it must
-# agree with their keys everywhere
+# alpha_equiv on types must agree with their keys everywhere
 
 def _poly_type(rng, depth):
     """A type over one sort whose quantifiers and type variables draw from

@@ -3,15 +3,16 @@ import pytest
 from lexsem import (Abs, And, App, Applied, Arrow, Atom, Const, ConstRef,
                     Context, Description, Forall, Implies, LogicError, Or,
                     PROP, Quant, SortRef, TermRef, TyApp, TypeVar, Var,
-                    VarRef, alpha_equiv, choice_type, connective_type,
-                    formula_to_term, logical_constants, logical_signature,
-                    felicity, normalize, parse_term, parse_tree,
-                    quantifier_type, render_formula, render_term,
-                    render_trace, to_formula, type_of)
+                    VarRef, alpha_equiv, alpha_key, choice_type,
+                    connective_type, formula_to_term, logical_constants,
+                    logical_signature, felicity, normalize, parse_term,
+                    parse_tree, quantifier_type, render_formula,
+                    render_term, render_trace, to_formula, type_of)
 from lexsem import logic
 
 import termgen
 from test_composition import _fan_out_lexicon
+from test_kernel import _unshared
 
 E = SortRef("e")
 
@@ -255,6 +256,24 @@ def test_rendering_leaves_the_record_unchanged():
     assert got == ("exists", "x", E, copy[2].left, copy[2].right)
     with pytest.raises(AttributeError):
         rendered[3].body = None
+
+
+def test_kept_data_leaves_the_term_record_unchanged():
+    g = termgen.RandomTerms(23)
+    terms = [nf for nf, _ in map(normalize, g.population(150))
+             if type_of(nf) == PROP]
+    assert len(terms) > 20
+    for t in terms:
+        copy = _unshared(t)
+        alpha_key(t)
+        render_term(t)
+        render_term(t, "unicode")
+        f = logic._formula(t)
+        assert t == copy and copy == t
+        assert hash(t) == hash(copy)
+        assert repr(t) == repr(copy)
+        assert f == logic._formula(copy) == to_formula(_unshared(t))
+        assert logic._formula(t) is f    # kept on the node
 
 
 def test_render_trace_is_render_term_per_step():
