@@ -4,12 +4,14 @@ Reads one parse tree per line, judges each against a lexicon, and
 prints one block per tree as soon as the tree is judged.  Exit status:
 0 when every tree is felicitous, 1 when any tree is infelicitous, fails
 to type, runs out of fuel, or fails to parse, 2 for unusable
-invocations (bad flags, unreadable files, a broken lexicon).
+invocations (bad flags, unreadable files, a broken lexicon) and,
+silently, for a standard output that closes before every block is out.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .composition import (FELICITOUS, INFELICITOUS, RESOURCE_LIMIT, Reading,
@@ -163,6 +165,10 @@ def run(config: CliConfig) -> int:
             all_ok = all_ok and ok
     except UnicodeDecodeError as err:
         print(f"cannot read input: {err}", file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        # the reader is gone: stdout's buffer is flushed at exit, to nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
     finally:
         if stream is not sys.stdin:

@@ -18,6 +18,7 @@ is pure.
 from __future__ import annotations
 
 import re
+from operator import attrgetter
 
 
 class KernelError(Exception):
@@ -40,43 +41,47 @@ class TypingError(KernelError):
 # ---------------------------------------------------------------------------
 # records
 
-_RECORD_METHODS = """\
-def __init__(self, {params}):
-{sets}
-def __eq__(self, other):
-    if other.__class__ is self.__class__:
-        return ({mine}) == ({theirs})
-    return NotImplemented
-def __hash__(self):
-    return hash(({mine}))
-def __repr__(self):
-    return f"{name}({shown})"
-"""
-
-
 def record(cls):
     """Make `cls` an immutable record of its annotated fields, in order;
     a class attribute named like a trailing field is its default.
     Records are built by position or keyword, equal only to records of
     their own class with equal fields, hashed on their fields, shown as
-    `Name(field=value, ...)`, matched by position, and read-only.  The
-    methods are compiled once per class: a constructor that loops over
-    the fields would slow down every term built."""
+    `Name(field=value, ...)`, matched by position, and read-only.  Only
+    the constructor is compiled per class, since one that loops over the
+    fields would slow down every term built; `==`, `hash` and `repr` are
+    shared, and read the fields through the class's `_fields`."""
     names = tuple(cls.__annotations__)
-    methods = {"_set": object.__setattr__}
-    exec(_RECORD_METHODS.format(
-        name=cls.__qualname__, params=", ".join(names),
-        sets="".join(f"    _set(self, {n!r}, {n})\n" for n in names),
-        mine="".join(f"self.{n}, " for n in names),
-        theirs="".join(f"other.{n}, " for n in names),
-        shown=", ".join(f"{n}={{self.{n}!r}}" for n in names)), methods)
-    methods["__init__"].__defaults__ = tuple(
+    init = {"_set": object.__setattr__}
+    exec(f"def __init__(self, {', '.join(names)}):\n"
+         + "".join(f"    _set(self, {n!r}, {n})\n" for n in names), init)
+    init["__init__"].__defaults__ = tuple(
         cls.__dict__[n] for n in names if n in cls.__dict__) or None
-    for name in ("__init__", "__eq__", "__hash__", "__repr__"):
-        setattr(cls, name, methods[name])
+    cls.__init__ = init["__init__"]
+    # one field is read bare, several as a tuple: both compare by value,
+    # and a tuple short-cuts on identical members
+    cls._fields = attrgetter(*names)
+    cls.__eq__, cls.__hash__, cls.__repr__ = _eq, _hash, _repr
     cls.__match_args__ = names
     cls.__setattr__ = cls.__delattr__ = _read_only
     return cls
+
+
+def _eq(self, other):
+    cls = self.__class__
+    if other.__class__ is cls:
+        fields = cls._fields
+        return fields(self) == fields(other)
+    return NotImplemented
+
+
+def _hash(self):
+    return hash(self.__class__._fields(self))
+
+
+def _repr(self):
+    cls = self.__class__
+    shown = ", ".join(f"{n}={getattr(self, n)!r}" for n in cls.__match_args__)
+    return f"{cls.__qualname__}({shown})"
 
 
 def _read_only(self, name, value=None):
@@ -127,8 +132,9 @@ PROP = SortRef("t")
 
 class _TermNode:
     # kept on the node, not as fields: its `alpha_key`, its text per style
-    # (see `_rt`) and its formula (see `logic._formula`)
-    _key = _ascii = _unicode = _formula = None
+    # (see `_rt`), its formula (see `logic._formula`) and, for a lexicon
+    # term, its normal form (see `lexicon.Lexicon._normal`)
+    _key = _ascii = _unicode = _formula = _normal = None
 
     def __str__(self):
         return render_term(self)
@@ -552,44 +558,37 @@ _TOKEN_RE = re.compile(
     r"|(?P<arrow>->)"
     r"|(?P<lparen>\()|(?P<rparen>\))|(?P<lbrace>\{)|(?P<rbrace>\})"
     r"|(?P<dot>\.)|(?P<colon>:)"
+    r"|(?P<space>[ \t\r\n]+)|(?P<stray>.)"
 )
 
 _KEYWORDS = ("lam", "Lam", "Pi")
 
 
-@record
-class _Tok:
-    kind: str
-    text: str
-    line: int
-    col: int
-
-
 def _tokenize(text):
+    """`(kind, text, offset)` for each token of `text`, then an "eof"
+    token at its end."""
     toks = []
-    i, line, col = 0, 1, 1
-    while i < len(text):
-        c = text[i]
-        if c in " \t\r\n":
-            if c == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-            continue
-        m = _TOKEN_RE.match(text, i)
-        if m is None:
-            raise ParseError(f"unexpected character {c!r}", line, col)
-        toks.append(_Tok(m.lastgroup, m.group(), line, col))
-        col += m.end() - i
-        i = m.end()
-    toks.append(_Tok("eof", "", line, col))
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "stray":
+            raise _error(f"unexpected character {m.group()!r}", text,
+                         m.start())
+        if kind != "space":
+            toks.append((kind, m.group(), m.start()))
+    toks.append(("eof", "", len(text)))
     return toks
+
+
+def _error(message, text, offset):
+    """A ParseError at `offset` in `text`, with its line and column."""
+    line_start = text.rfind("\n", 0, offset) + 1
+    return ParseError(message, text.count("\n", 0, offset) + 1,
+                      offset - line_start + 1)
 
 
 class _Parser:
     def __init__(self, text, sorts, constants=None, variables=None):
+        self.text = text
         self.toks = _tokenize(text)
         self.i = 0
         self.sorts = sorts
@@ -606,45 +605,41 @@ class _Parser:
         return tok
 
     def fail(self, message):
-        tok = self.peek()
-        found = repr(tok.text) if tok.text else "end of input"
-        raise ParseError(f"{message}, found {found}", tok.line, tok.col)
+        _, text, at = self.peek()
+        found = repr(text) if text else "end of input"
+        raise _error(f"{message}, found {found}", self.text, at)
 
     def expect(self, kind, message):
-        if self.peek().kind != kind:
+        if self.peek()[0] != kind:
             self.fail(message)
-        return self.advance()
-
-    def expect_eof(self):
-        if self.peek().kind != "eof":
-            self.fail("unexpected trailing input")
+        return self.advance()[1]
 
     # -- types
 
     def type_(self):
-        tok = self.peek()
-        if tok.kind == "ident" and tok.text == "Pi":
+        kind, text, _ = self.peek()
+        if kind == "ident" and text == "Pi":
             self.advance()
             v = self.expect("tyvar", "expected a type variable after 'Pi'")
             self.expect("dot", "expected '.' after the quantified variable")
-            return Forall(v.text[1:], self.type_())
+            return Forall(v[1:], self.type_())
         left = self.type_atom()
-        if self.peek().kind == "arrow":
+        if self.peek()[0] == "arrow":
             self.advance()
             return Arrow(left, self.type_())
         return left
 
     def type_atom(self):
-        tok = self.peek()
-        if tok.kind == "ident" and tok.text not in _KEYWORDS:
+        kind, text, at = self.peek()
+        if kind == "ident" and text not in _KEYWORDS:
             self.advance()
-            if tok.text not in self.sorts:
-                raise ParseError(f"unknown sort '{tok.text}'", tok.line, tok.col)
-            return SortRef(tok.text)
-        if tok.kind == "tyvar":
+            if text not in self.sorts:
+                raise _error(f"unknown sort '{text}'", self.text, at)
+            return SortRef(text)
+        if kind == "tyvar":
             self.advance()
-            return TypeVar(tok.text[1:])
-        if tok.kind == "lparen":
+            return TypeVar(text[1:])
+        if kind == "lparen":
             self.advance()
             ty = self.type_()
             self.expect("rparen", "expected ')'")
@@ -654,30 +649,32 @@ class _Parser:
     # -- terms
 
     def term(self):
-        tok = self.peek()
-        if tok.kind == "ident" and tok.text == "lam":
+        kind, text, _ = self.peek()
+        if kind == "ident" and text == "lam":
             self.advance()
+            at = self.peek()[2]
             name = self.expect("ident", "expected a variable name after 'lam'")
-            if name.text in _KEYWORDS:
-                raise ParseError(f"'{name.text}' is reserved", name.line, name.col)
+            if name in _KEYWORDS:
+                raise _error(f"'{name}' is reserved", self.text, at)
             self.expect("colon", "expected ':' after the bound variable")
             ty = self.type_()
             self.expect("dot", "expected '.' after the binder")
-            self.bound.append((name.text, ty))
+            self.bound.append((name, ty))
             body = self.term()
             self.bound.pop()
-            return Abs(name.text, ty, body)
-        if tok.kind == "ident" and tok.text == "Lam":
+            return Abs(name, ty, body)
+        if kind == "ident" and text == "Lam":
             self.advance()
             v = self.expect("tyvar", "expected a type variable after 'Lam'")
             self.expect("dot", "expected '.' after the binder")
-            return TyAbs(v.text[1:], self.term())
+            return TyAbs(v[1:], self.term())
         return self.app()
 
     def _starts_atom(self, tok):
-        if tok.kind in ("const", "lparen"):
+        kind, text, _ = tok
+        if kind in ("const", "lparen"):
             return True
-        return tok.kind == "ident" and tok.text not in _KEYWORDS
+        return kind == "ident" and text not in _KEYWORDS
 
     def app(self):
         out = self.postfix()
@@ -687,7 +684,7 @@ class _Parser:
 
     def postfix(self):
         out = self.primary()
-        while self.peek().kind == "lbrace":
+        while self.peek()[0] == "lbrace":
             self.advance()
             ty = self.type_()
             self.expect("rbrace", "expected '}'")
@@ -695,22 +692,22 @@ class _Parser:
         return out
 
     def primary(self):
-        tok = self.peek()
-        if tok.kind == "ident" and tok.text not in _KEYWORDS:
+        kind, text, at = self.peek()
+        if kind == "ident" and text not in _KEYWORDS:
             self.advance()
             for name, ty in reversed(self.bound):
-                if name == tok.text:
+                if name == text:
                     return Var(name, ty)
-            if tok.text in self.variables:
-                return Var(tok.text, self.variables[tok.text])
-            raise ParseError(f"unbound identifier '{tok.text}'", tok.line, tok.col)
-        if tok.kind == "const":
+            if text in self.variables:
+                return Var(text, self.variables[text])
+            raise _error(f"unbound identifier '{text}'", self.text, at)
+        if kind == "const":
             self.advance()
-            name = tok.text[1:]
+            name = text[1:]
             if name not in self.constants:
-                raise ParseError(f"unknown constant '#{name}'", tok.line, tok.col)
+                raise _error(f"unknown constant '#{name}'", self.text, at)
             return Const(name, self.constants[name])
-        if tok.kind == "lparen":
+        if kind == "lparen":
             self.advance()
             t = self.term()
             self.expect("rparen", "expected ')'")
@@ -725,17 +722,23 @@ def _sort_names(env):
 def parse_type(text: str, env):
     """Parse the ASCII type syntax against a sort environment."""
     p = _Parser(text, _sort_names(env))
-    ty = p.type_()
-    p.expect_eof()
+    try:
+        ty = p.type_()
+    except RecursionError:
+        raise ParseError("nested too deeply") from None
+    p.expect("eof", "unexpected trailing input")
     return ty
 
 
 def parse_term(text: str, ctx: Context):
     """Parse the ASCII term syntax and type-check the result against `ctx`."""
-    p = _Parser(text, ctx.sorts, ctx.constants, ctx.variables)
-    t = p.term()
-    p.expect_eof()
-    type_of(t, ctx)
+    try:
+        p = _Parser(text, ctx.sorts, ctx.constants, ctx.variables)
+        t = p.term()
+        p.expect("eof", "unexpected trailing input")
+        type_of(t, ctx)
+    except RecursionError:
+        raise ParseError("nested too deeply") from None
     return t
 
 

@@ -25,7 +25,7 @@ from .kernel import (Abs, App, Arrow, Const, Context, KernelError, PROP,
                      ParseError, Term, TyApp, Type, TypingError, Var,
                      alpha_equiv, parse_term, parse_type, render_term,
                      record, render_type, type_of)
-from .logic import Formula, choice_type, logical_constants, to_formula
+from .logic import _LOGICAL_CONSTANTS, Formula, choice_type, to_formula
 from .reduction import FuelExhausted, _Meter, _normal_form
 
 RIGID = "rigid"
@@ -84,15 +84,11 @@ class Lexicon:
         self.sorts = sorts
         self.predicates = predicates
         self.entries = {} if entries is None else entries
-        # word, or (word, morphism name) -> (owner, normal form, steps,
-        # type): see `_normal`
-        self._normals = {}
 
     @cached_property
     def context(self) -> Context:
-        constants = dict(logical_constants())
-        constants.update(self.predicates)
-        return Context(sorts=set(self.sorts), constants=constants)
+        return Context(sorts=set(self.sorts),
+                       constants={**_LOGICAL_CONSTANTS, **self.predicates})
 
     def entry(self, word: str) -> LexEntry:
         if word not in self.entries:
@@ -108,31 +104,30 @@ class Lexicon:
         the term of its morphism `m`; the normal form is None when its
         steps exceed `fuel`.
 
-        Each term is normalized once per lexicon, on first use, under a
-        meter of its own: a caller adds the steps to its own charge.  Its
-        owner, the entry or the morphism, is checked with `is`, so a
-        record replaced in `entries`, or an implicit identity built anew
-        for every use, misses; a term that ran out of fuel is not kept.
+        Each term is normalized once, on first use, under a meter of its
+        own: a caller adds the steps to its own charge.  The result
+        depends on the term alone, so the term node keeps it; an entry or
+        morphism replaced in `entries` carries a new term, and misses.  A
+        term that ran out of fuel keeps nothing.
         """
-        key, owner, term = ((entry.word, entry, entry.principal) if m is None
-                            else ((entry.word, m.name), m, m.term))
-        hit = self._normals.get(key)
-        if hit is None or hit[0] is not owner:
+        term = entry.principal if m is None else m.term
+        kept = term._normal
+        if kept is None:
             meter = _Meter(fuel)
             try:
                 nf = _normal_form(term, meter)
             except FuelExhausted:
                 return None, meter.spent, type_of(term)
-            hit = self._normals[key] = owner, nf, meter.spent, type_of(term)
-        _, nf, steps, ty = hit
+            kept = nf, meter.spent, type_of(term)
+            object.__setattr__(term, "_normal", kept)
+        nf, steps, ty = kept
         return nf if steps <= fuel else None, steps, ty
 
     def validate(self):
         if not (set(self.sorts) - {"t"}):
             raise LexiconError("a lexicon needs at least one individual sort")
-        reserved = set(logical_constants())
         for name in self.predicates:
-            if name in reserved:
+            if name in _LOGICAL_CONSTANTS:
                 raise LexiconError(f"'{name}' is a logical constant")
         for e in self.entries.values():
             self._check_entry(e)
@@ -223,7 +218,7 @@ def poly_and() -> "Term":
     into each conjunct's sort, then predicates both of one argument.
     Built once: terms are immutable, so every caller shares it.
     """
-    ctx = Context(sorts={"t"}, constants=logical_constants())
+    ctx = Context(sorts={"t"}, constants=_LOGICAL_CONSTANTS)
     return parse_term(_POLY_AND_SRC, ctx)
 
 
@@ -276,24 +271,23 @@ def load_lexicon(text: str) -> Lexicon:
 
     lex = Lexicon(sorts=sorts, predicates={})
     current: str | None = None
-    pending: list = []
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#") or _SORTS_RE.match(line):
             continue
         if line.startswith("pred"):
-            current = _flush(lex, current, pending)
             _load_pred(lex, line, lineno)
         elif line.startswith("word"):
-            current = _flush(lex, current, pending)
             current = _load_word(lex, line, lineno)
         elif line.startswith("morph"):
             if current is None:
                 _fail(lineno, "a morph line needs a preceding word")
-            pending.append(_load_morph(lex, line, lineno))
+            e = lex.entries[current]
+            lex.entries[current] = LexEntry(
+                e.word, e.principal, e.principal_type,
+                e.morphisms + (_load_morph(lex, line, lineno),))
         else:
             _fail(lineno, f"cannot read {line!r}")
-    _flush(lex, current, pending)
     try:
         lex.validate()
     except RecursionError:
@@ -301,21 +295,12 @@ def load_lexicon(text: str) -> Lexicon:
     return lex
 
 
-def _flush(lex, current, pending):
-    if current is not None and pending:
-        e = lex.entries[current]
-        lex.entries[current] = LexEntry(
-            e.word, e.principal, e.principal_type, tuple(pending))
-        pending.clear()
-    return current
-
-
 def _load_pred(lex, line, lineno):
     m = _PRED_RE.match(line)
     if not m:
         _fail(lineno, "expected 'pred <name> : <type>'")
     name, ty_src = m.groups()
-    if name in lex.predicates or name in logical_constants():
+    if name in lex.predicates or name in _LOGICAL_CONSTANTS:
         _fail(lineno, f"constant '{name}' already declared")
     lex.predicates[name] = _parse(lineno, parse_type, ty_src, lex.sorts)
     lex.__dict__.pop("context", None)
@@ -352,8 +337,6 @@ def _parse(lineno, fn, src, env):
         return fn(src, env)
     except (ParseError, TypingError) as err:
         _fail(lineno, str(err))
-    except RecursionError:
-        _fail(lineno, "nested too deeply")
 
 
 def save_lexicon(lex: Lexicon) -> str:

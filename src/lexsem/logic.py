@@ -49,17 +49,19 @@ def choice_type() -> Type:
     return _CHOICE_TYPE
 
 
+_LOGICAL_CONSTANTS = {
+    AND_NAME: _CONNECTIVE_TYPE,
+    OR_NAME: _CONNECTIVE_TYPE,
+    IMPLIES_NAME: _CONNECTIVE_TYPE,
+    EXISTS_NAME: _QUANTIFIER_TYPE,
+    FORALL_NAME: _QUANTIFIER_TYPE,
+    IOTA_NAME: _CHOICE_TYPE,
+}
+
+
 def logical_constants() -> dict:
-    conn = connective_type()
-    quant = quantifier_type()
-    return {
-        AND_NAME: conn,
-        OR_NAME: conn,
-        IMPLIES_NAME: conn,
-        EXISTS_NAME: quant,
-        FORALL_NAME: quant,
-        IOTA_NAME: choice_type(),
-    }
+    """The six logical constants and their types, in a new dict."""
+    return dict(_LOGICAL_CONSTANTS)
 
 
 def logical_signature(sorts) -> Context:
@@ -67,7 +69,7 @@ def logical_signature(sorts) -> Context:
     names = set(sorts.sorts if isinstance(sorts, Context) else sorts)
     if "t" not in names:
         raise LogicError("the proposition sort 't' must be declared")
-    return Context(sorts=names, constants=logical_constants())
+    return Context(sorts=names, constants=_LOGICAL_CONSTANTS)
 
 
 # ---------------------------------------------------------------------------

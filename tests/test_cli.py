@@ -236,6 +236,29 @@ def test_each_block_is_printed_before_input_ends():
             proc.kill()
 
 
+def test_a_closed_stdout_ends_the_run_without_a_traceback(tmp_path):
+    trees_text = "".join(line + "\n" for line in
+                         (FIXTURES / "trees_montague.txt").read_text()
+                         .splitlines() if line and not line.startswith("#"))
+    # far more output than a pipe holds, so the command is still writing
+    inp = trees(tmp_path, trees_text * (6000 // trees_text.count("\n")))
+    env = dict(os.environ, PYTHONPATH=str(Path(lexsem.__file__).parents[1]))
+    with subprocess.Popen(
+            [sys.executable, "-m", "lexsem.cli", "--lexicon", MONTAGUE,
+             "--input", inp, "--format", "verdict"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=env) as proc:
+        try:
+            assert proc.stdout.readline().startswith("FELICITOUS")
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 2
+        finally:
+            proc.kill()
+    assert "Traceback" not in err
+    assert err == ""
+
+
 def test_main_raises_system_exit(tmp_path, capsys):
     inp = trees(tmp_path, "(spread_out Liverpool)\n")
     with pytest.raises(SystemExit) as err:

@@ -116,6 +116,30 @@ def test_parse_error_carries_position():
     assert err.value.col > 1
 
 
+@pytest.mark.parametrize("parse, text", [
+    (parse_term, "(" * 1000 + "#a" + ")" * 1000),
+    (parse_term, "lam x:e. " * 3000 + "#a"),
+    (parse_type, "(" * 3000 + "e" + ")" * 3000),
+    (parse_type, "e -> " * 5000 + "e"),
+], ids=["term-parens", "term-binders", "type-parens", "type-arrows"])
+def test_too_deep_a_nesting_is_a_parse_error(parse, text):
+    with pytest.raises(ParseError) as err:
+        parse(text, ctx(a=E))
+    assert str(err.value) == "nested too deeply"
+    assert (err.value.line, err.value.col) == (None, None)
+
+
+def test_parse_error_positions_count_lines_and_characters():
+    # a column counts characters, tabs and carriage returns one each
+    for text, line, col in [("lam x:e.\n  #missing", 2, 3),
+                            ("lam x:e.\r\n\t#missing", 2, 2),
+                            ("lam x:\u00e9. x", 1, 7),
+                            ("lam x:e.\n\n", 3, 1)]:
+        with pytest.raises(ParseError) as err:
+            parse_term(text, ctx())
+        assert (err.value.line, err.value.col) == (line, col), text
+
+
 def test_render_term_parenthesizes_reparseably():
     c = ctx(p=Arrow(E, PROP), a=E)
     cases = [

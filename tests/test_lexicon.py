@@ -3,7 +3,8 @@ import pytest
 from lexsem import (Arrow, Forall, LexEntry, Lexicon, LexiconError, Morphism,
                     PROP, SortRef, TypeVar, alpha_equiv, candidates,
                     find_redexes, iota, load_lexicon, parse_term, parse_type,
-                    poly_and, render_formula, save_lexicon, type_of)
+                    poly_and, render_formula, render_term, save_lexicon,
+                    type_of)
 
 from conftest import fixture_text
 
@@ -252,3 +253,43 @@ def test_validate_catches_hand_built_duplicates(liverpool):
                   predicates=dict(liverpool.predicates), entries=entries)
     with pytest.raises(LexiconError):
         lex.validate()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("sorts: e\npred k : e\nword w : e = " + "(" * 3000 + "#k" + ")" * 3000,
+     "line 3: nested too deeply"),
+    ("sorts: e\npred p : " + "e -> " * 3000 + "t\n",
+     "line 2: nested too deeply"),
+], ids=["term", "type"])
+def test_too_deep_a_line_is_named_by_its_number(text, message):
+    with pytest.raises(LexiconError) as err:
+        load_lexicon(text)
+    assert str(err.value) == message
+
+
+def test_a_morph_line_attaches_to_the_last_word_across_preds():
+    lex = load_lexicon("sorts: T F\npred c : T\npred f : T -> F\n"
+                       "word w : T = #c\npred g : T -> F\n"
+                       "  morph m1 : T -> F = #f [rigid]\n"
+                       "  morph m2 : T -> F = #g [flexible]\n"
+                       "word v : T = #c\n")
+    assert [m.name for m in lex.entry("w").morphisms] == ["m1", "m2"]
+    assert lex.entry("v").morphisms == ()
+
+
+def test_a_term_keeps_its_normal_form_once_it_has_one():
+    lex = load_lexicon("sorts: T\npred p : T -> t\nword w : T -> t ="
+                       " lam x:T. (lam y:T. (lam z:T. #p z) y) x\n")
+    entry = lex.entry("w")
+    # out of fuel: nothing is kept
+    assert lex._normal(entry, 1)[::2] == (None, Arrow(T, PROP))
+    assert entry.principal._normal is None
+    nf, steps, ty = lex._normal(entry, 10)
+    assert (render_term(nf), steps) == ("lam x:T. #p x", 2)
+    assert entry.principal._normal == (nf, 2, ty)
+    # the kept result still answers a smaller fuel, and another lexicon
+    # holding the same term finds it
+    assert lex._normal(entry, 1) == (None, 2, ty)
+    other = Lexicon(sorts=set(lex.sorts), predicates=dict(lex.predicates),
+                    entries={"w": entry})
+    assert other._normal(entry, 10)[0] is nf

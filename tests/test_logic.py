@@ -46,6 +46,15 @@ def test_signature_types_are_built_once():
     assert quantifier_type() is quantifier_type()
 
 
+def test_logical_constants_are_a_copy_of_one_table():
+    first = logical_constants()
+    assert set(first) == {"&", "|", "=>", "exists", "forall", "iota"}
+    assert first["iota"] is choice_type()
+    first.clear()
+    assert logical_constants() is not first
+    assert len(logical_constants()) == 6
+
+
 def test_logical_signature_contents():
     ctx = logical_signature({"e", "t"})
     assert type_of(Const("&", connective_type()), ctx) == connective_type()
