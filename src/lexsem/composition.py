@@ -184,25 +184,25 @@ class _Marker:
 # ---------------------------------------------------------------------------
 # polymorphic application
 
-def _unify(pattern, concrete, free: set, bind: dict) -> bool:
-    if isinstance(pattern, TypeVar) and pattern.name in free:
-        if pattern.name in bind:
-            return alpha_equiv(bind[pattern.name], concrete)
-        bind[pattern.name] = concrete
+def _unify(p, c, free: set, bind: dict) -> bool:
+    if isinstance(p, TypeVar) and p.name in free:
+        if p.name in bind:
+            return alpha_equiv(bind[p.name], c)
+        bind[p.name] = c
         return True
-    if type(pattern) is not type(concrete):
+    if type(p) is not type(c):
         return False
-    match pattern, concrete:
-        case TypeVar() | SortRef(), _:
-            return pattern == concrete
-        case Arrow(d1, c1), Arrow(d2, c2):
-            return _unify(d1, d2, free, bind) and _unify(c1, c2, free, bind)
-        case Forall(v1, b1), Forall(v2, b2):
-            avoid = free | free_type_vars(b1) | free_type_vars(b2)
-            joint = fresh_name("z", avoid)
-            return _unify(subst_type(b1, v1, TypeVar(joint)),
-                          subst_type(b2, v2, TypeVar(joint)),
-                          free, bind)
+    if isinstance(p, (TypeVar, SortRef)):
+        return p == c
+    if isinstance(p, Arrow):
+        return (_unify(p.domain, c.domain, free, bind)
+                and _unify(p.codomain, c.codomain, free, bind))
+    if isinstance(p, Forall):
+        avoid = free | free_type_vars(p.body) | free_type_vars(c.body)
+        joint = fresh_name("z", avoid)
+        return _unify(subst_type(p.body, p.var, TypeVar(joint)),
+                      subst_type(c.body, c.var, TypeVar(joint)),
+                      free, bind)
     return False
 
 
@@ -454,19 +454,21 @@ def _copred_node(fun: _Marker, arg: _Node, path, arg_path, st: _State):
     # poly_and's body, #& L R, over its two halves
     head = TyApp(TyApp(poly_and(), alpha), beta)
     alts = []
-    for a, l, r in product(arg.alts, left.alts, right.alts):
+    for a, l, r in product(arg.alts, left.alts, right.alts) if pairs else ():
+        # every pair shares the source's prefix and the parts' records
+        term = App(TyApp(App(App(head, l.term), r.term), xi), a.term)
+        morphs = l.morphs + r.morphs + a.morphs
+        presups = l.presups + r.presups + a.presups
         for f, g in pairs:
-            term = App(TyApp(App(App(head, l.term), r.term), xi), a.term)
-            recs = (l.morphs + r.morphs + a.morphs
-                    + ((entry.word, arg_path, f.name),
-                       (entry.word, arg_path, g.name)))
+            recs = morphs + ((entry.word, arg_path, f.name),
+                             (entry.word, arg_path, g.name))
             (l_nf, l_steps), (r_nf, r_steps) = half(l, a, f), half(r, a, g)
             # the argument both halves hold is charged once
             steps = POLY_AND_BINDERS + l_steps + r_steps - a.steps
             nf = (App(App(_CONJUNCTION, l_nf), r_nf) if steps <= st.fuel
                   else None)
             alts.append(_Alt(App(App(term, f.term), g.term), nf, steps, recs,
-                             l.presups + r.presups + a.presups))
+                             presups))
     return _Node(PROP, alts)
 
 

@@ -196,16 +196,14 @@ def is_term(x) -> bool:
 
 def _check_sorts(ty, sorts, what):
     match ty:
-        case SortRef(name):
-            if name not in sorts:
-                raise TypingError(f"unknown sort '{name}' in {what}")
-        case TypeVar(_):
-            pass
-        case Arrow(d, c):
-            _check_sorts(d, sorts, what)
-            _check_sorts(c, sorts, what)
-        case Forall(_, b):
-            _check_sorts(b, sorts, what)
+        case SortRef():
+            if ty.name not in sorts:
+                raise TypingError(f"unknown sort '{ty.name}' in {what}")
+        case Arrow():
+            _check_sorts(ty.domain, sorts, what)
+            _check_sorts(ty.codomain, sorts, what)
+        case Forall():
+            _check_sorts(ty.body, sorts, what)
 
 
 class Context:
@@ -243,20 +241,18 @@ def free_vars(term) -> dict:
 
     def go(t, bound):
         match t:
-            case Var(name, ty):
-                if name not in bound:
-                    out.setdefault(name, ty)
-            case Const(_, _):
-                pass
-            case App(f, a):
-                go(f, bound)
-                go(a, bound)
-            case Abs(x, _, b):
-                go(b, bound | {x})
-            case TyApp(f, _):
-                go(f, bound)
-            case TyAbs(_, b):
-                go(b, bound)
+            case Var():
+                if t.name not in bound:
+                    out.setdefault(t.name, t.type)
+            case App():
+                go(t.fun, bound)
+                go(t.arg, bound)
+            case Abs():
+                go(t.body, bound | {t.var})
+            case TyApp():
+                go(t.fun, bound)
+            case TyAbs():
+                go(t.body, bound)
 
     go(term, frozenset())
     return out
@@ -264,23 +260,24 @@ def free_vars(term) -> dict:
 
 def free_type_vars(target) -> set:
     """Free type variables of a type, or of a term's type annotations."""
-    match target:
-        case SortRef(_):
+    t = target
+    match t:
+        case SortRef():
             return set()
-        case TypeVar(n):
-            return {n}
-        case Arrow(d, c):
-            return free_type_vars(d) | free_type_vars(c)
-        case Forall(v, b) | TyAbs(v, b):
-            return free_type_vars(b) - {v}
-        case Var(_, ty) | Const(_, ty):
-            return free_type_vars(ty)
-        case App(f, a):
-            return free_type_vars(f) | free_type_vars(a)
-        case Abs(_, ty, b):
-            return free_type_vars(ty) | free_type_vars(b)
-        case TyApp(f, ty):
-            return free_type_vars(f) | free_type_vars(ty)
+        case TypeVar():
+            return {t.name}
+        case Arrow():
+            return free_type_vars(t.domain) | free_type_vars(t.codomain)
+        case Forall() | TyAbs():
+            return free_type_vars(t.body) - {t.var}
+        case Var() | Const():
+            return free_type_vars(t.type)
+        case App():
+            return free_type_vars(t.fun) | free_type_vars(t.arg)
+        case Abs():
+            return free_type_vars(t.var_type) | free_type_vars(t.body)
+        case TyApp():
+            return free_type_vars(t.fun) | free_type_vars(t.arg_type)
     raise KernelError(f"not a type or term: {target!r}")
 
 
@@ -324,26 +321,29 @@ def _key(x, venv, tenv):
     if key is not None:
         return key
     match x:
-        case SortRef(n):
-            key = ("SortRef", n)
-        case TypeVar(n):
-            key = ("TypeVar", _index(tenv, n))
-        case Arrow(d, c):
-            key = ("Arrow", _key(d, venv, tenv), _key(c, venv, tenv))
-        case Forall(v, b):
-            key = ("Forall", _key(b, venv, tenv + (v,)))
-        case Var(n, ty):
-            key = ("Var", _index(venv, n), _key(ty, venv, tenv))
-        case Const(n, ty):
-            key = ("Const", n, _key(ty, venv, tenv))
-        case App(f, a):
-            key = ("App", _key(f, venv, tenv), _key(a, venv, tenv))
-        case Abs(v, ty, b):
-            key = ("Abs", _key(ty, venv, tenv), _key(b, venv + (v,), tenv))
-        case TyApp(f, ty):
-            key = ("TyApp", _key(f, venv, tenv), _key(ty, venv, tenv))
-        case TyAbs(v, b):
-            key = ("TyAbs", _key(b, venv, tenv + (v,)))
+        case SortRef():
+            key = ("SortRef", x.name)
+        case TypeVar():
+            key = ("TypeVar", _index(tenv, x.name))
+        case Arrow():
+            key = ("Arrow", _key(x.domain, venv, tenv),
+                   _key(x.codomain, venv, tenv))
+        case Forall():
+            key = ("Forall", _key(x.body, venv, tenv + (x.var,)))
+        case Var():
+            key = ("Var", _index(venv, x.name), _key(x.type, venv, tenv))
+        case Const():
+            key = ("Const", x.name, _key(x.type, venv, tenv))
+        case App():
+            key = ("App", _key(x.fun, venv, tenv), _key(x.arg, venv, tenv))
+        case Abs():
+            key = ("Abs", _key(x.var_type, venv, tenv),
+                   _key(x.body, venv + (x.var,), tenv))
+        case TyApp():
+            key = ("TyApp", _key(x.fun, venv, tenv),
+                   _key(x.arg_type, venv, tenv))
+        case TyAbs():
+            key = ("TyAbs", _key(x.body, venv, tenv + (x.var,)))
         case _:
             raise KernelError(f"not a type or term: {x!r}")
     if top:
@@ -367,34 +367,41 @@ def subst_type(target, tyvar: str, replacement):
     """Capture-avoiding substitution of a type for a type variable.
 
     Works on types and on terms; on terms it rewrites the type annotations
-    of variables, constants, abstractions and type applications.
+    of variables, constants, abstractions and type applications.  A node
+    none of whose children changed is returned as it is, so the result
+    shares every part the substitution leaves alone.
     """
-    a, rep = tyvar, replacement
-    match target:
-        case SortRef(_):
-            return target
-        case TypeVar(n):
-            return rep if n == a else target
-        case Arrow(d, c):
-            return Arrow(subst_type(d, a, rep), subst_type(c, a, rep))
-        case Var(n, ty):
-            return Var(n, subst_type(ty, a, rep))
-        case Const(n, ty):
-            return Const(n, subst_type(ty, a, rep))
-        case App(f, x):
-            return App(subst_type(f, a, rep), subst_type(x, a, rep))
-        case Abs(x, ty, b):
-            return Abs(x, subst_type(ty, a, rep), subst_type(b, a, rep))
-        case TyApp(f, ty):
-            return TyApp(subst_type(f, a, rep), subst_type(ty, a, rep))
-        case Forall(v, b) | TyAbs(v, b):
+    a, rep, t = tyvar, replacement, target
+    match t:
+        case SortRef():
+            return t
+        case TypeVar():
+            return rep if t.name == a else t
+        case Arrow():
+            d, c = subst_type(t.domain, a, rep), subst_type(t.codomain, a, rep)
+            return t if d is t.domain and c is t.codomain else Arrow(d, c)
+        case Var() | Const():
+            ty = subst_type(t.type, a, rep)
+            return t if ty is t.type else type(t)(t.name, ty)
+        case App():
+            f, x = subst_type(t.fun, a, rep), subst_type(t.arg, a, rep)
+            return t if f is t.fun and x is t.arg else App(f, x)
+        case Abs():
+            ty, b = subst_type(t.var_type, a, rep), subst_type(t.body, a, rep)
+            return t if ty is t.var_type and b is t.body else Abs(t.var, ty, b)
+        case TyApp():
+            f, ty = subst_type(t.fun, a, rep), subst_type(t.arg_type, a, rep)
+            return t if f is t.fun and ty is t.arg_type else TyApp(f, ty)
+        case Forall() | TyAbs():
+            v, b = t.var, t.body
             if v == a:
-                return target
+                return t
             if v in free_type_vars(rep) and a in free_type_vars(b):
                 v1 = fresh_name(v, free_type_vars(rep) | free_type_vars(b) | {a})
                 b = subst_type(b, v, TypeVar(v1))
-                return type(target)(v1, subst_type(b, a, rep))
-            return type(target)(v, subst_type(b, a, rep))
+                return type(t)(v1, subst_type(b, a, rep))
+            b1 = subst_type(b, a, rep)
+            return t if b1 is b else type(t)(v, b1)
     raise KernelError(f"not a type or term: {target!r}")
 
 
@@ -420,33 +427,43 @@ def _subst(t, x, v, v_fvs, step=None):
     With `step`, `t` and `v` are normal and the substitution is
     hereditary: a redex it makes, where `v` lands at the head of an
     application, is contracted at once (see `_apply`), so the result is
-    normal too.
+    normal too.  A node none of whose children changed is returned as it
+    is: with `step` it is normal, so it is its own normal form.
     """
     match t:
-        case Var(n, _):
-            return v if n == x else t
-        case Const(_, _):
+        case Var():
+            return v if t.name == x else t
+        case Const():
             return t
-        case App(f, a):
-            f, a = _subst(f, x, v, v_fvs, step), _subst(a, x, v, v_fvs, step)
+        case App():
+            f = _subst(t.fun, x, v, v_fvs, step)
+            a = _subst(t.arg, x, v, v_fvs, step)
+            if f is t.fun and a is t.arg:
+                return t
             return App(f, a) if step is None else _apply(f, a, step)
-        case Abs(y, ty, b):
+        case Abs():
+            y, ty, b = t.var, t.var_type, t.body
             if y == x:
                 return t
             if y in v_fvs and x in free_vars(b):
                 y1 = fresh_name(y, v_fvs | set(free_vars(b)) | {x})
                 b = _subst(b, y, Var(y1, ty), {y1})
                 return Abs(y1, ty, _subst(b, x, v, v_fvs, step))
-            return Abs(y, ty, _subst(b, x, v, v_fvs, step))
-        case TyApp(f, ty):
-            f = _subst(f, x, v, v_fvs, step)
+            b1 = _subst(b, x, v, v_fvs, step)
+            return t if b1 is b else Abs(y, ty, b1)
+        case TyApp():
+            f, ty = _subst(t.fun, x, v, v_fvs, step), t.arg_type
+            if f is t.fun:
+                return t
             return TyApp(f, ty) if step is None else _apply(f, ty, step)
-        case TyAbs(a, b):
+        case TyAbs():
+            a, b = t.var, t.body
             if a in free_type_vars(v) and x in free_vars(b):
                 a1 = fresh_name(a, free_type_vars(v) | free_type_vars(b))
                 b = subst_type(b, a, TypeVar(a1))
                 return TyAbs(a1, _subst(b, x, v, v_fvs, step))
-            return TyAbs(a, _subst(b, x, v, v_fvs, step))
+            b1 = _subst(b, x, v, v_fvs, step)
+            return t if b1 is b else TyAbs(a, b1)
     raise KernelError(f"not a term: {t!r}")
 
 
@@ -487,7 +504,8 @@ def type_of(term, ctx: Context | None = None):
 
 def _type_of(t, ctx, bound, free_seen):
     match t:
-        case Var(name, ty):
+        case Var():
+            name, ty = t.name, t.type
             if name in bound:
                 if not alpha_equiv(ty, bound[name]):
                     raise TypingError(
@@ -505,7 +523,8 @@ def _type_of(t, ctx, bound, free_seen):
                 raise TypingError(
                     f"free variable '{name}' occurs at both {seen} and {ty}")
             return ty
-        case Const(name, ty):
+        case Const():
+            name, ty = t.name, t.type
             if ctx is not None:
                 declared = ctx.constants.get(name)
                 if declared is None:
@@ -514,9 +533,9 @@ def _type_of(t, ctx, bound, free_seen):
                     raise TypingError(
                         f"constant '#{name}' is annotated {ty} but declared {declared}")
             return ty
-        case App(fun, arg):
-            fun_ty = _type_of(fun, ctx, bound, free_seen)
-            arg_ty = _type_of(arg, ctx, bound, free_seen)
+        case App():
+            fun_ty = _type_of(t.fun, ctx, bound, free_seen)
+            arg_ty = _type_of(t.arg, ctx, bound, free_seen)
             if not isinstance(fun_ty, Arrow):
                 raise TypingError(f"cannot apply a term of type {fun_ty}")
             if not alpha_equiv(fun_ty.domain, arg_ty):
@@ -524,27 +543,27 @@ def _type_of(t, ctx, bound, free_seen):
                     f"application mismatch: function expects {fun_ty.domain}, "
                     f"argument has type {arg_ty}")
             return fun_ty.codomain
-        case Abs(var, dom, body):
+        case Abs():
             if ctx is not None:
-                _check_sorts(dom, ctx.sorts, f"the binder '{var}'")
+                _check_sorts(t.var_type, ctx.sorts, f"the binder '{t.var}'")
             inner = dict(bound)
-            inner[var] = dom
-            return Arrow(dom, _type_of(body, ctx, inner, free_seen))
-        case TyApp(fun, arg_type):
-            fun_ty = _type_of(fun, ctx, bound, free_seen)
+            inner[t.var] = t.var_type
+            return Arrow(t.var_type, _type_of(t.body, ctx, inner, free_seen))
+        case TyApp():
+            fun_ty = _type_of(t.fun, ctx, bound, free_seen)
             if not isinstance(fun_ty, Forall):
                 raise TypingError(f"cannot type-apply a term of type {fun_ty}")
             if ctx is not None:
-                _check_sorts(arg_type, ctx.sorts, "a type argument")
-            return subst_type(fun_ty.body, fun_ty.var, arg_type)
-        case TyAbs(var, body):
-            body_ty = _type_of(body, ctx, bound, free_seen)
-            for name, vty in free_vars(body).items():
-                if var in free_type_vars(vty):
+                _check_sorts(t.arg_type, ctx.sorts, "a type argument")
+            return subst_type(fun_ty.body, fun_ty.var, t.arg_type)
+        case TyAbs():
+            body_ty = _type_of(t.body, ctx, bound, free_seen)
+            for name, vty in free_vars(t.body).items():
+                if t.var in free_type_vars(vty):
                     raise TypingError(
-                        f"cannot generalize over '{var}': it occurs free in the "
-                        f"type of free variable '{name}'")
-            return Forall(var, body_ty)
+                        f"cannot generalize over '{t.var}': it occurs free in"
+                        f" the type of free variable '{name}'")
+            return Forall(t.var, body_ty)
     raise TypingError(f"not a term: {t!r}")
 
 
@@ -772,17 +791,17 @@ def render_type(ty, style: str = "ascii") -> str:
 
 def _rty(ty, sym):
     match ty:
-        case SortRef(n):
-            return n
-        case TypeVar(n):
-            return f"{sym['tyvar']}{n}"
-        case Arrow(d, c):
-            dom = _rty(d, sym)
-            if isinstance(d, (Arrow, Forall)):
+        case SortRef():
+            return ty.name
+        case TypeVar():
+            return f"{sym['tyvar']}{ty.name}"
+        case Arrow():
+            dom = _rty(ty.domain, sym)
+            if isinstance(ty.domain, (Arrow, Forall)):
                 dom = f"({dom})"
-            return f"{dom}{sym['arrow']}{_rty(c, sym)}"
-        case Forall(v, b):
-            return f"{sym['pi']}{sym['tyvar']}{v}. {_rty(b, sym)}"
+            return f"{dom}{sym['arrow']}{_rty(ty.codomain, sym)}"
+        case Forall():
+            return f"{sym['pi']}{sym['tyvar']}{ty.var}. {_rty(ty.body, sym)}"
     raise KernelError(f"not a type: {ty!r}")
 
 
@@ -797,35 +816,35 @@ def _rt(t, sym):
     compound node keeps it, in the attribute that `sym["kept"]` names,
     and a node shared by several terms is printed once."""
     match t:
-        case Var(name, _):
-            return name
-        case Const(name, _):
-            return f"{sym['const']}{name}"
+        case Var():
+            return t.name
+        case Const():
+            return f"{sym['const']}{t.name}"
     s = getattr(t, sym["kept"], None)
     if s is not None:
         return s
     match t:
-        case Abs(x, ty, b):
-            ann = _rty(ty, sym)
+        case Abs():
+            ann = _rty(t.var_type, sym)
             # a superscript annotation needs parentheses when compound
-            if sym["paren_ann"] and isinstance(ty, (Arrow, Forall)):
+            if sym["paren_ann"] and isinstance(t.var_type, (Arrow, Forall)):
                 ann = f"({ann})"
-            s = f"{sym['lam']}{x}{sym['colon']}{ann}. {_rt(b, sym)}"
-        case TyAbs(a, b):
-            s = f"{sym['tylam']}{sym['tyvar']}{a}. {_rt(b, sym)}"
-        case App(f, a):
-            fun = _rt(f, sym)
-            if isinstance(f, (Abs, TyAbs)):
+            s = f"{sym['lam']}{t.var}{sym['colon']}{ann}. {_rt(t.body, sym)}"
+        case TyAbs():
+            s = f"{sym['tylam']}{sym['tyvar']}{t.var}. {_rt(t.body, sym)}"
+        case App():
+            fun = _rt(t.fun, sym)
+            if isinstance(t.fun, (Abs, TyAbs)):
                 fun = f"({fun})"
-            arg = _rt(a, sym)
-            if isinstance(a, (App, Abs, TyAbs)):
+            arg = _rt(t.arg, sym)
+            if isinstance(t.arg, (App, Abs, TyAbs)):
                 arg = f"({arg})"
             s = f"{fun} {arg}"
-        case TyApp(f, ty):
-            fun = _rt(f, sym)
-            if isinstance(f, (App, Abs, TyAbs)):
+        case TyApp():
+            fun = _rt(t.fun, sym)
+            if isinstance(t.fun, (App, Abs, TyAbs)):
                 fun = f"({fun})"
-            s = f"{fun}{{{_rty(ty, sym)}}}"
+            s = f"{fun}{{{_rty(t.arg_type, sym)}}}"
         case _:
             raise KernelError(f"not a term: {t!r}")
     object.__setattr__(t, sym["kept"], s)

@@ -23,8 +23,8 @@ from functools import cache, cached_property
 
 from .kernel import (Abs, App, Arrow, Const, Context, KernelError, PROP,
                      ParseError, Term, TyApp, Type, TypingError, Var,
-                     alpha_equiv, parse_term, parse_type, render_term,
-                     record, render_type, type_of)
+                     alpha_equiv, alpha_key, parse_term, parse_type,
+                     render_term, record, render_type, type_of)
 from .logic import _LOGICAL_CONSTANTS, Formula, choice_type, to_formula
 from .reduction import FuelExhausted, _Meter, _normal_form
 
@@ -61,6 +61,7 @@ class LexEntry:
     principal: "Term"
     principal_type: "Type"
     morphisms: tuple = ()
+    _candidates = None  # kept by `candidates`, per pair of α-keys
 
     @property
     def coercion_source(self) -> "Type":
@@ -188,14 +189,28 @@ def candidates(entry: LexEntry, frm, to) -> list:
     When source and target coincide and the entry declares no identity,
     a flexible identity is supplied implicitly; a declared identity
     replaces it, keeping its own rigidity.
+
+    The answer depends on the entry and the two types up to α, so the
+    entry keeps it, the morphisms or the error message, per pair: an
+    implicit identity is built once, and keeps its normal form.
     """
-    if not alpha_equiv(frm, entry.coercion_source):
-        raise LexiconError(
-            f"'{entry.word}' has no coercions from {render_type(frm)}")
-    out = [m for m in entry.morphisms if alpha_equiv(m.target, to)]
-    if alpha_equiv(frm, to) and not any(m.is_identity for m in out):
-        out.append(identity_morphism(frm))
-    return out
+    kept = entry._candidates
+    if kept is None:
+        object.__setattr__(entry, "_candidates", kept := {})
+    key = alpha_key(frm), alpha_key(to)
+    found = kept.get(key)
+    if found is None:
+        if not alpha_equiv(frm, entry.coercion_source):
+            found = f"'{entry.word}' has no coercions from {render_type(frm)}"
+        else:
+            found = tuple(m for m in entry.morphisms
+                          if alpha_equiv(m.target, to))
+            if key[0] == key[1] and not any(m.is_identity for m in found):
+                found += (identity_morphism(frm),)
+        kept[key] = found
+    if isinstance(found, str):
+        raise LexiconError(found)
+    return list(found)
 
 
 # ---------------------------------------------------------------------------

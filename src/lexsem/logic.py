@@ -188,18 +188,22 @@ def _formula(t):
     f = t._formula
     if f is not None:
         return f
-    match t:
-        case App(App(Const(name, _), a), b) if name in _CONNECTIVES:
-            f = _BINARY[name](_formula(a), _formula(b))
-        case App(TyApp(Const(name, _), sort), p) if name in _QUANTIFIERS:
-            if isinstance(p, Abs):
-                f = Quant(name, p.var, sort, _formula(p.body))
-            else:
-                x = fresh_name("x", set(free_vars(p)))
-                f = Quant(name, x, sort, _formula(App(p, Var(x, sort))))
-        case _:
-            head, args = _head(t)
-            f = Atom(head, tuple(_ref(a) for a in args))
+    # `op a b` with a connective `op`, or `q{sort} p` with a quantifier `q`
+    fun = t.fun if isinstance(t, App) else None
+    op = fun.fun if isinstance(fun, (App, TyApp)) else None
+    name = op.name if isinstance(op, Const) else None
+    if name in _CONNECTIVES and isinstance(fun, App):
+        f = _BINARY[name](_formula(fun.arg), _formula(t.arg))
+    elif name in _QUANTIFIERS and isinstance(fun, TyApp):
+        p, sort = t.arg, fun.arg_type
+        if isinstance(p, Abs):
+            f = Quant(name, p.var, sort, _formula(p.body))
+        else:
+            x = fresh_name("x", set(free_vars(p)))
+            f = Quant(name, x, sort, _formula(App(p, Var(x, sort))))
+    else:
+        head, args = _head(t)
+        f = Atom(head, tuple(_ref(a) for a in args))
     object.__setattr__(t, "_formula", f)
     return f
 
@@ -209,20 +213,20 @@ def _head(t):
     arguments it is applied to; an iota description takes the first
     argument as its predicate.  Any other head becomes a TermRef."""
     head, args = _spine(t)
-    match head:
-        case TyApp(Const(name, _), sort) if name == IOTA_NAME and args:
-            return Description(sort, args[0]), args[1:]
-        case Var() | Const():
-            return _ref(head), args
+    if (args and isinstance(head, TyApp) and isinstance(head.fun, Const)
+            and head.fun.name == IOTA_NAME):
+        return Description(head.arg_type, args[0]), args[1:]
+    if isinstance(head, (Var, Const)):
+        return _ref(head), args
     return TermRef(head), args
 
 
 def _ref(t):
     match t:
-        case Var(n, _):
-            return VarRef(n)
-        case Const(n, _):
-            return ConstRef(n)
+        case Var():
+            return VarRef(t.name)
+        case Const():
+            return ConstRef(t.name)
     head, args = _head(t)
     if isinstance(head, TermRef):
         return TermRef(t)
@@ -239,46 +243,47 @@ def formula_to_term(f, ctx: Context):
 
 def _to_term(f, ctx, env):
     match f:
-        case And(l, r):
+        case And():
             op = Const(AND_NAME, connective_type())
-        case Or(l, r):
+        case Or():
             op = Const(OR_NAME, connective_type())
-        case Implies(l, r):
+        case Implies():
             op = Const(IMPLIES_NAME, connective_type())
-        case Quant(kind, var, sort, body):
+        case Quant():
             inner = dict(env)
-            inner[var] = sort
-            pred = Abs(var, sort, _to_term(body, ctx, inner))
-            return App(TyApp(Const(kind, quantifier_type()), sort), pred)
-        case Atom(pred, args):
-            t = _ref_term(pred, ctx, env)
-            for a in args:
+            inner[f.var] = f.sort
+            pred = Abs(f.var, f.sort, _to_term(f.body, ctx, inner))
+            return App(TyApp(Const(f.kind, quantifier_type()), f.sort), pred)
+        case Atom():
+            t = _ref_term(f.pred, ctx, env)
+            for a in f.args:
                 t = App(t, _ref_term(a, ctx, env))
             return t
         case _:
             raise LogicError(f"not a formula: {f!r}")
-    return App(App(op, _to_term(l, ctx, env)), _to_term(r, ctx, env))
+    return App(App(op, _to_term(f.left, ctx, env)),
+               _to_term(f.right, ctx, env))
 
 
 def _ref_term(r, ctx, env):
     match r:
-        case VarRef(n):
-            if n not in env:
-                raise LogicError(f"unbound variable '{n}' in formula")
-            return Var(n, env[n])
-        case ConstRef(n):
-            if n not in ctx.constants:
-                raise LogicError(f"unknown constant '#{n}' in formula")
-            return Const(n, ctx.constants[n])
-        case Description(sort, pred):
-            return App(TyApp(Const(IOTA_NAME, choice_type()), sort), pred)
-        case Applied(fun, args):
-            t = _ref_term(fun, ctx, env)
-            for a in args:
+        case VarRef():
+            if r.name not in env:
+                raise LogicError(f"unbound variable '{r.name}' in formula")
+            return Var(r.name, env[r.name])
+        case ConstRef():
+            if r.name not in ctx.constants:
+                raise LogicError(f"unknown constant '#{r.name}' in formula")
+            return Const(r.name, ctx.constants[r.name])
+        case Description():
+            return App(TyApp(Const(IOTA_NAME, choice_type()), r.sort), r.pred)
+        case Applied():
+            t = _ref_term(r.fun, ctx, env)
+            for a in r.args:
                 t = App(t, _ref_term(a, ctx, env))
             return t
-        case TermRef(t):
-            return t
+        case TermRef():
+            return r.term
     raise LogicError(f"not a term reference: {r!r}")
 
 
@@ -315,16 +320,20 @@ def _names(x) -> set:
     """Every name in a formula or a reference: binders, variables,
     constants, and the free variables of embedded terms."""
     match x:
-        case Quant(_, var, _, body):
-            return {var} | _names(body)
-        case And(l, r) | Or(l, r) | Implies(l, r):
-            return _names(l) | _names(r)
-        case Atom(head, args) | Applied(head, args):
-            return _names(head).union(*map(_names, args))
-        case VarRef(n) | ConstRef(n):
-            return {n}
-        case Description(_, t) | TermRef(t):
-            return set(free_vars(t))
+        case Quant():
+            return {x.var} | _names(x.body)
+        case And() | Or() | Implies():
+            return _names(x.left) | _names(x.right)
+        case Atom():
+            return _names(x.pred).union(*map(_names, x.args))
+        case Applied():
+            return _names(x.fun).union(*map(_names, x.args))
+        case VarRef() | ConstRef():
+            return {x.name}
+        case Description():
+            return set(free_vars(x.pred))
+        case TermRef():
+            return set(free_vars(x.term))
     return set()
 
 
@@ -356,19 +365,19 @@ def _render(f, prec, sym, printed, names):
     s = None if printed else getattr(f, sym["kept"], None)
     if s is None:
         match f:
-            case Quant(kind, var, sort, body):
-                var, inner, inner_names = _bind(var, body, printed, names)
-                s = (f"{sym[kind]}{var}:{_sort_text(sort, sym)}. "
-                     f"{_render(body, _PREC_QUANT, sym, inner, inner_names)}")
-            case And(l, r) | Or(l, r) | Implies(l, r):
+            case Quant():
+                var, inner, inner_names = _bind(f.var, f.body, printed, names)
+                body = _render(f.body, _PREC_QUANT, sym, inner, inner_names)
+                s = f"{sym[f.kind]}{var}:{_sort_text(f.sort, sym)}. {body}"
+            case And() | Or() | Implies():
                 op, left, right = _CONNECTIVE_PREC[type(f)]
-                s = (f"{_render(l, left, sym, printed, names)} {sym[op]} "
-                     f"{_render(r, right, sym, printed, names)}")
-            case Atom(pred, args):
-                s = _render_ref(pred, sym, printed, names)
-                if args:
+                s = (f"{_render(f.left, left, sym, printed, names)} {sym[op]} "
+                     f"{_render(f.right, right, sym, printed, names)}")
+            case Atom():
+                s = _render_ref(f.pred, sym, printed, names)
+                if f.args:
                     inner = ", ".join(_render_ref(a, sym, printed, names)
-                                      for a in args)
+                                      for a in f.args)
                     s = f"{s}({inner})"
             case _:
                 raise LogicError(f"not a formula: {f!r}")
@@ -386,30 +395,33 @@ def _sort_text(sort, sym):
 
 def _render_ref(r, sym, printed, names):
     match r:
-        case VarRef(n):
-            return names.get(n, n)
-        case ConstRef(n):
-            return n
-        case Description(sort, pred):
-            pred = _pred_text(_rebind(pred, names), sym, printed)
-            return f"{sym['iota']}[{_rty(sort, sym)}]({pred})"
-        case Applied(fun, args):
-            inner = ", ".join(_render_ref(a, sym, printed, names) for a in args)
-            return f"{_render_ref(fun, sym, printed, names)}({inner})"
-        case TermRef(t):
-            return _rt(_rebind(t, names), sym)
+        case VarRef():
+            return names.get(r.name, r.name)
+        case ConstRef():
+            return r.name
+        case Description():
+            pred = _pred_text(_rebind(r.pred, names), sym, printed)
+            return f"{sym['iota']}[{_rty(r.sort, sym)}]({pred})"
+        case Applied():
+            inner = ", ".join(_render_ref(a, sym, printed, names)
+                              for a in r.args)
+            return f"{_render_ref(r.fun, sym, printed, names)}({inner})"
+        case TermRef():
+            return _rt(_rebind(r.term, names), sym)
     raise LogicError(f"not a term reference: {r!r}")
 
 
 def _eta_head(pred) -> str | None:
-    """Name of the predicate when it is one, or an eta-expansion of one."""
-    match pred:
-        case Const(n, _) | Var(n, _):
-            return n
-        case Abs(x, _, App(Const(n, _) as h, Var(y, _))) if x == y:
-            return n
-        case Abs(x, _, App(Var(n, _), Var(y, _))) if x == y and n != x:
-            return n
+    """Name of the predicate when it is one, or an eta-expansion of one,
+    `lam x. h x` with `h` a constant or a variable other than `x`."""
+    if isinstance(pred, (Const, Var)):
+        return pred.name
+    body = pred.body if isinstance(pred, Abs) else None
+    if (isinstance(body, App) and isinstance(body.arg, Var)
+            and body.arg.name == pred.var):
+        h = body.fun
+        if isinstance(h, Const) or isinstance(h, Var) and h.name != pred.var:
+            return h.name
     return None
 
 

@@ -47,20 +47,17 @@ def find_redexes(term) -> list:
 
     def go(t, path):
         match t:
-            case App(Abs(_, _, _), _):
-                out.append((path, BETA))
-            case TyApp(TyAbs(_, _), _):
-                out.append((path, TYPE_BETA))
-        match t:
-            case App(f, a):
-                go(f, path + (0,))
-                go(a, path + (1,))
-            case Abs(_, _, b):
-                go(b, path + (0,))
-            case TyApp(f, _):
-                go(f, path + (0,))
-            case TyAbs(_, b):
-                go(b, path + (0,))
+            case App():
+                if isinstance(t.fun, Abs):
+                    out.append((path, BETA))
+                go(t.fun, path + (0,))
+                go(t.arg, path + (1,))
+            case Abs() | TyAbs():
+                go(t.body, path + (0,))
+            case TyApp():
+                if isinstance(t.fun, TyAbs):
+                    out.append((path, TYPE_BETA))
+                go(t.fun, path + (0,))
 
     go(term, ())
     return out
@@ -69,25 +66,25 @@ def find_redexes(term) -> list:
 def reduce_at(term, path):
     """Contract the redex at `path` and return the whole term, which is
     trusted to be well-typed: the substitution checks nothing."""
+    t = term
     if not path:
-        match term:
-            case App(Abs(x, _, body), arg):
-                return _subst(body, x, arg, set(free_vars(arg)))
-            case TyApp(TyAbs(v, body), ty):
-                return subst_type(body, v, ty)
-        raise KernelError(f"no redex at the given position: {render_term(term)}")
+        if isinstance(t, App) and isinstance(t.fun, Abs):
+            return _subst(t.fun.body, t.fun.var, t.arg, set(free_vars(t.arg)))
+        if isinstance(t, TyApp) and isinstance(t.fun, TyAbs):
+            return subst_type(t.fun.body, t.fun.var, t.arg_type)
+        raise KernelError(f"no redex at the given position: {render_term(t)}")
     head, rest = path[0], path[1:]
-    match term:
-        case App(f, a):
+    match t:
+        case App():
             if head == 0:
-                return App(reduce_at(f, rest), a)
-            return App(f, reduce_at(a, rest))
-        case Abs(x, ty, b):
-            return Abs(x, ty, reduce_at(b, rest))
-        case TyApp(f, ty):
-            return TyApp(reduce_at(f, rest), ty)
-        case TyAbs(v, b):
-            return TyAbs(v, reduce_at(b, rest))
+                return App(reduce_at(t.fun, rest), t.arg)
+            return App(t.fun, reduce_at(t.arg, rest))
+        case Abs():
+            return Abs(t.var, t.var_type, reduce_at(t.body, rest))
+        case TyApp():
+            return TyApp(reduce_at(t.fun, rest), t.arg_type)
+        case TyAbs():
+            return TyAbs(t.var, reduce_at(t.body, rest))
     raise KernelError("path leads outside the term")
 
 

@@ -10,7 +10,8 @@ from lexsem import (Abs, App, Arrow, Const, Context, Forall, PROP, ParseError,
                     free_vars, fresh_name, parse_term, parse_type,
                     quantifier_type, reduce_at, render_term, render_type,
                     subst_term, subst_type, type_of)
-from lexsem.kernel import is_term, is_type
+from lexsem.kernel import _apply, is_term, is_type
+from lexsem.reduction import _Meter
 
 import termgen
 
@@ -279,6 +280,53 @@ def test_subst_type_rewrites_annotations():
     t = Abs("x", TypeVar("a"), Var("x", TypeVar("a")))
     out = subst_type(t, "a", E)
     assert out == Abs("x", E, Var("x", E))
+
+
+def _subterms(t):
+    yield t
+    for name in t.__match_args__:
+        child = getattr(t, name)
+        if is_term(child):
+            yield from _subterms(child)
+
+
+def test_substitution_returns_what_it_leaves_alone():
+    k = Const("k", E)
+    shared = 0
+    for t in termgen.RandomTerms(31).population(200):
+        # nothing to substitute: the very same term comes back
+        assert subst_term(t, "nowhere", k) is t
+        assert subst_type(t, "nowhere", E) is t
+        ty = type_of(t)
+        assert subst_type(ty, "nowhere", E) is ty
+        # a variable free on one side of an application only: the other
+        # side comes back as it was
+        for u in _subterms(t):
+            if not isinstance(u, App):
+                continue
+            only = set(free_vars(u.arg)) - set(free_vars(u.fun))
+            for x in sorted(only):
+                out = subst_term(u, x, Var(x + "_", free_vars(u.arg)[x]))
+                assert out.fun is u.fun and out.arg is not u.arg
+                shared += 1
+    assert shared > 30
+
+
+def test_a_beta_step_keeps_the_text_of_what_it_leaves_alone():
+    c = ctx(p=Arrow(E, Arrow(E, PROP)), k=E)
+    t = parse_term("(lam y:e. #p ((lam z:e. z) #k) y) #k", c)
+    render_term(t)
+    untouched = t.fun.body.fun.arg    # (lam z:e. z) #k holds no y
+    assert untouched._ascii == "(lam z:e. z) #k"
+    out = reduce_at(t, ())
+    assert out.fun.arg is untouched
+    assert render_term(out) == "#p ((lam z:e. z) #k) #k"
+    # a hereditary step shares it too, and its own result is normal
+    f = parse_term("lam y:e. #p (#q #k) y", ctx(p=Arrow(E, Arrow(E, PROP)),
+                                              q=Arrow(E, E), k=E))
+    render_term(f)
+    out = _apply(f, Const("k", E), _Meter(1))
+    assert out.fun.arg is f.body.fun.arg and out.fun.arg._ascii == "#q #k"
 
 
 # ---------------------------------------------------------------------------

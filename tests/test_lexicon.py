@@ -1,10 +1,10 @@
 import pytest
 
-from lexsem import (Arrow, Forall, LexEntry, Lexicon, LexiconError, Morphism,
-                    PROP, SortRef, TypeVar, alpha_equiv, candidates,
-                    find_redexes, iota, load_lexicon, parse_term, parse_type,
-                    poly_and, render_formula, render_term, save_lexicon,
-                    type_of)
+from lexsem import (Abs, Arrow, Forall, LexEntry, Lexicon, LexiconError,
+                    Morphism, PROP, SortRef, TypeVar, Var, alpha_equiv,
+                    candidates, find_redexes, iota, load_lexicon, parse_term,
+                    parse_type, poly_and, render_formula, render_term,
+                    save_lexicon, type_of)
 
 from conftest import fixture_text
 
@@ -293,3 +293,101 @@ def test_a_term_keeps_its_normal_form_once_it_has_one():
     other = Lexicon(sorts=set(lex.sorts), predicates=dict(lex.predicates),
                     entries={"w": entry})
     assert other._normal(entry, 10)[0] is nf
+
+
+# ---------------------------------------------------------------------------
+# candidates kept on the entry
+
+def _names(ms):
+    return [m.name for m in ms]
+
+
+def test_a_replaced_entry_misses_the_kept_candidates(liverpool):
+    entry = liverpool.entry("Liverpool")
+    pl = SortRef("Pl")
+    assert _names(candidates(entry, T, pl)) == ["t3"]
+    extra = Morphism("t9", entry.morphisms[3].term, T, pl, "flexible")
+    replaced = LexEntry(entry.word, entry.principal, entry.principal_type,
+                        entry.morphisms + (extra,))
+    assert _names(candidates(replaced, T, pl)) == ["t3", "t9"]
+    assert _names(candidates(entry, T, pl)) == ["t3"]
+
+
+def test_a_returned_list_is_the_callers_own(liverpool):
+    entry = liverpool.entry("Liverpool")
+    ms = candidates(entry, T, T)
+    ms.clear()
+    ms.append(None)
+    assert _names(candidates(entry, T, T)) == ["Id"]
+    assert candidates(entry, T, T) is not candidates(entry, T, T)
+
+
+def test_the_no_coercions_message_is_the_same_on_every_call(liverpool):
+    entry = liverpool.entry("Liverpool")
+    messages = []
+    for _ in range(3):
+        with pytest.raises(LexiconError) as err:
+            candidates(entry, SortRef("F"), SortRef("Pl"))
+        messages.append(str(err.value))
+    assert messages == ["'Liverpool' has no coercions from F"] * 3
+
+
+def test_the_implicit_identity_is_built_once_per_entry_and_type():
+    lex = load_lexicon(fixture_text("montague.mgl"))
+    e = SortRef("e")
+    leeds, club = lex.entry("Leeds"), lex.entry("club")
+    (ident,) = candidates(leeds, e, e)
+    assert candidates(leeds, SortRef("e"), SortRef("e"))[0] is ident
+    # its normal form is kept on its term, so a later use finds it
+    nf, steps, ty = lex._normal(leeds, 10, ident)
+    assert ident.term._normal == (nf, 0, Arrow(e, e))
+    assert lex._normal(leeds, 10, candidates(leeds, e, e)[0])[0] is nf
+    # each entry, and each type, has its own
+    assert candidates(club, e, e)[0] is not ident
+    eet = Arrow(e, Arrow(e, PROP))
+    (rel_ident,) = candidates(lex.entry("defeated"), eet, eet)
+    assert rel_ident.source == eet and rel_ident is not ident
+
+
+def _fresh_candidates(entry, frm, to):
+    """What `candidates` answers, worked out anew on every call."""
+    if not alpha_equiv(frm, entry.coercion_source):
+        return f"'{entry.word}' has no coercions from {frm}"
+    out = [m for m in entry.morphisms if alpha_equiv(m.target, to)]
+    if alpha_equiv(frm, to) and not any(m.is_identity for m in out):
+        out.append(Morphism("id", Abs("x", frm, Var("x", frm)), frm, frm,
+                            "flexible"))
+    return out
+
+
+@pytest.mark.parametrize("name", ["liverpool.mgl", "assinatura.mgl",
+                                  "montague.mgl", "fanout.mgl"])
+def test_kept_candidates_answer_as_a_fresh_lexicon_does(name):
+    def queries(lex):
+        types = [SortRef(s) for s in sorted(lex.sorts)]
+        types += list(lex.predicates.values())
+        for e in lex.entries.values():
+            types += [e.principal_type]
+            types += [Arrow(m.source, m.target) for m in e.morphisms]
+        return [(e, frm, to) for e in lex.entries.values()
+                for frm in types for to in types]
+
+    def answers(qs):
+        out = []
+        for entry, frm, to in qs:
+            try:
+                out.append(candidates(entry, frm, to))
+            except LexiconError as err:
+                out.append(str(err))
+        return out
+
+    kept, fresh = (load_lexicon(fixture_text(name)) for _ in range(2))
+    qs, fresh_qs = queries(kept), queries(fresh)
+    assert len(qs) > 200
+    want = [_fresh_candidates(*q) for q in qs]
+    # forward, then backward once everything is kept
+    assert answers(qs) == want
+    assert answers(qs[::-1]) == want[::-1]
+    # a fresh lexicon asked backward first
+    assert answers(fresh_qs[::-1]) == want[::-1]
+    assert answers(fresh_qs) == want

@@ -123,6 +123,61 @@ def test_to_formula_higher_order_atom():
     assert f == Atom(ConstRef("big"), (ConstRef("p"),))
 
 
+
+# ---------------------------------------------------------------------------
+# the guards of the formula and head readers
+
+def test_formula_reads_connectives_and_quantifiers_by_their_names():
+    ctx = sig(r=Arrow(E, Arrow(E, PROP)), p=Arrow(E, PROP), a=E, b=E)
+    # a constant with two arguments that is no connective is an atom
+    assert to_formula(parse_term("#r #a #b", ctx)) == \
+        Atom(ConstRef("r"), (ConstRef("a"), ConstRef("b")))
+    # a quantifier over a bare predicate binds a fresh name
+    assert to_formula(parse_term("#exists{e} #p", ctx)) == \
+        Quant("exists", "x", E, Atom(ConstRef("p"), (VarRef("x"),)))
+    # a connective applied to a connective's application stays a tree
+    assert to_formula(parse_term("(#| (#p #a)) ((#& (#p #a)) (#p #b))",
+                                 ctx)) == \
+        Or(Atom(ConstRef("p"), (ConstRef("a"),)),
+           And(Atom(ConstRef("p"), (ConstRef("a"),)),
+               Atom(ConstRef("p"), (ConstRef("b"),))))
+
+
+def test_head_reads_iota_as_a_description_only_when_applied():
+    ep = Arrow(E, PROP)
+    ctx = sig(p=ep, q=ep, pp=Arrow(ep, PROP), a=E,
+              pick=Arrow(Arrow(ep, E), PROP), hi=Arrow(PROP, PROP))
+    p = Const("p", ep)
+    # iota at an atom's head, with its predicate and one more argument
+    f = to_formula(parse_term("#iota{e -> t} #pp #a", ctx))
+    assert f == Atom(Description(ep, Const("pp", Arrow(ep, PROP))),
+                     (ConstRef("a"),))
+    # iota as an argument, applied and unapplied
+    assert to_formula(parse_term("#q (#iota{e} #p)", ctx)) == \
+        Atom(ConstRef("q"), (Description(E, p),))
+    bare = parse_term("#iota{e}", ctx)
+    assert to_formula(App(Const("pick", Arrow(Arrow(ep, E), PROP)),
+                          bare)) == Atom(ConstRef("pick"), (TermRef(bare),))
+    # another type-applied constant is no description
+    forall = parse_term("#forall{e} #p", ctx)
+    assert to_formula(parse_term("#hi (#forall{e} #p)", ctx)) == \
+        Atom(ConstRef("hi"), (TermRef(forall),))
+
+
+def test_eta_head_names_a_predicate_or_its_eta_expansion():
+    ep = Arrow(E, PROP)
+    ctx = Context(sorts={"e"}, constants={"p": ep},
+                  variables={"P": ep, "y": E})
+    eta = logic._eta_head
+    assert eta(Const("p", ep)) == "p" and eta(Var("P", ep)) == "P"
+    assert eta(parse_term("lam x:e. #p x", ctx)) == "p"
+    assert eta(parse_term("lam x:e. #p y", ctx)) is None
+    assert eta(parse_term("lam x:e. P x", ctx)) == "P"
+    # built directly: x applied to itself does not type-check
+    assert eta(Abs("x", E, App(Var("x", E), Var("x", E)))) is None
+    assert eta(parse_term("lam x:e. #p #a", sig(p=ep, a=E))) is None
+
+
 # ---------------------------------------------------------------------------
 # rendering
 

@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -27,3 +28,16 @@ def test_import_loads_no_heavy_standard_modules():
         text=True, check=True).stdout.split()
     for name in ("dataclasses", "inspect", "typing", "pathlib"):
         assert name not in out, name
+
+
+def test_walkers_match_records_by_class_alone():
+    # a class pattern with sub-patterns unpacks the fields it names on
+    # every match, several times slower than reading them by name; the
+    # records keep `__match_args__`, so callers may still match by position
+    found = []
+    for path in sorted(Path(lexsem.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.MatchClass) and (node.patterns
+                                                     or node.kwd_patterns):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

@@ -253,3 +253,39 @@ def test_entry_check_rejects_ill_typed_input(term):
 def test_reduce_at_trusts_its_input():
     # no step re-checks types: the entry check above is the only one
     assert reduce_at(App(Abs("y", E, K), R), ()) == K
+
+
+# ---------------------------------------------------------------------------
+# redexes under redexes
+
+def test_find_redexes_and_reduce_at_on_nested_redexes():
+    ee = Arrow(E, E)
+    # (lam f. lam y. f y) (lam x. x) k: the head redex sits at 0, and its
+    # function holds no redex of its own
+    t = App(App(Abs("f", ee, Abs("y", E, App(Var("f", ee), Var("y", E)))),
+                ID_E), K)
+    assert find_redexes(t) == [((0,), "beta")]
+    with pytest.raises(Exception, match="no redex"):
+        reduce_at(t, ())
+    once = reduce_at(t, (0,))
+    assert once == App(Abs("y", E, App(ID_E, Var("y", E))), K)
+    assert find_redexes(once) == [((), "beta"), ((0, 0), "beta")]
+    assert reduce_at(once, (0, 0)) == App(Abs("y", E, Var("y", E)), K)
+    assert reduce_at(once, ()) == App(ID_E, K)
+    # Lam a. Lam b. lam x:a. x, applied to two types: type-beta at 0 first
+    poly = TyAbs("a", TyAbs("b", Abs("x", TypeVar("a"),
+                                     Var("x", TypeVar("a")))))
+    tt = App(TyApp(TyApp(poly, E), PROP), K)
+    assert find_redexes(tt) == [((0, 0), "type-beta")]
+    with pytest.raises(Exception, match="no redex"):
+        reduce_at(tt, (0,))
+    step = reduce_at(tt, (0, 0))
+    assert step == App(TyApp(TyAbs("b", ID_E), PROP), K)
+    assert find_redexes(step) == [((0,), "type-beta")]
+    assert reduce_at(step, (0,)) == App(ID_E, K)
+    # a type application of a redex, and a redex in a type abstraction
+    inner = TyAbs("a", App(ID_E, K))
+    assert find_redexes(TyApp(inner, E)) == [((), "type-beta"),
+                                             ((0, 0), "beta")]
+    assert reduce_at(TyApp(inner, E), (0, 0)) == TyApp(TyAbs("a", K), E)
+    assert reduce_at(TyApp(inner, E), ()) == App(ID_E, K)
