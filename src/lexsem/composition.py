@@ -11,7 +11,7 @@ and a rigid morphism tolerates no distinct partner at the same node.
 from __future__ import annotations
 
 import re
-from itertools import product
+from itertools import islice, product
 
 from .kernel import (Abs, App, Arrow, Const, Forall, KernelError, PROP,
                      ParseError, SortRef, Term, TyApp, Type, TypeVar,
@@ -65,27 +65,35 @@ class Node:
 ParseTree = Leaf | Node
 
 
+# a token is a parenthesis or a run of anything else up to whitespace,
+# where `\s` matches exactly the characters `str.isspace` accepts, as
+# `str.split` splits at them
+_TREE_TOKEN_RE = re.compile(r"[()]|[^\s()]+")
+
+
 def parse_tree(text: str) -> ParseTree:
     """Read an s-expression; longer lists associate to the left."""
-    def fail(msg, at):
+    def fail(msg, i=None):
+        # the column of the `i`-th token, or of the end of the text, is
+        # only worked out for an error
+        at = len(text) if i is None else next(
+            islice(_TREE_TOKEN_RE.finditer(text), i, None)).start()
         raise ParseError(msg, 1, at + 1)
 
-    # one [position, items folded so far] per open '(': no recursion, so
-    # the nesting depth is bounded by memory alone
+    # one [token index, items folded so far] per open '(': no recursion,
+    # so the nesting depth is bounded by memory alone
     stack = []
     tree = None
-    # a token is a parenthesis or a run of anything else up to whitespace,
-    # where `\s` matches exactly the characters `str.isspace` accepts
-    for match in re.finditer(r"[()]|[^\s()]+", text):
-        tok, at = match.group(), match.start()
+    tokens = text.replace("(", " ( ").replace(")", " ) ").split()
+    for i, tok in enumerate(tokens):
         if tree is not None:
-            fail("trailing input after tree", at)
+            fail("trailing input after tree", i)
         if tok == "(":
-            stack.append([at, None])
+            stack.append([i, None])
             continue
         if tok == ")":
             if not stack:
-                fail("unexpected ')'", at)
+                fail("unexpected ')'", i)
             start, value = stack.pop()
             if value is None:
                 fail("empty tree", start)
@@ -97,9 +105,9 @@ def parse_tree(text: str) -> ParseTree:
             top = stack[-1]
             top[1] = value if top[1] is None else Node(top[1], value)
     if stack:
-        fail("missing ')'", len(text))
+        fail("missing ')'")
     if tree is None:
-        fail("unexpected end of tree", len(text))
+        fail("unexpected end of tree")
     return tree
 
 
@@ -165,10 +173,12 @@ class _Node:
     """A tree node with its readings so far.  A coercion only reroutes an
     argument inside one application, so every alternative has the
     node's type; they differ in the morphisms chosen below the node and
-    in their presuppositions.  `entry` is a leaf word's, kept by `THE`."""
+    in their presuppositions.  `entry` is a leaf word's, kept by `THE`.
+    A leaf's node is kept by its entry and shared between trees, so its
+    `alts` is a tuple."""
 
     type: "Type"
-    alts: list
+    alts: list | tuple
     entry: LexEntry | None = None
 
 
@@ -311,8 +321,15 @@ def _leaf(leaf: Leaf, path, st: _State):
         entry = st.lex.entry(leaf.word)
     except LexiconError as err:
         raise CompositionError(str(err), path) from err
-    nf, steps, ty = st.lex._normal(entry, st.fuel)
-    return _Node(ty, [_Alt(entry.principal, nf, steps)], entry)
+    # the word's node depends on its entry alone, so the entry keeps it;
+    # past the fuel its term has no normal form, and a node is built anew
+    node = entry._leaf
+    if node is None or node.alts[0].steps > st.fuel:
+        nf, steps, ty = st.lex._normal(entry, st.fuel)
+        node = _Node(ty, (_Alt(entry.principal, nf, steps),), entry)
+        if nf is not None:
+            object.__setattr__(entry, "_leaf", node)
+    return node
 
 
 def _apply_node(fun: _Node, arg: _Node, path, st: _State):
@@ -381,26 +398,41 @@ def _rejected(f: Morphism, g: Morphism) -> Rejection:
 
 
 def _copred_pairs(entry, xi, alpha, beta, rejections: list):
-    """Admissible morphism pairs routing one referent to two sorts."""
+    """Admissible morphism pairs routing one referent to two sorts.
+
+    The pairs and the rejections depend on the entry and the three types
+    alone, so the entry keeps them per triple; every call logs the
+    rejections anew.  The types themselves are the key, not their
+    α-keys: a rejection prints them, binder names and all."""
+    kept = entry._plans
+    if kept is None:
+        object.__setattr__(entry, "_plans", kept := {})
+    plan = kept.get((xi, alpha, beta))
+    if plan is None:
+        plan = kept[xi, alpha, beta] = _plan(entry, xi, alpha, beta)
+    pairs, rejected = plan
+    rejections.extend(rejected)
+    return pairs
+
+
+def _plan(entry, xi, alpha, beta):
     try:
         # both sides leave from `xi`: an entry that has no coercions from
         # it is rejected once, for the node
         fs, gs = (candidates(entry, xi, target) for target in (alpha, beta))
     except LexiconError as err:
-        rejections.append(Rejection((), str(err)))
-        return []
-    for ms, target in ((fs, alpha), (gs, beta)):
-        if not ms:
-            rejections.append(Rejection(
-                (), f"'{entry.word}' has no morphism from {render_type(xi)}"
-                    f" to {render_type(target)}"))
-    out = []
+        return (), (Rejection((), str(err)),)
+    rejected = [Rejection(
+        (), f"'{entry.word}' has no morphism from {render_type(xi)}"
+            f" to {render_type(target)}")
+        for ms, target in ((fs, alpha), (gs, beta)) if not ms]
+    pairs = []
     for f, g in product(fs, gs):
         if _pair_ok(f, g):
-            out.append((f, g))
+            pairs.append((f, g))
         else:
-            rejections.append(_rejected(f, g))
-    return out
+            rejected.append(_rejected(f, g))
+    return tuple(pairs), tuple(rejected)
 
 
 def _nested(conj: _Marker, arg: _Node, path, arg_path, st: _State):
@@ -440,14 +472,19 @@ def _copred_node(fun: _Marker, arg: _Node, path, arg_path, st: _State):
                for k, m in tried.items()}
 
     # a half, one conjunct applied to the argument through one morphism,
-    # is built once per node for each such triple
+    # is built once per node for each such triple, together with the
+    # partial application `#& L` that every reading holding it on the
+    # left shares.  A word that is both conjuncts holds one reading on
+    # both sides, so one half may serve on the left and on the right
     def half(c, a, m):
         key = id(c), id(a), id(m)    # each lives as long as the node
         if key not in halves:
             m_nf, m_steps = normals[id(m)]
-            halves[key] = _built(
+            nf, steps = _built(
                 st.fuel, c.steps + a.steps + m_steps,
                 lambda step: _applied_nf(c.nf, (), a.nf, m_nf, step))
+            halves[key] = (nf, steps,
+                           None if nf is None else App(_CONJUNCTION, nf))
         return halves[key]
 
     # a reading is poly_and applied to its parts, and its normal form is
@@ -462,11 +499,11 @@ def _copred_node(fun: _Marker, arg: _Node, path, arg_path, st: _State):
         for f, g in pairs:
             recs = morphs + ((entry.word, arg_path, f.name),
                              (entry.word, arg_path, g.name))
-            (l_nf, l_steps), (r_nf, r_steps) = half(l, a, f), half(r, a, g)
+            _, l_steps, l_partial = half(l, a, f)
+            r_nf, r_steps, _ = half(r, a, g)
             # the argument both halves hold is charged once
             steps = POLY_AND_BINDERS + l_steps + r_steps - a.steps
-            nf = (App(App(_CONJUNCTION, l_nf), r_nf) if steps <= st.fuel
-                  else None)
+            nf = App(l_partial, r_nf) if steps <= st.fuel else None
             alts.append(_Alt(App(App(term, f.term), g.term), nf, steps, recs,
                              presups))
     return _Node(PROP, alts)
@@ -501,14 +538,17 @@ def _finish(node: _Node, st: _State):
     # check left to make
     alts = node.alts
     for alt in alts:
-        _Meter(st.fuel)(alt.steps)    # raises for a reading out of fuel
+        if alt.nf is None:
+            # past the fuel, by `_built`'s invariant: the meter raises
+            _Meter(st.fuel)(alt.steps)
     if len(alts) > 1:
         # keep the first reading of each normal form, up to α-equivalence
         first = {}
         for alt in alts:
             first.setdefault(alpha_key(alt.nf), alt)
         alts = first.values()
-    return [Reading(alt.nf, _formula(alt.nf) if node.type == PROP else None,
+    prop = node.type == PROP
+    return [Reading(alt.nf, _formula(alt.nf) if prop else None,
                     alt.morphs, alt.presups, alt.term) for alt in alts]
 
 

@@ -61,7 +61,9 @@ class LexEntry:
     principal: "Term"
     principal_type: "Type"
     morphisms: tuple = ()
-    _candidates = None  # kept by `candidates`, per pair of α-keys
+    # kept data, outside the fields: `candidates`' answers per pair of
+    # α-keys, and composition's leaf node and conjunction plans
+    _candidates = _leaf = _plans = None
 
     @property
     def coercion_source(self) -> "Type":

@@ -4,14 +4,15 @@ import traceback
 import pytest
 
 from lexsem import (App, Arrow, CompositionError, Const, FELICITOUS,
-                    FuelExhausted, LexEntry, Leaf, Lexicon, Morphism, Node,
-                    PROP, ParseError, RESOURCE_LIMIT, Rejection, SortRef,
+                    FLEXIBLE, FuelExhausted, INFELICITOUS, LexEntry, Leaf,
+                    Lexicon, Morphism, Node, PROP, ParseError,
+                    RESOURCE_LIMIT, Rejection, SortRef,
                     THE_MARKER, TYPE_ERROR, TyApp, alpha_equiv, alpha_key,
                     apply_with_coercion, choice_type, compose, felicity,
                     load_lexicon, normal_form, normalize, parse_tree,
                     poly_and, quantifier_type, render_formula, to_formula,
                     type_of)
-from lexsem import lexicon, reduction
+from lexsem import composition, kernel, lexicon, reduction
 from lexsem.kernel import _apply
 from lexsem.reduction import _Meter, _normal_form
 
@@ -66,6 +67,24 @@ def test_parse_tree_errors(text, fragment):
     with pytest.raises(ParseError) as err:
         parse_tree(text)
     assert fragment in str(err.value)
+
+
+@pytest.mark.parametrize("text,message", [
+    ("(a b", "missing ')' (line 1, column 5)"),
+    ("a b)", "trailing input after tree (line 1, column 3)"),
+    ("(a) b", "trailing input after tree (line 1, column 5)"),
+    ("()", "empty tree (line 1, column 1)"),
+    (")", "unexpected ')' (line 1, column 1)"),
+    ("", "unexpected end of tree (line 1, column 1)"),
+    # a column counts characters, whitespace that is not ASCII included
+    ("(a\u3000(b))\u3000c", "trailing input after tree (line 1, column 9)"),
+    ("(x\x1c())", "empty tree (line 1, column 4)"),
+])
+def test_parse_tree_error_columns(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_tree(text)
+    assert str(err.value) == message
+    assert (err.value.line, err.value.col) == (1, int(message[-2:-1]))
 
 
 def test_tree_str_round_trip():
@@ -760,6 +779,141 @@ def test_a_replaced_entry_misses_the_memo():
     lex.entries["Liverpool"] = LexEntry(
         old.word, old.principal, town, (*kept, t4))
     assert formula() == "spread_out(t4(lpl))"
+
+
+# ---------------------------------------------------------------------------
+# an entry keeps its word's leaf node and its conjunction plans
+
+def test_a_replaced_entry_misses_the_kept_leaf_and_plan():
+    lex = load_lexicon(fixture_text("liverpool.mgl"))
+    conj = parse_tree("((AND voted won) Liverpool)")
+    old = lex.entries["Liverpool"]
+    assert felicity(conj, lex).status == INFELICITOUS
+    assert old._leaf is not None and old._plans
+    # the same word with every morphism flexible, and another referent
+    town = old.principal_type
+    lex.entries["Liverpool"] = new = LexEntry(
+        old.word, Const("everton", town), town,
+        tuple(Morphism(m.name, m.term, m.source, m.target, FLEXIBLE)
+              for m in old.morphisms))
+    assert new._leaf is None and new._plans is None
+    v = felicity(conj, lex)
+    assert v.status == FELICITOUS
+    assert [render_formula(r.formula) for r in v.readings] == \
+        ["voted(t2(everton)) & won(t1(everton))"]
+    assert new._leaf is not old._leaf
+    assert new._leaf.alts[0].term == Const("everton", town)
+
+
+SLOW_WORD = """\
+sorts: T A
+pred c : T
+pred u : T -> A
+pred p : A -> t
+word w : T = (lam f:T. f) ((lam z:T. z) #c)
+  morph u : T -> A = lam z:T. (lam k:T. #u k) z [flexible]
+word p : A -> t = #p
+"""
+
+
+def test_a_leaf_past_the_fuel_is_neither_reused_nor_kept():
+    # w's principal term takes 2 steps to normalize
+    cases = [(tree, fuel) for tree in ("w", "(p w)", "((AND p p) w)")
+             for fuel in (1, 10000, 1)]
+
+    def fresh(tree, fuel):
+        return repr(felicity(parse_tree(tree), load_lexicon(SLOW_WORD), fuel))
+
+    lex = load_lexicon(SLOW_WORD)
+    entry = lex.entries["w"]
+    v = felicity(parse_tree("w"), lex, 1)
+    assert v.status == RESOURCE_LIMIT
+    assert entry._leaf is None
+    for tree, fuel in cases:
+        assert repr(felicity(parse_tree(tree), lex, fuel)) == \
+            fresh(tree, fuel), (tree, fuel)
+    kept = entry._leaf
+    assert kept.alts[0].steps == 2
+    # a kept node is not reused below its steps, nor replaced there
+    assert felicity(parse_tree("w"), lex, 1).status == RESOURCE_LIMIT
+    assert entry._leaf is kept
+    assert felicity(parse_tree("w"), lex, 2).status == FELICITOUS
+
+
+@pytest.mark.parametrize("text,formula", [
+    ("((AND voted voted) Liverpool)", "voted(t2(lpl)) & voted(t2(lpl))"),
+    ("((AND spread_out (AND voted voted)) Liverpool)",
+     "spread_out(t3(lpl)) & (voted(t2(lpl)) & voted(t2(lpl)))"),
+])
+def test_a_word_that_is_both_conjuncts(liverpool, text, formula):
+    # one kept leaf node on both sides of a conjunction: its one reading
+    # is a left half and a right half at once
+    for lex in (liverpool, load_lexicon(fixture_text("liverpool.mgl"))):
+        [r] = felicity(parse_tree(text), lex).readings
+        assert render_formula(r.formula) == formula
+
+
+RIGID_FAN_OUT = """\
+sorts: T A
+pred c : T
+pred u0 : T -> A
+pred u1 : T -> A
+pred u2 : T -> A
+pred u3 : T -> A
+pred p : A -> t
+pred q : A -> t
+word w : T = #c
+  morph u0 : T -> A = #u0 [rigid]
+  morph u1 : T -> A = #u1 [flexible]
+  morph u2 : T -> A = #u2 [rigid]
+  morph u3 : T -> A = #u3 [flexible]
+word p : A -> t = #p
+word q : A -> t = #q
+"""
+
+
+@pytest.mark.parametrize("text", ["((AND p q) w)", "((AND (AND p q) p) w)",
+                                  "((AND p (AND q q)) w)"])
+def test_a_kept_plan_logs_its_rejections_on_every_call(text):
+    tree = parse_tree(text)
+    want = felicity(tree, load_lexicon(RIGID_FAN_OUT))
+    assert len(want.rejection_log) >= 6
+    assert len({r.reason for r in want.rejection_log}) >= 4
+    lex = load_lexicon(RIGID_FAN_OUT)
+    for _ in range(3):
+        v = felicity(tree, lex)
+        assert v.rejection_log == want.rejection_log
+        assert repr(v) == repr(want)
+
+
+def test_a_reading_after_its_halves_is_keyed_in_three_calls(monkeypatch):
+    # a reading's normal form is `#& L` applied to R, and every reading
+    # with one left half holds one `#& L`: once each half is keyed, a
+    # reading's key is its own node, `#& L` and R
+    key, calls, per_reading = kernel._key, [0], []
+
+    def counted_key(*args):
+        calls[0] += 1
+        return key(*args)
+
+    def counted_alpha_key(x):
+        before = calls[0]
+        try:
+            return kernel.alpha_key(x)
+        finally:
+            per_reading.append(calls[0] - before)
+
+    monkeypatch.setattr(kernel, "_key", counted_key)
+    monkeypatch.setattr(composition, "alpha_key", counted_alpha_key)
+    readings = felicity(parse_tree("((AND (AND p q) p) w)"),
+                        _fan_out_lexicon(6)).readings
+    assert len(readings) == len(per_reading) == 216
+    halves = (len({id(r.term.fun.arg) for r in readings})
+              + len({id(r.term.arg) for r in readings}))
+    assert halves == 42
+    # only a reading that holds a half not keyed before costs more
+    assert len([n for n in per_reading if n > 3]) <= halves
+    assert min(per_reading) == 3
 
 
 # ---------------------------------------------------------------------------
