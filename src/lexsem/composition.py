@@ -10,18 +10,16 @@ and a rigid morphism tolerates no distinct partner at the same node.
 
 from __future__ import annotations
 
-import re
-from itertools import islice, product
+from itertools import product, starmap
 
-from .kernel import (Abs, App, Arrow, Const, Forall, KernelError, PROP,
-                     ParseError, SortRef, Term, TyApp, Type, TypeVar,
-                     Var, _apply, alpha_equiv, alpha_key, free_type_vars,
-                     fresh_name, record, render_type, subst_type, type_of)
-from .lexicon import (LexEntry, Lexicon, LexiconError, Morphism,
-                      POLY_AND_BINDERS, RIGID, candidates, poly_and)
-from .logic import (AND_NAME, IOTA_NAME, Formula, _formula, choice_type,
-                    connective_type)
-from .reduction import FuelExhausted, _Meter
+from .kernel import (Abs, App, Arrow, Forall, KernelError, PROP, ParseError,
+                     SortRef, Term, TyApp, Type, TypeVar, Var, _apply,
+                     alpha_equiv, alpha_key, free_type_vars, fresh_name,
+                     record, render_type, subst_type, type_of)
+from .lexicon import (LexEntry, Lexicon, LexiconError, POLY_AND_BINDERS,
+                      candidates, coercion_pairs, is_predicate, poly_and)
+from .logic import AND_NAME, IOTA_NAME, _LOGICAL_TERMS, Formula, _formula
+from .reduction import FuelExhausted, _Meter, _built
 
 FELICITOUS = "felicitous"
 INFELICITOUS = "infelicitous"
@@ -31,8 +29,8 @@ RESOURCE_LIMIT = "resourceLimit"
 THE_MARKER = "THE"
 AND_MARKER = "AND"
 
-_CONJUNCTION = Const(AND_NAME, connective_type())
-_CHOICE = Const(IOTA_NAME, choice_type())
+_CONJUNCTION = _LOGICAL_TERMS[AND_NAME]
+_CHOICE = _LOGICAL_TERMS[IOTA_NAME]
 
 
 class CompositionError(KernelError):
@@ -65,26 +63,25 @@ class Node:
 ParseTree = Leaf | Node
 
 
-# a token is a parenthesis or a run of anything else up to whitespace,
-# where `\s` matches exactly the characters `str.isspace` accepts, as
-# `str.split` splits at them
-_TREE_TOKEN_RE = re.compile(r"[()]|[^\s()]+")
-
-
 def parse_tree(text: str) -> ParseTree:
     """Read an s-expression; longer lists associate to the left."""
+    # a token is a parenthesis or a run of anything else up to whitespace
+    tokens = text.replace("(", " ( ").replace(")", " ) ").split()
+
     def fail(msg, i=None):
         # the column of the `i`-th token, or of the end of the text, is
-        # only worked out for an error
-        at = len(text) if i is None else next(
-            islice(_TREE_TOKEN_RE.finditer(text), i, None)).start()
+        # only worked out for an error: a token starts at the first match
+        # of its text after the end of the token before it
+        at, end = len(text), 0
+        for tok in () if i is None else tokens[:i + 1]:
+            at = text.find(tok, end)
+            end = at + len(tok)
         raise ParseError(msg, 1, at + 1)
 
     # one [token index, items folded so far] per open '(': no recursion,
     # so the nesting depth is bounded by memory alone
     stack = []
     tree = None
-    tokens = text.replace("(", " ( ").replace(")", " ) ").split()
     for i, tok in enumerate(tokens):
         if tree is not None:
             fail("trailing input after tree", i)
@@ -158,8 +155,8 @@ class _State:
 class _Alt:
     """One reading of a node: its source term, that term's normal form,
     and the reduction steps charged to it, which are the steps of all its
-    parts plus the contractions made where they meet.  Past the fuel the
-    normal form is not built, and `nf` is None."""
+    parts plus the contractions made where they meet.  `nf` is None
+    exactly when `steps` exceed the fuel: nothing is built past it."""
 
     term: "Term"
     nf: Term | None
@@ -299,21 +296,6 @@ def apply_with_coercion(fun_term, arg_term, arg_entry=None):
 # ---------------------------------------------------------------------------
 # node semantics
 
-def _built(fuel, spent, build):
-    """`(nf, steps)` of an alternative whose parts took `spent` steps:
-    `build(step)` makes its normal form, `step()` counting each
-    contraction.  Every alternative keeps one invariant: its `nf` is None
-    exactly when its steps exceed the fuel, so nothing is built on a part
-    past the fuel; `_finish` reports the tree as out of fuel if such an
-    alternative reaches the root."""
-    meter = _Meter(fuel)
-    try:
-        meter(spent)
-        return build(meter), meter.spent
-    except FuelExhausted:
-        return None, meter.spent
-
-
 def _leaf(leaf: Leaf, path, st: _State):
     if leaf.word in (THE_MARKER, AND_MARKER):
         return _Marker(leaf.word)
@@ -355,12 +337,8 @@ def _apply_node(fun: _Node, arg: _Node, path, st: _State):
     return _Node(ty, alts)
 
 
-def _is_predicate(ty) -> bool:
-    return isinstance(ty, Arrow) and ty.codomain == PROP
-
-
 def _the_node(noun: _Node, path, st: _State):
-    if not _is_predicate(noun.type):
+    if not is_predicate(noun.type):
         raise CompositionError(f"{THE_MARKER} needs a predicate,"
                                f" got {render_type(noun.type)}", path)
     sort = noun.type.domain
@@ -383,56 +361,6 @@ def _the_node(noun: _Node, path, st: _State):
             alts.append(_Alt(term, nf, alt.steps, alt.morphs,
                              alt.presups + (_formula(claim),)))
     return _Node(sort, alts, noun.entry)
-
-
-def _pair_ok(f: Morphism, g: Morphism) -> bool:
-    if f.name == g.name:
-        return True
-    return f.rigidity != RIGID and g.rigidity != RIGID
-
-
-def _rejected(f: Morphism, g: Morphism) -> Rejection:
-    rigid, other = (f, g) if f.rigidity == RIGID else (g, f)
-    return Rejection((f.name, g.name),
-                     f"rigid {rigid.name} excludes {other.name}")
-
-
-def _copred_pairs(entry, xi, alpha, beta, rejections: list):
-    """Admissible morphism pairs routing one referent to two sorts.
-
-    The pairs and the rejections depend on the entry and the three types
-    alone, so the entry keeps them per triple; every call logs the
-    rejections anew.  The types themselves are the key, not their
-    α-keys: a rejection prints them, binder names and all."""
-    kept = entry._plans
-    if kept is None:
-        object.__setattr__(entry, "_plans", kept := {})
-    plan = kept.get((xi, alpha, beta))
-    if plan is None:
-        plan = kept[xi, alpha, beta] = _plan(entry, xi, alpha, beta)
-    pairs, rejected = plan
-    rejections.extend(rejected)
-    return pairs
-
-
-def _plan(entry, xi, alpha, beta):
-    try:
-        # both sides leave from `xi`: an entry that has no coercions from
-        # it is rejected once, for the node
-        fs, gs = (candidates(entry, xi, target) for target in (alpha, beta))
-    except LexiconError as err:
-        return (), (Rejection((), str(err)),)
-    rejected = [Rejection(
-        (), f"'{entry.word}' has no morphism from {render_type(xi)}"
-            f" to {render_type(target)}")
-        for ms, target in ((fs, alpha), (gs, beta)) if not ms]
-    pairs = []
-    for f, g in product(fs, gs):
-        if _pair_ok(f, g):
-            pairs.append((f, g))
-        else:
-            rejected.append(_rejected(f, g))
-    return tuple(pairs), tuple(rejected)
 
 
 def _nested(conj: _Marker, arg: _Node, path, arg_path, st: _State):
@@ -458,13 +386,14 @@ def _copred_node(fun: _Marker, arg: _Node, path, arg_path, st: _State):
     left, right = (_nested(c, arg, path, arg_path, st)
                    if isinstance(c, _Marker) else c for c in fun.conjuncts)
     for side in (left, right):
-        if not _is_predicate(side.type):
+        if not is_predicate(side.type):
             raise CompositionError(f"a conjunct must be a one-place predicate,"
                                    f" got {render_type(side.type)}", path)
     xi, alpha, beta = arg.type, left.type.domain, right.type.domain
     # a pair is only tried when each conjunct has a reading to pair
-    pairs = (_copred_pairs(arg.entry, xi, alpha, beta, st.rejections)
-             if left.alts and right.alts else [])
+    pairs, refused = (coercion_pairs(arg.entry, xi, alpha, beta)
+                      if left.alts and right.alts else ((), ()))
+    st.rejections += starmap(Rejection, refused)
     # each morphism's normal form and lexicon steps, looked up once
     entry, halves = arg.entry, {}
     tried = {id(m): m for pair in pairs for m in pair}
@@ -539,7 +468,7 @@ def _finish(node: _Node, st: _State):
     alts = node.alts
     for alt in alts:
         if alt.nf is None:
-            # past the fuel, by `_built`'s invariant: the meter raises
+            # past the fuel, by `_Alt`'s invariant: the meter raises
             _Meter(st.fuel)(alt.steps)
     if len(alts) > 1:
         # keep the first reading of each normal form, up to α-equivalence

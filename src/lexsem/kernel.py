@@ -27,11 +27,9 @@ class KernelError(Exception):
 
 class ParseError(KernelError):
     def __init__(self, message, line=None, col=None):
-        if line is not None:
-            message = f"{message} (line {line}, column {col})"
-        super().__init__(message)
-        self.line = line
-        self.col = col
+        super().__init__(message if line is None
+                         else f"{message} (line {line}, column {col})")
+        self.message, self.line, self.col = message, line, col
 
 
 class TypingError(KernelError):
@@ -750,12 +748,15 @@ def parse_type(text: str, env):
 
 
 def parse_term(text: str, ctx: Context):
-    """Parse the ASCII term syntax and type-check the result against `ctx`."""
+    """Parse the ASCII term syntax and type-check the result against `ctx`.
+
+    The parser takes every constant, variable and sort from `ctx`, so the
+    result agrees with it by construction and is typed without it."""
     try:
         p = _Parser(text, ctx.sorts, ctx.constants, ctx.variables)
         t = p.term()
         p.expect("eof", "unexpected trailing input")
-        type_of(t, ctx)
+        type_of(t)
     except RecursionError:
         raise ParseError("nested too deeply") from None
     return t

@@ -20,13 +20,14 @@ from __future__ import annotations
 
 import re
 from functools import cache, cached_property
+from itertools import product
 
-from .kernel import (Abs, App, Arrow, Const, Context, KernelError, PROP,
-                     ParseError, Term, TyApp, Type, TypingError, Var,
-                     alpha_equiv, alpha_key, parse_term, parse_type,
-                     render_term, record, render_type, type_of)
-from .logic import _LOGICAL_CONSTANTS, Formula, choice_type, to_formula
-from .reduction import FuelExhausted, _Meter, _normal_form
+from .kernel import (Abs, App, Arrow, Context, KernelError, PROP, ParseError,
+                     Term, TyApp, Type, TypingError, Var, alpha_equiv,
+                     alpha_key, parse_term, parse_type, render_term, record,
+                     render_type, type_of)
+from .logic import IOTA_NAME, _LOGICAL_CONSTANTS, _LOGICAL_TERMS, to_formula
+from .reduction import _Meter, _built, _normal_form
 
 RIGID = "rigid"
 FLEXIBLE = "flexible"
@@ -36,6 +37,11 @@ IMPLICIT_ID = "id"
 
 class LexiconError(KernelError):
     pass
+
+
+def is_predicate(ty) -> bool:
+    """Whether `ty` is a predicate's, an arrow into t from its referent."""
+    return isinstance(ty, Arrow) and ty.codomain == PROP
 
 
 @record
@@ -61,9 +67,9 @@ class LexEntry:
     principal: "Term"
     principal_type: "Type"
     morphisms: tuple = ()
-    # kept data, outside the fields: `candidates`' answers per pair of
-    # α-keys, and composition's leaf node and conjunction plans
-    _candidates = _leaf = _plans = None
+    # kept data, outside the fields: the answers of `candidates` and
+    # `coercion_pairs`, and composition's leaf node
+    _candidates = _plans = _leaf = None
 
     @property
     def coercion_source(self) -> "Type":
@@ -76,9 +82,7 @@ class LexEntry:
         if self.morphisms:
             return self.morphisms[0].source
         pt = self.principal_type
-        if isinstance(pt, Arrow) and pt.codomain == PROP:
-            return pt.domain
-        return pt
+        return pt.domain if is_predicate(pt) else pt
 
 
 class Lexicon:
@@ -116,13 +120,10 @@ class Lexicon:
         term = entry.principal if m is None else m.term
         kept = term._normal
         if kept is None:
-            meter = _Meter(fuel)
-            try:
-                nf = _normal_form(term, meter)
-            except FuelExhausted:
-                return None, meter.spent, type_of(term)
-            kept = nf, meter.spent, type_of(term)
-            object.__setattr__(term, "_normal", kept)
+            nf, steps = _built(fuel, 0, lambda step: _normal_form(term, step))
+            kept = nf, steps, type_of(term)
+            if nf is not None:
+                object.__setattr__(term, "_normal", kept)
         nf, steps, ty = kept
         return nf if steps <= fuel else None, steps, ty
 
@@ -153,7 +154,7 @@ class Lexicon:
                     f"word '{e.word}': morphism {m.name} has rigidity"
                     f" {m.rigidity!r}")
             if m.is_identity and not alpha_equiv(
-                    m.term, Abs("x", m.source, Var("x", m.source))):
+                    m.term, identity_morphism(m.source).term):
                 raise LexiconError(
                     f"word '{e.word}': endomorphism {m.name} must be the"
                     f" identity function")
@@ -170,10 +171,8 @@ class Lexicon:
                     f" {render_type(src)}")
         if e.morphisms:
             pt = e.principal_type
-            ok = alpha_equiv(src, pt) or (
-                isinstance(pt, Arrow) and pt.codomain == PROP
-                and alpha_equiv(src, pt.domain))
-            if not ok:
+            if not (alpha_equiv(src, pt) or is_predicate(pt)
+                    and alpha_equiv(src, pt.domain)):
                 raise LexiconError(
                     f"word '{e.word}': morphisms leave from"
                     f" {render_type(src)}, which is neither the principal"
@@ -215,6 +214,51 @@ def candidates(entry: LexEntry, frm, to) -> list:
     return list(found)
 
 
+def coercion_pairs(entry: LexEntry, xi, alpha, beta):
+    """The admissible morphism pairs routing one referent of `xi` to
+    `alpha` and to `beta`, and the refusals, each `(assignment, reason)`.
+
+    A pair is admissible when it is one morphism twice or holds no rigid
+    one.  An entry with no coercions from `xi` is refused once, for both
+    sides.  The answer depends on the entry and the three types up to α,
+    so the entry keeps it per triple of α-keys, except for the refusal of
+    a side with no morphism, written anew in the caller's own types."""
+    kept = entry._plans
+    if kept is None:
+        object.__setattr__(entry, "_plans", kept := {})
+    key = alpha_key(xi), alpha_key(alpha), alpha_key(beta)
+    plan = kept.get(key)
+    if plan is None:
+        plan = kept[key] = _plan(entry, xi, alpha, beta)
+    pairs, refused, missing = plan
+    for side in missing:
+        # in the caller's own types; beside a side with no morphism no
+        # pair was refused, so this keeps the order of the log
+        target = render_type((alpha, beta)[side])
+        refused += ((), f"'{entry.word}' has no morphism from"
+                        f" {render_type(xi)} to {target}"),
+    return pairs, refused
+
+
+def _plan(entry, xi, alpha, beta):
+    """`(pairs, refused pairs, sides with no morphism)` for
+    `coercion_pairs`."""
+    try:
+        fs, gs = (candidates(entry, xi, target) for target in (alpha, beta))
+    except LexiconError as err:
+        return (), (((), str(err)),), ()
+    pairs, refused = [], []
+    for f, g in product(fs, gs):
+        if f.name == g.name or RIGID not in (f.rigidity, g.rigidity):
+            pairs.append((f, g))
+        else:
+            rigid, other = (f, g) if f.rigidity == RIGID else (g, f)
+            refused.append(((f.name, g.name),
+                            f"rigid {rigid.name} excludes {other.name}"))
+    return (tuple(pairs), tuple(refused),
+            tuple(i for i, ms in enumerate((fs, gs)) if not ms))
+
+
 # ---------------------------------------------------------------------------
 # built-in polymorphic glue
 
@@ -250,7 +294,7 @@ def iota(sort, predicate, fuel: int = 10000):
         raise LexiconError(
             f"a referent of {render_type(sort)} needs a predicate of"
             f" {render_type(Arrow(sort, PROP))}, got {render_type(pty)}")
-    term = App(TyApp(Const("iota", choice_type()), sort), predicate)
+    term = App(TyApp(_LOGICAL_TERMS[IOTA_NAME], sort), predicate)
     return term, to_formula(_normal_form(App(predicate, term), _Meter(fuel)))
 
 
@@ -267,8 +311,9 @@ _MORPH_RE = re.compile(
 _IDENT_RE = re.compile(rf"^{_IDENT}$")
 
 
-def _fail(lineno, message):
-    raise LexiconError(f"line {lineno}: {message}")
+def _fail(lineno, message, col=None):
+    at = f"line {lineno}" if col is None else f"line {lineno}, column {col}"
+    raise LexiconError(f"{at}: {message}")
 
 
 def load_lexicon(text: str) -> Lexicon:
@@ -292,17 +337,19 @@ def load_lexicon(text: str) -> Lexicon:
         line = raw.strip()
         if not line or line.startswith("#") or _SORTS_RE.match(line):
             continue
+        # where `line` begins in the file's line
+        lead = len(raw) - len(raw.lstrip())
         if line.startswith("pred"):
-            _load_pred(lex, line, lineno)
+            _load_pred(lex, line, lineno, lead)
         elif line.startswith("word"):
-            current = _load_word(lex, line, lineno)
+            current = _load_word(lex, line, lineno, lead)
         elif line.startswith("morph"):
             if current is None:
                 _fail(lineno, "a morph line needs a preceding word")
             e = lex.entries[current]
             lex.entries[current] = LexEntry(
                 e.word, e.principal, e.principal_type,
-                e.morphisms + (_load_morph(lex, line, lineno),))
+                e.morphisms + (_load_morph(lex, line, lineno, lead),))
         else:
             _fail(lineno, f"cannot read {line!r}")
     try:
@@ -312,47 +359,55 @@ def load_lexicon(text: str) -> Lexicon:
     return lex
 
 
-def _load_pred(lex, line, lineno):
+def _load_pred(lex, line, lineno, lead):
     m = _PRED_RE.match(line)
     if not m:
         _fail(lineno, "expected 'pred <name> : <type>'")
     name, ty_src = m.groups()
     if name in lex.predicates or name in _LOGICAL_CONSTANTS:
         _fail(lineno, f"constant '{name}' already declared")
-    lex.predicates[name] = _parse(lineno, parse_type, ty_src, lex.sorts)
+    lex.predicates[name] = _parse(lineno, parse_type, ty_src, lex.sorts,
+                                  lead + m.start(2))
     lex.__dict__.pop("context", None)
 
 
-def _load_word(lex, line, lineno) -> str:
+def _load_word(lex, line, lineno, lead) -> str:
     m = _WORD_RE.match(line)
     if not m:
         _fail(lineno, "expected 'word <name> : <type> = <term>'")
     name, ty_src, term_src = m.groups()
     if name in lex.entries:
         _fail(lineno, f"word '{name}' already declared")
-    ty = _parse(lineno, parse_type, ty_src, lex.sorts)
-    term = _parse(lineno, parse_term, term_src, lex.context)
+    ty = _parse(lineno, parse_type, ty_src, lex.sorts, lead + m.start(2))
+    term = _parse(lineno, parse_term, term_src, lex.context,
+                  lead + m.start(3))
     lex.entries[name] = LexEntry(name, term, ty)
     return name
 
 
-def _load_morph(lex, line, lineno) -> Morphism:
+def _load_morph(lex, line, lineno, lead) -> Morphism:
     m = _MORPH_RE.match(line)
     if not m:
         _fail(lineno,
               "expected 'morph <name> : <type> = <term> [rigid|flexible]'")
     name, ty_src, term_src, rigidity = m.groups()
-    ty = _parse(lineno, parse_type, ty_src, lex.sorts)
+    ty = _parse(lineno, parse_type, ty_src, lex.sorts, lead + m.start(2))
     if not isinstance(ty, Arrow):
         _fail(lineno, f"a morphism needs an arrow type, got {ty_src.strip()!r}")
-    term = _parse(lineno, parse_term, term_src, lex.context)
+    term = _parse(lineno, parse_term, term_src, lex.context,
+                  lead + m.start(3))
     return Morphism(name, term, ty.domain, ty.codomain, rigidity)
 
 
-def _parse(lineno, fn, src, env):
+def _parse(lineno, fn, src, env, offset):
+    """`fn(src, env)`, where `src` begins `offset` characters into the
+    file's line `lineno`: a parse error's column counts in that line."""
     try:
         return fn(src, env)
-    except (ParseError, TypingError) as err:
+    except ParseError as err:
+        _fail(lineno, err.message, None if err.col is None
+              else offset + err.col)
+    except TypingError as err:
         _fail(lineno, str(err))
 
 

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from .kernel import (Abs, App, Arrow, Const, Context, Forall, KernelError,
                      PROP, SortRef, Term, TyApp, Type, TypeVar, Var, _rt,
-                     _rty, _symbols, alpha_equiv, free_vars, fresh_name,
-                     record, render_type, subst_term, type_of)
+                     _rty, _symbols, free_vars, fresh_name, record,
+                     render_type, subst_term, type_of)
 from .reduction import find_redexes
 
 AND_NAME = "&"
@@ -57,6 +57,9 @@ _LOGICAL_CONSTANTS = {
     FORALL_NAME: _QUANTIFIER_TYPE,
     IOTA_NAME: _CHOICE_TYPE,
 }
+# and each one's term, likewise built once
+_LOGICAL_TERMS = {name: Const(name, ty)
+                  for name, ty in _LOGICAL_CONSTANTS.items()}
 
 
 def logical_constants() -> dict:
@@ -151,6 +154,8 @@ class Quant(_FormulaNode):
 Formula = Atom | And | Or | Implies | Quant
 
 _BINARY = {AND_NAME: And, OR_NAME: Or, IMPLIES_NAME: Implies}
+_CONNECTIVE_TERMS = {cls: _LOGICAL_TERMS[name]
+                     for name, cls in _BINARY.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -243,26 +248,21 @@ def formula_to_term(f, ctx: Context):
 
 def _to_term(f, ctx, env):
     match f:
-        case And():
-            op = Const(AND_NAME, connective_type())
-        case Or():
-            op = Const(OR_NAME, connective_type())
-        case Implies():
-            op = Const(IMPLIES_NAME, connective_type())
-        case Quant():
+        case And() | Or() | Implies():
+            return App(App(_CONNECTIVE_TERMS[type(f)],
+                           _to_term(f.left, ctx, env)),
+                       _to_term(f.right, ctx, env))
+        case Quant() if f.kind in _QUANTIFIERS:
             inner = dict(env)
             inner[f.var] = f.sort
             pred = Abs(f.var, f.sort, _to_term(f.body, ctx, inner))
-            return App(TyApp(Const(f.kind, quantifier_type()), f.sort), pred)
+            return App(TyApp(_LOGICAL_TERMS[f.kind], f.sort), pred)
         case Atom():
             t = _ref_term(f.pred, ctx, env)
             for a in f.args:
                 t = App(t, _ref_term(a, ctx, env))
             return t
-        case _:
-            raise LogicError(f"not a formula: {f!r}")
-    return App(App(op, _to_term(f.left, ctx, env)),
-               _to_term(f.right, ctx, env))
+    raise LogicError(f"not a formula: {f!r}")
 
 
 def _ref_term(r, ctx, env):
@@ -276,7 +276,7 @@ def _ref_term(r, ctx, env):
                 raise LogicError(f"unknown constant '#{r.name}' in formula")
             return Const(r.name, ctx.constants[r.name])
         case Description():
-            return App(TyApp(Const(IOTA_NAME, choice_type()), r.sort), r.pred)
+            return App(TyApp(_LOGICAL_TERMS[IOTA_NAME], r.sort), r.pred)
         case Applied():
             t = _ref_term(r.fun, ctx, env)
             for a in r.args:

@@ -138,6 +138,19 @@ class _Meter:
             raise FuelExhausted(f"no normal form after {self.fuel} steps")
 
 
+def _built(fuel, spent, build):
+    """`(result, steps)` of work on parts that took `spent` steps:
+    `build(step)` makes the result, `step()` counting each contraction.
+    The result is None exactly when the steps exceed `fuel`, and then
+    nothing is built past it."""
+    meter = _Meter(fuel)
+    try:
+        meter(spent)
+        return build(meter), meter.spent
+    except FuelExhausted:
+        return None, meter.spent
+
+
 def _normal_form(term, step, choose=None, trace=None):
     """The reduction loop, without the entry check, for terms built from
     type-checked parts: until no redex is left, call `step()` and contract

@@ -14,6 +14,15 @@ def fixture_text(name: str) -> str:
     return (FIXTURES / name).read_text()
 
 
+def deep_shared_lexicon(arrows: int) -> str:
+    """A word `w` whose type has `arrows` arrows, and two predicates `p`
+    and `s` of its referents."""
+    ty = " -> ".join(["S"] * (arrows + 1))
+    return (f"sorts: S\npred c : {ty}\npred p : ({ty}) -> t\n"
+            f"pred s : ({ty}) -> t\nword w : {ty} = #c\n"
+            f"word p : ({ty}) -> t = #p\nword s : ({ty}) -> t = #s\n")
+
+
 @pytest.fixture(scope="session")
 def montague():
     return load_lexicon(fixture_text("montague.mgl"))

@@ -11,7 +11,7 @@ import lexsem
 from lexsem import reduction
 from lexsem.cli import CliConfig, main, parse_args, run
 
-from conftest import FIXTURES
+from conftest import FIXTURES, deep_shared_lexicon
 
 MONTAGUE = str(FIXTURES / "montague.mgl")
 LIVERPOOL = str(FIXTURES / "liverpool.mgl")
@@ -197,6 +197,18 @@ def test_a_word_whose_declared_type_has_400_arrows_loads(tmp_path, capsys):
                    + "e -> " * 400 + "t = #p\n")
     assert run(config(str(lex), trees(tmp_path, "w\n"))) == 0
     assert capsys.readouterr() == ("#p\n", "")
+
+
+def test_a_shared_word_with_a_600_arrow_type_gets_its_block(tmp_path,
+                                                            capsys):
+    # the conjunction's plan is keyed by α-keys, not by hashing the types
+    lex = tmp_path / "deep.mgl"
+    lex.write_text(deep_shared_lexicon(600))
+    inp = trees(tmp_path, "((AND p s) w)\n")
+    assert run(config(str(lex), inp, format="verdict")) == 0
+    assert capsys.readouterr() == (
+        "FELICITOUS: 1 reading(s)\n  1. p(c) & s(c)\n     via id@w, id@w\n",
+        "")
 
 
 def test_reads_stdin_by_default(monkeypatch, capsys):

@@ -1,7 +1,10 @@
+import re
 import sys
 import traceback
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lexsem import (App, Arrow, CompositionError, Const, FELICITOUS,
                     FLEXIBLE, FuelExhausted, INFELICITOUS, LexEntry, Leaf,
@@ -17,7 +20,7 @@ from lexsem.kernel import _apply
 from lexsem.reduction import _Meter, _normal_form
 
 import termgen
-from conftest import fixture_text
+from conftest import deep_shared_lexicon, fixture_text
 
 E = SortRef("e")
 
@@ -85,6 +88,48 @@ def test_parse_tree_error_columns(text, message):
         parse_tree(text)
     assert str(err.value) == message
     assert (err.value.line, err.value.col) == (1, int(message[-2:-1]))
+
+
+# the reference tokenizer: a token is a parenthesis or a run of anything
+# else up to whitespace, `\s` matching the characters `str.isspace` accepts
+TREE_TOKEN_RE = re.compile(r"[()]|[^\s()]+")
+
+
+def _failing_offset(text):
+    """Where `parse_tree` must fail on `text`, by the reference tokens:
+    the start of the failing token, the end of the text, or None."""
+    stack, done = [], False
+    for m in TREE_TOKEN_RE.finditer(text):
+        if done:
+            return m.start()
+        if m.group() == "(":
+            stack.append([m.start(), False])
+            continue
+        if m.group() == ")":
+            if not stack:
+                return m.start()
+            start, filled = stack.pop()
+            if not filled:
+                return start
+        if stack:
+            stack[-1][1] = True
+        else:
+            done = True
+    return len(text) if stack or not done else None
+
+
+@settings(max_examples=400)
+@given(st.lists(st.sampled_from(["(", ")", "a", "bc", "é", "a(", " ", "\t",
+                                 "\x0b", "\x1c", "\x85", "\u3000"]),
+                max_size=14).map("".join))
+def test_a_tree_error_is_placed_at_its_token(text):
+    at = _failing_offset(text)
+    try:
+        parse_tree(text)
+    except ParseError as err:
+        assert (err.line, err.col) == (1, at + 1), text
+    else:
+        assert at is None, text
 
 
 def test_tree_str_round_trip():
@@ -993,3 +1038,72 @@ def test_judging_a_the_tree_normalizes_lexicon_terms_only(monkeypatch):
         assert v.status not in (TYPE_ERROR, RESOURCE_LIMIT), text
     assert inside
     assert outside == []
+
+
+# ---------------------------------------------------------------------------
+# a conjunction plan is kept per triple of α-keys: no type is hashed field by
+# field, and each rejection still prints the types its own tree holds
+
+def test_a_shared_word_with_a_600_arrow_type_gets_a_verdict():
+    lex = load_lexicon(deep_shared_lexicon(600))
+    for text, formula in [("(p w)", "p(c)"), ("((AND p s) w)", "p(c) & s(c)")]:
+        v = felicity(parse_tree(text), lex)
+        assert v.status == FELICITOUS, text
+        assert [render_formula(r.formula) for r in v.readings] == [formula]
+
+
+ALPHA_VARIANT_DOMAINS = """\
+sorts: S A
+pred c : S
+pred m0 : S -> A
+pred p1 : (Pi 'a. 'a -> 'a) -> t
+pred p2 : (Pi 'b. 'b -> 'b) -> t
+word w : S = #c
+  morph m : S -> A = #m0 [flexible]
+word p1 : (Pi 'a. 'a -> 'a) -> t = #p1
+word p2 : (Pi 'b. 'b -> 'b) -> t = #p2
+"""
+
+
+@pytest.mark.parametrize("order", [("p1", "p2"), ("p2", "p1")])
+def test_alpha_variant_domains_each_print_their_own(order):
+    shown = {"p1": "Pi 'a. 'a -> 'a", "p2": "Pi 'b. 'b -> 'b"}
+    lex = load_lexicon(ALPHA_VARIANT_DOMAINS)
+    for left, right in (order, order[::-1]):
+        v = felicity(parse_tree(f"((AND {left} {right}) w)"), lex)
+        assert v.status == INFELICITOUS
+        assert [str(r) for r in v.rejection_log] == [
+            f"'w' has no morphism from S to {shown[left]}",
+            f"'w' has no morphism from S to {shown[right]}"]
+
+
+# ---------------------------------------------------------------------------
+# quantified functors: instantiated to their argument, then applied
+
+POLYMORPHIC = """\
+sorts: e
+pred c0 : e
+pred p0 : e -> t
+word c : e = #c0
+word p : e -> t = #p0
+word idf : Pi 'a. 'a -> 'a = Lam 'a. lam x:'a. x
+word app : Pi 'a. ('a -> t) -> 'a -> t = Lam 'a. lam P:'a -> t. lam x:'a. P x
+"""
+
+
+@pytest.mark.parametrize("text,charge", [
+    ("(p (idf c))", 2),
+    ("((app p) c)", 3),
+    ("(idf p)", 2),
+    ("((idf p) c)", 2),
+    # the claim's step comes on top of normal order's 2
+    ("(THE (app p))", 3),
+])
+def test_a_quantified_functor_is_charged_its_instantiation(text, charge):
+    lex = load_lexicon(POLYMORPHIC)
+    tree = parse_tree(text)
+    v = felicity(tree, lex, fuel=charge)
+    assert v.status == FELICITOUS
+    for r in v.readings:
+        assert r.term == normal_form(r.source), text
+    assert felicity(tree, lex, fuel=charge - 1).status == RESOURCE_LIMIT

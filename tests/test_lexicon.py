@@ -102,6 +102,24 @@ def test_load_errors(text, fragment):
     assert fragment in str(err.value)
 
 
+@pytest.mark.parametrize("text,message", [
+    ("sorts: e\npred k : e\nword w : e = #c",
+     "line 3, column 14: unknown constant '#c'"),
+    # a column counts in the file's line, leading whitespace included
+    ("sorts: e\npred p : e -> t\nword w : e -> t = #p\n"
+     "  morph m : e -> q = lam x:e. x [rigid]",
+     "line 4, column 18: unknown sort 'q'"),
+    ("sorts: e\n\tword w : e = lam x:e. y",
+     "line 2, column 24: unbound identifier 'y'"),
+    ("sorts: e\npred p : e ->",
+     "line 2, column 14: expected a type, found end of input"),
+])
+def test_a_parse_error_is_placed_once_in_its_file_line(text, message):
+    with pytest.raises(LexiconError) as err:
+        load_lexicon(text)
+    assert str(err.value) == message
+
+
 def test_endomorphisms_must_be_identities():
     text = ("sorts: e\npred f : e -> e\npred k : e\n"
             "word w : e = #k\n"

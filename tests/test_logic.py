@@ -8,7 +8,7 @@ from lexsem import (Abs, And, App, Applied, Arrow, Atom, Const, ConstRef,
                     logical_signature, felicity, normalize, parse_term,
                     parse_tree, quantifier_type, render_formula,
                     render_term, render_trace, to_formula, type_of)
-from lexsem import logic
+from lexsem import iota, logic
 
 import termgen
 from test_composition import _fan_out_lexicon
@@ -381,6 +381,27 @@ def test_formula_round_trip_on_population():
 def test_formula_to_term_unknown_constant():
     with pytest.raises(LogicError):
         formula_to_term(Atom(ConstRef("ghost"), ()), sig())
+
+
+def test_formula_to_term_unknown_quantifier():
+    with pytest.raises(LogicError):
+        formula_to_term(Quant("most", "x", E,
+                              Atom(ConstRef("p"), (VarRef("x"),))),
+                        sig(p=Arrow(E, PROP)))
+
+
+def test_each_logical_constant_is_one_shared_term():
+    ep = Arrow(E, PROP)
+    ctx = sig(p=ep, a=E)
+    p = Atom(ConstRef("p"), (ConstRef("a"),))
+    conj = formula_to_term(And(p, p), ctx).fun.fun
+    assert conj == Const("&", connective_type())
+    assert formula_to_term(Or(p, And(p, p)), ctx).arg.fun.fun is conj
+    some = formula_to_term(Quant("exists", "x", E, p), ctx).fun.fun
+    assert formula_to_term(Quant("exists", "y", E, p), ctx).fun.fun is some
+    the = Atom(ConstRef("p"), (Description(E, Const("p", ep)),))
+    assert (formula_to_term(the, ctx).arg.fun.fun
+            is iota(E, Const("p", ep))[0].fun.fun)
 
 
 def test_formula_to_term_unbound_variable():

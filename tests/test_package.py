@@ -41,3 +41,37 @@ def test_walkers_match_records_by_class_alone():
                                                      or node.kwd_patterns):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def _used_names(tree) -> set:
+    """Every name read in a module: bare names, the names in string
+    annotations, and the names `__all__` lists."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        anns = ([node.annotation] if isinstance(node, (ast.arg, ast.AnnAssign))
+                else [node.returns] if isinstance(node, ast.FunctionDef)
+                else [])
+        for ann in anns:
+            if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
+                used |= _used_names(ast.parse(ann.value, mode="eval"))
+        if (isinstance(node, ast.Assign) and [
+                getattr(t, "id", None) for t in node.targets] == ["__all__"]):
+            used |= set(ast.literal_eval(node.value))
+    return used
+
+
+def test_every_imported_name_is_used():
+    found = []
+    for path in sorted(Path(lexsem.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        used = _used_names(tree)
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in used:
+                        found.append(f"{path.name}:{node.lineno} {name}")
+    assert found == []
