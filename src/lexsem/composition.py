@@ -13,9 +13,8 @@ from __future__ import annotations
 from itertools import product, starmap
 
 from .kernel import (Abs, App, Arrow, Forall, KernelError, PROP, ParseError,
-                     SortRef, Term, TyApp, Type, TypeVar, Var, _apply,
-                     alpha_equiv, alpha_key, free_type_vars, fresh_name,
-                     record, render_type, subst_type, type_of)
+                     Term, TyApp, Type, TypeVar, Var, _apply, alpha_equiv,
+                     alpha_key, record, render_type, subst_type, type_of)
 from .lexicon import (LexEntry, Lexicon, LexiconError, POLY_AND_BINDERS,
                       candidates, coercion_pairs, is_predicate, poly_and)
 from .logic import AND_NAME, IOTA_NAME, _LOGICAL_TERMS, Formula, _formula
@@ -191,48 +190,27 @@ class _Marker:
 # ---------------------------------------------------------------------------
 # polymorphic application
 
-def _unify(p, c, free: set, bind: dict) -> bool:
-    if isinstance(p, TypeVar) and p.name in free:
-        if p.name in bind:
-            return alpha_equiv(bind[p.name], c)
-        bind[p.name] = c
-        return True
-    if type(p) is not type(c):
-        return False
-    if isinstance(p, (TypeVar, SortRef)):
-        return p == c
-    if isinstance(p, Arrow):
-        return (_unify(p.domain, c.domain, free, bind)
-                and _unify(p.codomain, c.codomain, free, bind))
-    if isinstance(p, Forall):
-        avoid = free | free_type_vars(p.body) | free_type_vars(c.body)
-        joint = fresh_name("z", avoid)
-        return _unify(subst_type(p.body, p.var, TypeVar(joint)),
-                      subst_type(c.body, c.var, TypeVar(joint)),
-                      free, bind)
-    return False
-
-
-def _match_forall(fun_type, arg_type):
-    """Instantiations making a quantified function accept the argument.
-
-    Peels the leading quantifiers, unifies the domain against the
-    argument type, and returns the instantiation list, or None.  Every
-    peeled variable must be determined by the match.
-    """
-    peeled = []
-    core = fun_type
+def _type_args(fty, aty):
+    """The types a quantified functor's peeled variables are bound to: each
+    the subtree of `aty` at the variable's first free occurrence in the
+    domain, or None when one has none or the body is no function type.
+    Nothing is renamed or compared; `_applying` checks the instance."""
+    peeled, core = [], fty
     while isinstance(core, Forall):
         peeled.append(core.var)
         core = core.body
     if not isinstance(core, Arrow):
         return None
-    bind: dict = {}
-    if not _unify(core.domain, arg_type, set(peeled), bind):
-        return None
-    if set(bind) != set(peeled):
-        return None
-    return [bind[v] for v in peeled]
+    bind, todo = {}, [(core.domain, aty, set(peeled))]
+    while todo:
+        p, c, free = todo.pop()
+        if isinstance(p, TypeVar) and p.name in free:
+            bind.setdefault(p.name, c)
+        elif isinstance(p, Arrow) and isinstance(c, Arrow):
+            todo += (p.codomain, c.codomain, free), (p.domain, c.domain, free)
+        elif isinstance(p, Forall) and isinstance(c, Forall):
+            todo.append((p.body, c.body, free - {p.var}))
+    return [bind[v] for v in peeled] if len(bind) == len(set(peeled)) else None
 
 
 def _applying(fty, aty, arg_entry, path=()):
@@ -241,15 +219,17 @@ def _applying(fty, aty, arg_entry, path=()):
     Returns `(type_args, morphisms, result_type)`: the types that
     instantiate a quantified functor, and the morphisms the argument may
     route through, None standing for a direct application.  No morphism
-    means nothing fits.  The result type is taken with `type_of`'s own
-    instantiation steps, so it is `==` to the applied term's type.
+    means nothing fits.  A quantified functor's instance is kept only if
+    its domain is α-equal to `aty`; the result type is taken with
+    `type_of`'s own instantiation steps, so it is `==` to the applied
+    term's type.
     """
     if isinstance(fty, Forall):
-        inst = _match_forall(fty, aty)
-        if inst is None:
-            return (), [], None
-        for ty in inst:
+        inst = _type_args(fty, aty)
+        for ty in inst or ():
             fty = subst_type(fty.body, fty.var, ty)
+        if inst is None or not alpha_equiv(fty.domain, aty):
+            return (), [], None
         return inst, [None], fty.codomain
     if not isinstance(fty, Arrow):
         raise CompositionError(f"{render_type(fty)} is not a function type",
@@ -286,8 +266,10 @@ def apply_with_coercion(fun_term, arg_term, arg_entry=None):
     Returns `(term, morphism)` pairs: a direct application carries no
     morphism; on a type mismatch each of the argument entry's fitting
     morphisms yields one candidate.  An empty list means nothing fits.
-    Coercion happens on the argument side only; a quantified functor is
-    instantiated to match and admits no coercion.
+    Coercion happens on the argument side only; a quantified functor
+    admits no coercion.  Its type arguments are read off the argument's
+    type, at each variable's first occurrence in the domain, and the
+    instance is kept only if its domain is α-equivalent to that type.
     """
     inst, ms, _ = _applying(type_of(fun_term), type_of(arg_term), arg_entry)
     return [(_applied(fun_term, inst, arg_term, m), m) for m in ms]

@@ -365,7 +365,7 @@ def _render(f, prec, sym, printed, names):
     s = None if printed else getattr(f, sym["kept"], None)
     if s is None:
         match f:
-            case Quant():
+            case Quant() if f.kind in _QUANTIFIERS:
                 var, inner, inner_names = _bind(f.var, f.body, printed, names)
                 body = _render(f.body, _PREC_QUANT, sym, inner, inner_names)
                 s = f"{sym[f.kind]}{var}:{_sort_text(f.sort, sym)}. {body}"

@@ -12,6 +12,7 @@ from lexsem import reduction
 from lexsem.cli import CliConfig, main, parse_args, run
 
 from conftest import FIXTURES, deep_shared_lexicon
+from test_composition import CAPTURE
 
 MONTAGUE = str(FIXTURES / "montague.mgl")
 LIVERPOOL = str(FIXTURES / "liverpool.mgl")
@@ -99,6 +100,19 @@ def test_exit_one_on_unknown_word(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.startswith("TYPE-ERROR: ")
     assert "Everton" in out
+
+
+def test_an_instance_unlike_the_argument_is_a_type_error(tmp_path, monkeypatch,
+                                                         capsys):
+    lex = tmp_path / "capture.mgl"
+    lex.write_text(CAPTURE)
+    monkeypatch.setattr("sys.stdin", io.StringIO("(f w)\n(g v)\n"))
+    assert run(config(str(lex))) == 1
+    assert capsys.readouterr().out == (
+        "TYPE-ERROR: at ε: cannot apply Pi 'a. (Pi 'b. 'a -> 'a) -> t"
+        " to Pi 'c. 'c -> 'c\n\n"
+        "TYPE-ERROR: at ε: cannot apply Pi 'a. ('a -> Pi 'b. 'b -> 'a) -> t"
+        " to 'z -> Pi 'c. 'c -> 'c\n")
 
 
 def test_unknown_words_print_no_control_characters(monkeypatch, capsys):

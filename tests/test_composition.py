@@ -1,19 +1,22 @@
+import random
 import re
 import sys
 import traceback
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lexsem import (App, Arrow, CompositionError, Const, FELICITOUS,
-                    FLEXIBLE, FuelExhausted, INFELICITOUS, LexEntry, Leaf,
-                    Lexicon, Morphism, Node, PROP, ParseError,
+                    FLEXIBLE, Forall, FuelExhausted, INFELICITOUS, LexEntry,
+                    Leaf, Lexicon, Morphism, Node, PROP, ParseError,
                     RESOURCE_LIMIT, Rejection, SortRef,
-                    THE_MARKER, TYPE_ERROR, TyApp, alpha_equiv, alpha_key,
-                    apply_with_coercion, choice_type, compose, felicity,
-                    load_lexicon, normal_form, normalize, parse_tree,
-                    poly_and, quantifier_type, render_formula, to_formula,
+                    THE_MARKER, TYPE_ERROR, TyApp, TypeVar, alpha_equiv,
+                    alpha_key, apply_with_coercion, choice_type, compose,
+                    felicity, free_type_vars, load_lexicon, normal_form,
+                    normalize, parse_tree, poly_and, quantifier_type,
+                    render_formula, render_term, subst_type, to_formula,
                     type_of)
 from lexsem import composition, kernel, lexicon, reduction
 from lexsem.kernel import _apply
@@ -1107,3 +1110,164 @@ def test_a_quantified_functor_is_charged_its_instantiation(text, charge):
     for r in v.readings:
         assert r.term == normal_form(r.source), text
     assert felicity(tree, lex, fuel=charge - 1).status == RESOURCE_LIMIT
+
+
+def test_a_quantified_constant_is_applied_as_it_stands():
+    # the instance of a constant makes no redex: `_apply` leaves the type
+    # application as it is, and no step is charged
+    lex = load_lexicon(POLYMORPHIC + "pred q : Pi 'a. 'a -> t\n"
+                                     "word q : Pi 'a. 'a -> t = #q\n")
+    v = felicity(parse_tree("(q c)"), lex, fuel=1)
+    assert v.status == FELICITOUS
+    [r] = v.readings
+    assert render_term(r.term) == "#q{e} #c0"
+    assert r.term == normal_form(r.source)
+
+
+# ---------------------------------------------------------------------------
+# instantiation: the type arguments are read off the argument, and the
+# instance is kept only if its domain is α-equal to the argument's type
+
+CAPTURE = """\
+sorts: e
+pred f : Pi 'a. (Pi 'b. 'a -> 'a) -> t
+pred w : Pi 'c. 'c -> 'c
+pred g : Pi 'a. ('a -> (Pi 'b. 'b -> 'a)) -> t
+pred v : 'z -> (Pi 'c. 'c -> 'c)
+word f : Pi 'a. (Pi 'b. 'a -> 'a) -> t = #f
+word w : Pi 'c. 'c -> 'c = #w
+word g : Pi 'a. ('a -> (Pi 'b. 'b -> 'a)) -> t = #g
+word v : 'z -> (Pi 'c. 'c -> 'c) = #v
+"""
+
+
+@pytest.mark.parametrize("text,error", [
+    # 'a would be bound to the argument's own bound 'c
+    ("(f w)", "at ε: cannot apply Pi 'a. (Pi 'b. 'a -> 'a) -> t"
+              " to Pi 'c. 'c -> 'c"),
+    # 'a := 'z gives 'z -> Pi 'b. 'b -> 'z, not the argument's type
+    ("(g v)", "at ε: cannot apply Pi 'a. ('a -> Pi 'b. 'b -> 'a) -> t"
+              " to 'z -> Pi 'c. 'c -> 'c"),
+])
+def test_an_instance_unlike_the_argument_is_refused(text, error):
+    lex = load_lexicon(CAPTURE)
+    tree = parse_tree(text)
+    fun, arg = (lex.entry(str(t)).principal for t in (tree.fun, tree.arg))
+    assert apply_with_coercion(fun, arg) == []
+    v = felicity(tree, lex)
+    assert (v.status, v.error, v.readings) == (TYPE_ERROR, error, ())
+
+
+_TYPE_VARS = ("a", "b", "c")
+_TYPE_SORTS = (SortRef("S"), SortRef("T"))
+
+
+def _random_type(rng, depth):
+    k = rng.randrange(5 if depth else 2)
+    if k == 0:
+        return rng.choice(_TYPE_SORTS)
+    if k == 1:
+        return TypeVar(rng.choice(_TYPE_VARS))
+    if k == 4:
+        return Forall(rng.choice(_TYPE_VARS), _random_type(rng, depth - 1))
+    return Arrow(_random_type(rng, depth - 1), _random_type(rng, depth - 1))
+
+
+def _renamed(ty, rng):
+    """An α-variant of `ty`: each quantifier takes a name not free in its
+    body."""
+    if isinstance(ty, Arrow):
+        return Arrow(_renamed(ty.domain, rng), _renamed(ty.codomain, rng))
+    if isinstance(ty, Forall):
+        body = _renamed(ty.body, rng)
+        fv = free_type_vars(body) - {ty.var}
+        v = rng.choice([v for v in _TYPE_VARS + ("d",) if v not in fv])
+        return Forall(v, subst_type(body, ty.var, TypeVar(v)))
+    return ty
+
+
+def _instantiated(fty, type_args):
+    for ty in type_args:
+        fty = subst_type(fty.body, fty.var, ty)
+    return fty
+
+
+def _captured(ty, v, rep):
+    """`ty` with `rep` put for the free `v` as plain text would be, so that
+    a quantifier of `ty` may capture a variable of `rep`."""
+    if isinstance(ty, TypeVar):
+        return rep if ty.name == v else ty
+    if isinstance(ty, Arrow):
+        return Arrow(_captured(ty.domain, v, rep),
+                     _captured(ty.codomain, v, rep))
+    if isinstance(ty, Forall) and ty.var != v:
+        return Forall(ty.var, _captured(ty.body, v, rep))
+    return ty
+
+
+def _instantiation_case(rng):
+    """A functor type quantified over one or two of the pool's variables,
+    and an argument type: for half the cases an α-variant of an instance
+    of its domain; for a quarter the same built by substitution that may
+    capture, so that it looks like an instance but need not be one; for
+    the rest any type."""
+    peeled = rng.sample(_TYPE_VARS, rng.randint(1, 2))
+    # most domains mention every quantified variable
+    domain = _random_type(rng, 3)
+    while not set(peeled) <= free_type_vars(domain) and rng.random() < 0.9:
+        domain = _random_type(rng, 3)
+    fty = Arrow(domain, _random_type(rng, 1))
+    for v in reversed(peeled):
+        fty = Forall(v, fty)
+    kind = rng.random()
+    if kind < 0.5:
+        args = [_random_type(rng, 2) for _ in peeled]
+        return fty, _renamed(_instantiated(fty, args).domain, rng)
+    if kind < 0.75:
+        aty = domain
+        for v in peeled:
+            aty = _captured(aty, v, _random_type(rng, 2))
+        return fty, _renamed(aty, rng)
+    return fty, _random_type(rng, 3)
+
+
+def _subtrees(ty):
+    yield ty
+    if isinstance(ty, Arrow):
+        yield from _subtrees(ty.domain)
+        yield from _subtrees(ty.codomain)
+    elif isinstance(ty, Forall):
+        yield from _subtrees(ty.body)
+
+
+def _oracle_instance(fty, aty):
+    """The instance whose domain is α-equal to `aty`, trying every subtree
+    of `aty` for every quantified variable, or None; a variable that does
+    not occur free in the domain is not determined, and admits none."""
+    peeled, core = [], fty
+    while isinstance(core, Forall):
+        peeled.append(core.var)
+        core = core.body
+    if not set(peeled) <= free_type_vars(core.domain):
+        return None
+    for args in product(set(_subtrees(aty)), repeat=len(peeled)):
+        inst = _instantiated(fty, args)
+        if alpha_equiv(inst.domain, aty):
+            return inst
+    return None
+
+
+def test_instantiation_matches_the_brute_force_oracle():
+    rng = random.Random(7)
+    instantiated = 0
+    for _ in range(2000):
+        fty, aty = _instantiation_case(rng)
+        want = _oracle_instance(fty, aty)
+        got = apply_with_coercion(Const("f", fty), Const("c", aty))
+        assert bool(got) == (want is not None), (fty, aty)
+        for term, m in got:
+            assert m is None
+            assert alpha_equiv(type_of(term), want.codomain)
+        instantiated += bool(got)
+    # both outcomes are well represented
+    assert 500 < instantiated < 1000

@@ -390,6 +390,13 @@ def test_formula_to_term_unknown_quantifier():
                         sig(p=Arrow(E, PROP)))
 
 
+@pytest.mark.parametrize("style", ["ascii", "unicode"])
+def test_render_formula_unknown_quantifier(style):
+    f = Quant("most", "x", SortRef("e"), Atom(ConstRef("p"), (VarRef("x"),)))
+    with pytest.raises(LogicError, match="not a formula"):
+        render_formula(f, style)
+
+
 def test_each_logical_constant_is_one_shared_term():
     ep = Arrow(E, PROP)
     ctx = sig(p=ep, a=E)
