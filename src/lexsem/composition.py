@@ -170,8 +170,8 @@ class _Node:
     argument inside one application, so every alternative has the
     node's type; they differ in the morphisms chosen below the node and
     in their presuppositions.  `entry` is a leaf word's, kept by `THE`.
-    A leaf's node is kept by its entry and shared between trees, so its
-    `alts` is a tuple."""
+    A leaf's node, and `THE`'s over it, is kept by its entry and shared
+    between trees, so its `alts` is a tuple."""
 
     type: "Type"
     alts: list | tuple
@@ -323,6 +323,14 @@ def _the_node(noun: _Node, path, st: _State):
     if not is_predicate(noun.type):
         raise CompositionError(f"{THE_MARKER} needs a predicate,"
                                f" got {render_type(noun.type)}", path)
+    # over a word's kept leaf node the node depends on the entry alone:
+    # the entry keeps it with its claim's steps, one more than the
+    # reading's for a noun that is an abstraction, and it is reused at
+    # any fuel at or above those, as `_leaf` reuses its node
+    entry = noun.entry
+    leaf = entry is not None and noun is entry._leaf
+    if leaf and entry._the is not None and entry._the[0] <= st.fuel:
+        return entry._the[1]
     sort = noun.type.domain
     choice = TyApp(_CHOICE, sort)
     alts = []
@@ -342,7 +350,10 @@ def _the_node(noun: _Node, path, st: _State):
         else:
             alts.append(_Alt(term, nf, alt.steps, alt.morphs,
                              alt.presups + (_formula(claim),)))
-    return _Node(sort, alts, noun.entry)
+    node = _Node(sort, tuple(alts), entry)
+    if leaf and claim is not None:    # a leaf node has one reading
+        object.__setattr__(entry, "_the", (steps, node))
+    return node
 
 
 def _nested(conj: _Marker, arg: _Node, path, arg_path, st: _State):

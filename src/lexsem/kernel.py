@@ -130,9 +130,10 @@ PROP = SortRef("t")
 
 class _TermNode:
     # kept on the node, not as fields: its `alpha_key`, its text per style
-    # (see `_rt`), its formula (see `logic._formula`) and, for a lexicon
-    # term, its normal form (see `lexicon.Lexicon._normal`)
-    _key = _ascii = _unicode = _formula = _normal = None
+    # (see `_rt`), its formula and its reference (see `logic._formula` and
+    # `logic._ref`) and, for a lexicon term, its normal form (see
+    # `lexicon.Lexicon._normal`)
+    _key = _ascii = _unicode = _formula = _ref = _normal = None
 
     def __str__(self):
         return render_term(self)

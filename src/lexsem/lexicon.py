@@ -68,8 +68,8 @@ class LexEntry:
     principal_type: "Type"
     morphisms: tuple = ()
     # kept data, outside the fields: the answers of `candidates` and
-    # `coercion_pairs`, and composition's leaf node
-    _candidates = _plans = _leaf = None
+    # `coercion_pairs`, and composition's leaf node and `THE` node over it
+    _candidates = _plans = _leaf = _the = None
 
     @property
     def coercion_source(self) -> "Type":
@@ -366,9 +366,12 @@ def _load_pred(lex, line, lineno, lead):
     name, ty_src = m.groups()
     if name in lex.predicates or name in _LOGICAL_CONSTANTS:
         _fail(lineno, f"constant '{name}' already declared")
-    lex.predicates[name] = _parse(lineno, parse_type, ty_src, lex.sorts,
-                                  lead + m.start(2))
-    lex.__dict__.pop("context", None)
+    ty = _parse(lineno, parse_type, ty_src, lex.sorts, lead + m.start(2))
+    lex.predicates[name] = ty
+    # a context built already grows in place: `parse_type` checked the
+    # type's sorts against `lex.sorts`, which the context holds
+    if "context" in lex.__dict__:
+        lex.context.constants[name] = ty
 
 
 def _load_word(lex, line, lineno, lead) -> str:

@@ -227,15 +227,25 @@ def _head(t):
 
 
 def _ref(t):
+    """The reference of `t`.  It depends on the term node alone, so the
+    node keeps it, as `_formula` does, and a shared argument is read
+    once."""
+    r = t._ref
+    if r is not None:
+        return r
     match t:
         case Var():
-            return VarRef(t.name)
+            r = VarRef(t.name)
         case Const():
-            return ConstRef(t.name)
-    head, args = _head(t)
-    if isinstance(head, TermRef):
-        return TermRef(t)
-    return Applied(head, tuple(_ref(a) for a in args)) if args else head
+            r = ConstRef(t.name)
+        case _:
+            head, args = _head(t)
+            if isinstance(head, TermRef):
+                r = TermRef(t)
+            else:
+                r = Applied(head, tuple(map(_ref, args))) if args else head
+    object.__setattr__(t, "_ref", r)
+    return r
 
 
 # ---------------------------------------------------------------------------

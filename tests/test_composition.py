@@ -2,7 +2,7 @@ import random
 import re
 import sys
 import traceback
-from itertools import product
+from itertools import count, product
 
 import pytest
 from hypothesis import given, settings
@@ -1011,6 +1011,78 @@ def test_a_the_claim_matches_normal_order_on_its_noun():
         charges.append(charge)
     assert len(charges) == 12
     assert set(charges) == {0, 1, 2}
+
+
+def test_a_the_node_over_a_leaf_noun_is_built_once_per_entry(monkeypatch):
+    # over a word's kept leaf node, THE's node depends on the entry alone:
+    # its claim is built for the first tree, and every later tree over the
+    # same noun gets the same node, presupposition and all
+    the_node, apply = composition._the_node, composition._apply
+    depth, nodes, applies = [0], [], []
+
+    def counted_the_node(*args):
+        depth[0] += 1
+        try:
+            nodes.append(the_node(*args))
+        finally:
+            depth[0] -= 1
+        return nodes[-1]
+
+    def counted_apply(*args):
+        if depth[0]:
+            applies.append(args)
+        return apply(*args)
+
+    monkeypatch.setattr(composition, "_the_node", counted_the_node)
+    monkeypatch.setattr(composition, "_apply", counted_apply)
+    lex = load_lexicon(fixture_text("assinatura.mgl"))
+    presups = []
+    for _ in range(50):
+        [r] = felicity(parse_tree("(atrasou (THE assinatura))"), lex).readings
+        presups += r.presuppositions
+    [r] = felicity(parse_tree("(furou (THE assinatura))"), lex).readings
+    presups += r.presuppositions
+    assert len(applies) == 1
+    assert len(nodes) == len(presups) == 51
+    assert all(node is nodes[0] for node in nodes)
+    assert all(p is presups[0] for p in presups)
+    assert render_formula(presups[0]) == "assi(iota[v](assi))"
+
+
+def _the_cases():
+    """Per lexicon text, its fixture's THE trees and `(THE w)` on each
+    noun `_nouns` walks."""
+    for name in ("montague", "liverpool", "assinatura"):
+        trees = [line for line in fixture_text(f"trees_{name}.txt")
+                 .splitlines() if THE_MARKER in line]
+        yield fixture_text(f"{name}.mgl"), trees
+    yield NON_NORMAL, []
+    yield NON_NORMAL_NOUNS, []
+
+
+def test_a_kept_the_node_answers_as_a_fresh_lexicon_does_at_any_fuel():
+    # fuels 1 to a tree's charge + 1, the least fuel at which it is not a
+    # resource limit, ascending, then descending once its nodes are kept,
+    # then the default: a kept node is reused only at or above the steps
+    # its claim is charged, which for a noun that is an abstraction are
+    # one more than its reading's
+    judged = 0
+    for text, trees in _the_cases():
+        lex = load_lexicon(text)
+        trees = trees + [f"(THE {e.word})" for e in lex.entries.values()
+                         if lexicon.is_predicate(e.principal_type)]
+        for tree in map(parse_tree, trees):
+            def fresh(fuel):
+                return felicity(tree, load_lexicon(text), fuel)
+
+            charge = next(fuel for fuel in count(1)
+                          if fresh(fuel).status != RESOURCE_LIMIT)
+            fuels = list(range(1, charge + 2))
+            want = {fuel: fresh(fuel) for fuel in fuels + [10000]}
+            for fuel in fuels + fuels[::-1] + [10000]:
+                assert felicity(tree, lex, fuel) == want[fuel], (tree, fuel)
+                judged += 1
+    assert judged == 103
 
 
 def test_judging_a_the_tree_normalizes_lexicon_terms_only(monkeypatch):

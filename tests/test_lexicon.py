@@ -5,6 +5,7 @@ from lexsem import (Abs, Arrow, Forall, LexEntry, Lexicon, LexiconError,
                     candidates, find_redexes, iota, load_lexicon, parse_term,
                     parse_type, poly_and, render_formula, render_term,
                     save_lexicon, type_of)
+from lexsem import kernel, lexicon
 
 from conftest import fixture_text
 
@@ -293,6 +294,41 @@ def test_a_morph_line_attaches_to_the_last_word_across_preds():
                        "word v : T = #c\n")
     assert [m.name for m in lex.entry("w").morphisms] == ["m1", "m2"]
     assert lex.entry("v").morphisms == ()
+
+
+def test_interleaved_pred_and_word_lines_load_in_linear_work(monkeypatch):
+    # three predicates and two words per entry, each word after the
+    # predicates it uses: the context is built once and grows in place,
+    # so each declared type's sorts are checked a bounded number of times
+    n = 1000
+    lines = ["sorts: S"]
+    for i in range(n):
+        lines += [f"pred a{i} : S", f"pred p{i} : S -> t",
+                  f"pred q{i} : S -> t", f"word w{i} : S = #a{i}",
+                  f"word n{i} : S -> t = lam x:S. #p{i} x"]
+    built, checks = [], []
+    check_sorts = kernel._check_sorts
+
+    class CountedContext(kernel.Context):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    def counted_check_sorts(*args):
+        checks.append(args)
+        return check_sorts(*args)
+
+    monkeypatch.setattr(lexicon, "Context", CountedContext)
+    monkeypatch.setattr(kernel, "_check_sorts", counted_check_sorts)
+    lex = load_lexicon("\n".join(lines) + "\n")
+    assert len(lex.entries) == 2 * n
+    assert lex.context.constants.keys() == \
+        {*lex.predicates, *lexicon._LOGICAL_CONSTANTS}
+    assert len(built) <= 1
+    # linear in what is declared: a few calls per constant's type, and
+    # one per binder's
+    constants = len(lex.predicates) + len(lexicon._LOGICAL_CONSTANTS)
+    assert len(checks) <= 3 * constants + n
 
 
 def test_a_term_keeps_its_normal_form_once_it_has_one():
