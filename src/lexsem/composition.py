@@ -249,15 +249,15 @@ def _applied(fun_term, type_args, arg_term, m):
     return App(fun_term, arg_term if m is None else App(m.term, arg_term))
 
 
-def _applied_nf(fun_nf, type_args, arg_nf, m_nf, step):
+def _applied_nf(fun_nf, type_args, arg_nf, m_nf, step, memo=None):
     """The normal form of `_applied` on normal parts, `m_nf` being the
     morphism's normal form or None: only the redexes the application
-    makes are contracted."""
+    makes are contracted, with `memo` passed on to `kernel._apply`."""
     if m_nf is not None:
-        arg_nf = _apply(m_nf, arg_nf, step)
+        arg_nf = _apply(m_nf, arg_nf, step, memo)
     for ty in type_args:
-        fun_nf = _apply(fun_nf, ty, step)
-    return _apply(fun_nf, arg_nf, step)
+        fun_nf = _apply(fun_nf, ty, step, memo)
+    return _apply(fun_nf, arg_nf, step, memo)
 
 
 def apply_with_coercion(fun_term, arg_term, arg_entry=None):
@@ -392,6 +392,11 @@ def _copred_node(fun: _Marker, arg: _Node, path, arg_path, st: _State):
     tried = {id(m): m for pair in pairs for m in pair}
     normals = {k: st.lex._normal(entry, st.fuel, m)[:2]
                for k, m in tried.items()}
+    # a nested conjunct's readings share their parts, and the halves
+    # substitute the argument into each shared part once, through one
+    # memo that lives as long as the node; one reading shares nothing
+    count = len(arg.alts) * len(left.alts) * len(right.alts) * len(pairs)
+    memo = {} if count > 1 else None
 
     # a half, one conjunct applied to the argument through one morphism,
     # is built once per node for each such triple, together with the
@@ -404,7 +409,7 @@ def _copred_node(fun: _Marker, arg: _Node, path, arg_path, st: _State):
             m_nf, m_steps = normals[id(m)]
             nf, steps = _built(
                 st.fuel, c.steps + a.steps + m_steps,
-                lambda step: _applied_nf(c.nf, (), a.nf, m_nf, step))
+                lambda step: _applied_nf(c.nf, (), a.nf, m_nf, step, memo))
             halves[key] = (nf, steps,
                            None if nf is None else App(_CONJUNCTION, nf))
         return halves[key]

@@ -2,8 +2,8 @@
 
 The default strategy is leftmost-outermost; a randomized strategy is
 available for cross-checking confluence.  `normalize`, `normal_form`
-and the unchecked `_normal_form` run one fuel-guarded loop: find the
-redexes, spend a step, contract one.  The first two type-check their
+and the unchecked `_normal_form` run one fuel-guarded loop: find a
+redex, spend a step, contract it.  The first two type-check their
 input once, on entry: beta and type-beta preserve types, so no step
 checks them again.
 """
@@ -44,23 +44,42 @@ def find_redexes(term) -> list:
     means the first entry is the leftmost-outermost redex.
     """
     out = []
-
-    def go(t, path):
-        match t:
-            case App():
-                if isinstance(t.fun, Abs):
-                    out.append((path, BETA))
-                go(t.fun, path + (0,))
-                go(t.arg, path + (1,))
-            case Abs() | TyAbs():
-                go(t.body, path + (0,))
-            case TyApp():
-                if isinstance(t.fun, TyAbs):
-                    out.append((path, TYPE_BETA))
-                go(t.fun, path + (0,))
-
-    go(term, ())
+    _redexes(term, (), out)
     return out
+
+
+def _redexes(t, path, out):
+    # a module function, not a closure: see `kernel._free_vars`
+    match t:
+        case App():
+            if isinstance(t.fun, Abs):
+                out.append((path, BETA))
+            _redexes(t.fun, path + (0,), out)
+            _redexes(t.arg, path + (1,), out)
+        case Abs() | TyAbs():
+            _redexes(t.body, path + (0,), out)
+        case TyApp():
+            if isinstance(t.fun, TyAbs):
+                out.append((path, TYPE_BETA))
+            _redexes(t.fun, path + (0,), out)
+
+
+def _leftmost(t, path=()):
+    """`find_redexes(t)[0]`, or None for a normal term, found without
+    looking past it."""
+    match t:
+        case App():
+            if isinstance(t.fun, Abs):
+                return path, BETA
+            return (_leftmost(t.fun, path + (0,))
+                    or _leftmost(t.arg, path + (1,)))
+        case Abs() | TyAbs():
+            return _leftmost(t.body, path + (0,))
+        case TyApp():
+            if isinstance(t.fun, TyAbs):
+                return path, TYPE_BETA
+            return _leftmost(t.fun, path + (0,))
+    return None
 
 
 def reduce_at(term, path):
@@ -90,10 +109,10 @@ def reduce_at(term, path):
 
 def reduce_step(term):
     """One leftmost-outermost step: (term', path, rule), or None if normal."""
-    redexes = find_redexes(term)
-    if not redexes:
+    redex = _leftmost(term)
+    if redex is None:
         return None
-    path, rule = redexes[0]
+    path, rule = redex
     return reduce_at(term, path), path, rule
 
 
@@ -154,11 +173,11 @@ def _built(fuel, spent, build):
 def _normal_form(term, step, choose=None, trace=None):
     """The reduction loop, without the entry check, for terms built from
     type-checked parts: until no redex is left, call `step()` and contract
-    the redex `choose` picks from `find_redexes` (the leftmost-outermost
-    one by default), appending a TraceStep to `trace` if given."""
-    while redexes := find_redexes(term):
+    the redex `choose` picks from `find_redexes`, or by default the
+    leftmost-outermost one, appending a TraceStep to `trace` if given."""
+    while (redex := _leftmost(term)) is not None:
         step()
-        path, rule = choose(redexes) if choose else redexes[0]
+        path, rule = choose(find_redexes(term)) if choose else redex
         term = reduce_at(term, path)
         if trace is not None:
             trace.append(TraceStep(path, rule, term))

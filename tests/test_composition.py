@@ -602,6 +602,17 @@ def test_a_conjunct_is_built_once_per_node():
     assert len({id(r.term.arg) for r in readings}) == 6
 
 
+def test_a_nested_conjunction_substitutes_each_shared_part_once():
+    # the inner node's 36 readings hold 6 left and 6 right halves; the
+    # outer node substitutes the argument into each of them once, so the
+    # readings it builds share them as the inner readings did
+    readings = felicity(parse_tree("((AND (AND p q) p) w)"),
+                        _fan_out_lexicon(6)).readings
+    assert len(readings) == 216
+    assert len({id(r.term.fun.arg.fun.arg) for r in readings}) == 6
+    assert len({id(r.term.fun.arg.arg) for r in readings}) == 6
+
+
 # the smallest fuel at which each tree is judged, recorded before the
 # halves of a conjunction were shared between its readings: per kind of
 # fan-out lexicon, at m = 1 to 5, for the trees of FAN_OUT_TREES; then
@@ -623,6 +634,17 @@ RANDOM_COPRED_CHARGES = (
     1, 1, 1, 1, 1, 1, 8, 10, 1, 1, 8, 1, 1, 1, 9, 1, 1, 1, 10, 1)
 
 
+# the same for a conjunction nested to depth 3, m ** 4 readings, at m = 1
+# to 4, recorded before a conjunction node substituted each part its
+# nested readings share once
+FAN_OUT_DEPTH_3 = "((AND (AND (AND p q) p) q) w)"
+FAN_OUT_DEPTH_3_CHARGES = {
+    "normal": [28] * 4,
+    "non-normal": [41] * 4,
+    "odd": [33] + [41] * 3,
+}
+
+
 def _charge_cases():
     for kind, per_m in FAN_OUT_CHARGES.items():
         for m, charges in enumerate(per_m, 1):
@@ -641,6 +663,16 @@ def test_fuel_charges_are_pinned():
         if charge > 1:
             v = felicity(tree, lex, charge - 1)
             assert v.status == RESOURCE_LIMIT, text
+
+
+def test_depth_3_fuel_charges_are_pinned():
+    tree = parse_tree(FAN_OUT_DEPTH_3)
+    for kind, per_m in FAN_OUT_DEPTH_3_CHARGES.items():
+        for m, charge in enumerate(per_m, 1):
+            lex = _fan_out_lexicon(m, kind)
+            assert len(felicity(tree, lex, charge).readings) == m ** 4
+            v = felicity(tree, lex, charge - 1)
+            assert v.status == RESOURCE_LIMIT, (kind, m)
 
 
 def _runs_out(source, fuel):
@@ -1086,7 +1118,8 @@ def test_a_kept_the_node_answers_as_a_fresh_lexicon_does_at_any_fuel():
 
 
 def test_judging_a_the_tree_normalizes_lexicon_terms_only(monkeypatch):
-    normal, find = Lexicon._normal, reduction.find_redexes
+    # the reduction loop looks for its next redex with `_leftmost`
+    normal, find = Lexicon._normal, reduction._leftmost
     depth, inside, outside = [0], [], []
 
     def counted_normal(*args):
@@ -1096,12 +1129,12 @@ def test_judging_a_the_tree_normalizes_lexicon_terms_only(monkeypatch):
         finally:
             depth[0] -= 1
 
-    def counted_find(term):
+    def counted_find(term, *path):
         (inside if depth[0] else outside).append(term)
-        return find(term)
+        return find(term, *path)
 
     monkeypatch.setattr(Lexicon, "_normal", counted_normal)
-    monkeypatch.setattr(reduction, "find_redexes", counted_find)
+    monkeypatch.setattr(reduction, "_leftmost", counted_find)
     # fresh lexica, so that their terms are normalized here
     cases = [(lex, text) for lex, text in _fixture_trees()
              if THE_MARKER in text]

@@ -1,14 +1,15 @@
+import gc
 import random
 
 import pytest
 
 from lexsem import (Abs, App, Arrow, Const, Context, FuelExhausted, PROP,
                     SortRef, TyAbs, TyApp, TypeVar, TypingError, Var,
-                    alpha_equiv, find_redexes, normal_form, normalize,
-                    parse_term, reduce_at, reduce_step, render_term,
-                    render_trace, type_of)
+                    alpha_equiv, find_redexes, free_vars, normal_form,
+                    normalize, parse_term, reduce_at, reduce_step,
+                    render_term, render_trace, type_of)
 from lexsem.kernel import _apply
-from lexsem.reduction import _Meter
+from lexsem.reduction import _Meter, _leftmost
 
 import termgen
 
@@ -65,6 +66,27 @@ def test_reduce_step_returns_rule_and_path():
     assert rule == "type-beta"
     assert path == (0,)
     assert t2 == App(Abs("x", E, Var("x", E)), K)
+
+
+def test_free_vars_and_find_redexes_leave_no_reference_cycles():
+    # a walker written as a closure that calls itself is a cycle, left
+    # to the cyclic collector after every call
+    t = App(Abs("y", E, App(ID_E, Var("y", E))), Var("z", E))
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(1000):
+            free_vars(t)
+            find_redexes(t)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_normal_order_finds_the_first_of_find_redexes():
+    for t in POPULATION:
+        redexes = find_redexes(t)
+        assert _leftmost(t) == (redexes[0] if redexes else None)
 
 
 def test_normalize_simple():
@@ -197,6 +219,34 @@ def test_hereditary_application_reaches_the_normal_form():
             assert out == normal_form(App(f, a)), render_term(App(f, a))
             applied += 1
     assert applied > 100
+
+
+def test_a_memo_returns_its_kept_result_and_charges_its_steps():
+    # a node met again under the same variable and value returns the
+    # result kept for it, and is charged the contractions that result
+    # cost, so a meter runs out exactly where it does without a memo
+    gen = termgen.RandomTerms(12)
+    memo, charged = {}, 0
+    for f in POPULATION:
+        ty = type_of(f)
+        if not isinstance(ty, Arrow):
+            continue
+        f, a = normal_form(f), normal_form(gen.term(ty.domain, 3, []))
+        alone = _Meter(10**6)
+        want = _apply(f, a, alone)
+        meters = _Meter(10**6), _Meter(10**6)
+        first, again = (_apply(f, a, meter, memo) for meter in meters)
+        assert first == again == want
+        assert [meter.spent for meter in meters] == [alone.spent] * 2
+        if isinstance(f, Abs):
+            assert again is first
+        if alone.spent:
+            short = _Meter(alone.spent)
+            short(1)    # one step short of the charge
+            with pytest.raises(FuelExhausted):
+                _apply(f, a, short, memo)
+            charged += 1
+    assert charged > 20
 
 
 def test_hereditary_application_contracts_the_redexes_it_makes():
