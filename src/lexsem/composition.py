@@ -155,7 +155,10 @@ class _Alt:
     """One reading of a node: its source term, that term's normal form,
     and the reduction steps charged to it, which are the steps of all its
     parts plus the contractions made where they meet.  `nf` is None
-    exactly when `steps` exceed the fuel: nothing is built past it."""
+    exactly when `steps` exceed the fuel: nothing is built past it.  A
+    nested conjunct's `nf` is its reading already applied to the
+    argument; only `_copred_node` reads it, routing the argument through
+    an identity that `Lexicon.validate` forces to be `λx. x`."""
 
     term: "Term"
     nf: Term | None
@@ -249,15 +252,15 @@ def _applied(fun_term, type_args, arg_term, m):
     return App(fun_term, arg_term if m is None else App(m.term, arg_term))
 
 
-def _applied_nf(fun_nf, type_args, arg_nf, m_nf, step, memo=None):
+def _applied_nf(fun_nf, type_args, arg_nf, m_nf, step):
     """The normal form of `_applied` on normal parts, `m_nf` being the
     morphism's normal form or None: only the redexes the application
-    makes are contracted, with `memo` passed on to `kernel._apply`."""
+    makes are contracted."""
     if m_nf is not None:
-        arg_nf = _apply(m_nf, arg_nf, step, memo)
+        arg_nf = _apply(m_nf, arg_nf, step)
     for ty in type_args:
-        fun_nf = _apply(fun_nf, ty, step, memo)
-    return _apply(fun_nf, arg_nf, step, memo)
+        fun_nf = _apply(fun_nf, ty, step)
+    return _apply(fun_nf, arg_nf, step)
 
 
 def apply_with_coercion(fun_term, arg_term, arg_entry=None):
@@ -357,18 +360,18 @@ def _the_node(noun: _Node, path, st: _State):
 
 
 def _nested(conj: _Marker, arg: _Node, path, arg_path, st: _State):
-    """A nested conjunction, resolved at the shared referent type: a
-    predicate over that type with its own morphism choices made.  The
-    bound `y` cannot capture a constant: they live in disjoint
-    namespaces."""
+    """A nested conjunction at the shared referent type: a predicate
+    `λy. S` with its own morphism choices made, `y` being in the source
+    alone, where it cannot capture a constant.  A reading's `nf` is `S`
+    already applied to the argument, read only by `_copred_node` through
+    an identity, which `Lexicon.validate` forces to be `λx. x`."""
     xi = arg.type
-    y = Var("y", xi)
-    shared = _Node(xi, [_Alt(y, y, 0)], arg.entry)
+    (a,) = arg.alts
+    shared = _Node(xi, (_Alt(Var("y", xi), a.nf, a.steps),), arg.entry)
     inner = _copred_node(conj, shared, path, arg_path, st)
     return _Node(Arrow(xi, PROP),
-                 [_Alt(Abs("y", xi, a.term),
-                       None if a.nf is None else Abs("y", xi, a.nf),
-                       a.steps, a.morphs, a.presups) for a in inner.alts])
+                 [_Alt(Abs("y", xi, i.term), i.nf, i.steps, i.morphs,
+                       i.presups) for i in inner.alts])
 
 
 def _copred_node(fun: _Marker, arg: _Node, path, arg_path, st: _State):
@@ -376,8 +379,10 @@ def _copred_node(fun: _Marker, arg: _Node, path, arg_path, st: _State):
     if arg.entry is None:
         raise CompositionError(
             "a shared argument must carry a lexical entry", path)
-    left, right = (_nested(c, arg, path, arg_path, st)
-                   if isinstance(c, _Marker) else c for c in fun.conjuncts)
+    (a,) = arg.alts    # a word's leaf node or THE's over it: one reading
+    nested = [isinstance(c, _Marker) for c in fun.conjuncts]
+    left, right = (_nested(c, arg, path, arg_path, st) if n else c
+                   for c, n in zip(fun.conjuncts, nested))
     for side in (left, right):
         if not is_predicate(side.type):
             raise CompositionError(f"a conjunct must be a one-place predicate,"
@@ -392,24 +397,22 @@ def _copred_node(fun: _Marker, arg: _Node, path, arg_path, st: _State):
     tried = {id(m): m for pair in pairs for m in pair}
     normals = {k: st.lex._normal(entry, st.fuel, m)[:2]
                for k, m in tried.items()}
-    # a nested conjunct's readings share their parts, and the halves
-    # substitute the argument into each shared part once, through one
-    # memo that lives as long as the node; one reading shares nothing
-    count = len(arg.alts) * len(left.alts) * len(right.alts) * len(pairs)
-    memo = {} if count > 1 else None
 
     # a half, one conjunct applied to the argument through one morphism,
-    # is built once per node for each such triple, together with the
+    # is built once per node for each such pair, together with the
     # partial application `#& L` that every reading holding it on the
     # left shares.  A word that is both conjuncts holds one reading on
     # both sides, so one half may serve on the left and on the right
-    def half(c, a, m):
-        key = id(c), id(a), id(m)    # each lives as long as the node
+    def half(c, m, nested):
+        key = id(c), id(m)    # each lives as long as the node
         if key not in halves:
-            m_nf, m_steps = normals[id(m)]
-            nf, steps = _built(
-                st.fuel, c.steps + a.steps + m_steps,
-                lambda step: _applied_nf(c.nf, (), a.nf, m_nf, step, memo))
+            if nested:    # applied already: one step for Id, one for λy
+                nf, steps = _built(st.fuel, c.steps + 2, lambda step: c.nf)
+            else:
+                m_nf, m_steps = normals[id(m)]
+                nf, steps = _built(
+                    st.fuel, c.steps + a.steps + m_steps,
+                    lambda step: _applied_nf(c.nf, (), a.nf, m_nf, step))
             halves[key] = (nf, steps,
                            None if nf is None else App(_CONJUNCTION, nf))
         return halves[key]
@@ -418,7 +421,7 @@ def _copred_node(fun: _Marker, arg: _Node, path, arg_path, st: _State):
     # poly_and's body, #& L R, over its two halves
     head = TyApp(TyApp(poly_and(), alpha), beta)
     alts = []
-    for a, l, r in product(arg.alts, left.alts, right.alts) if pairs else ():
+    for l, r in product(left.alts, right.alts) if pairs else ():
         # every pair shares the source's prefix and the parts' records
         term = App(TyApp(App(App(head, l.term), r.term), xi), a.term)
         morphs = l.morphs + r.morphs + a.morphs
@@ -426,8 +429,8 @@ def _copred_node(fun: _Marker, arg: _Node, path, arg_path, st: _State):
         for f, g in pairs:
             recs = morphs + ((entry.word, arg_path, f.name),
                              (entry.word, arg_path, g.name))
-            _, l_steps, l_partial = half(l, a, f)
-            r_nf, r_steps, _ = half(r, a, g)
+            _, l_steps, l_partial = half(l, f, nested[0])
+            r_nf, r_steps, _ = half(r, g, nested[1])
             # the argument both halves hold is charged once
             steps = POLY_AND_BINDERS + l_steps + r_steps - a.steps
             nf = App(l_partial, r_nf) if steps <= st.fuel else None

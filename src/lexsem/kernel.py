@@ -422,7 +422,7 @@ def subst_term(body, var: str, value):
     return _subst(body, var, value, set(free_vars(value)))
 
 
-def _subst(t, x, v, v_fvs, step=None, memo=None, looked_up=False):
+def _subst(t, x, v, v_fvs, step=None):
     """`t` with `v`, whose free variables are `v_fvs`, for `x`.
 
     With `step`, `t` and `v` are normal and the substitution is
@@ -430,36 +430,18 @@ def _subst(t, x, v, v_fvs, step=None, memo=None, looked_up=False):
     application, is contracted at once (see `_apply`), so the result is
     normal too.  A node none of whose children changed is returned as it
     is: with `step` it is normal, so it is its own normal form.
-
-    With `step` and a `memo`, a dict one caller passes to the
-    substitutions it makes, each compound node's result for `x` and `v`
-    is kept with the contractions it cost, read off `step.spent`.  A
-    node met again for the same pair returns that result, and `step` is
-    charged those contractions, so a part shared before substitution
-    stays shared after it.  The memo holds `t` and `v`, so their ids
-    are not reused while it lives.
     """
-    if memo is not None and not looked_up and not isinstance(t, (Var, Const)):
-        key = id(t), x, id(v)
-        kept = memo.get(key)
-        if kept is None:
-            spent = step.spent
-            out = _subst(t, x, v, v_fvs, step, memo, True)
-            kept = memo[key] = t, v, out, step.spent - spent
-        else:
-            step(kept[3])
-        return kept[2]
     match t:
         case Var():
             return v if t.name == x else t
         case Const():
             return t
         case App():
-            f = _subst(t.fun, x, v, v_fvs, step, memo)
-            a = _subst(t.arg, x, v, v_fvs, step, memo)
+            f = _subst(t.fun, x, v, v_fvs, step)
+            a = _subst(t.arg, x, v, v_fvs, step)
             if f is t.fun and a is t.arg:
                 return t
-            return App(f, a) if step is None else _apply(f, a, step, memo)
+            return App(f, a) if step is None else _apply(f, a, step)
         case Abs():
             y, ty, b = t.var, t.var_type, t.body
             if y == x:
@@ -467,33 +449,32 @@ def _subst(t, x, v, v_fvs, step=None, memo=None, looked_up=False):
             if y in v_fvs and x in free_vars(b):
                 y1 = fresh_name(y, v_fvs | set(free_vars(b)) | {x})
                 b = _subst(b, y, Var(y1, ty), {y1})
-                return Abs(y1, ty, _subst(b, x, v, v_fvs, step, memo))
-            b1 = _subst(b, x, v, v_fvs, step, memo)
+                return Abs(y1, ty, _subst(b, x, v, v_fvs, step))
+            b1 = _subst(b, x, v, v_fvs, step)
             return t if b1 is b else Abs(y, ty, b1)
         case TyApp():
-            f, ty = _subst(t.fun, x, v, v_fvs, step, memo), t.arg_type
+            f, ty = _subst(t.fun, x, v, v_fvs, step), t.arg_type
             if f is t.fun:
                 return t
-            return TyApp(f, ty) if step is None else _apply(f, ty, step, memo)
+            return TyApp(f, ty) if step is None else _apply(f, ty, step)
         case TyAbs():
             a, b = t.var, t.body
             if a in free_type_vars(v) and x in free_vars(b):
                 a1 = fresh_name(a, free_type_vars(v) | free_type_vars(b))
                 b = subst_type(b, a, TypeVar(a1))
-                return TyAbs(a1, _subst(b, x, v, v_fvs, step, memo))
-            b1 = _subst(b, x, v, v_fvs, step, memo)
+                return TyAbs(a1, _subst(b, x, v, v_fvs, step))
+            b1 = _subst(b, x, v, v_fvs, step)
             return t if b1 is b else TyAbs(a, b1)
     raise KernelError(f"not a term: {t!r}")
 
 
-def _apply(f, a, step, memo=None):
+def _apply(f, a, step):
     """The normal form of `f` applied to the term or type `a`, both normal.
 
     Only the application itself can be a redex; it is contracted by
     hereditary substitution, which contracts in turn the redexes that
     substitution makes, and `step()` is called once per contraction.
     Type substitution makes no term redex, so a type-beta step ends there.
-    A `memo` is passed on to `_subst`.
     """
     if is_type(a):
         if isinstance(f, TyAbs):
@@ -504,7 +485,7 @@ def _apply(f, a, step, memo=None):
         step()
         if isinstance(a, Var) and a.name == f.var:
             return f.body    # a variable for itself: nothing to substitute
-        return _subst(f.body, f.var, a, set(free_vars(a)), step, memo)
+        return _subst(f.body, f.var, a, set(free_vars(a)), step)
     return App(f, a)
 
 

@@ -12,7 +12,7 @@ from lexsem import reduction
 from lexsem.cli import CliConfig, main, parse_args, run
 
 from conftest import FIXTURES, deep_shared_lexicon
-from test_composition import CAPTURE
+from test_composition import CAPTURE, Y_BINDER
 
 MONTAGUE = str(FIXTURES / "montague.mgl")
 LIVERPOOL = str(FIXTURES / "liverpool.mgl")
@@ -368,6 +368,20 @@ def test_trace_format_normal_source(tmp_path, capsys):
     inp = trees(tmp_path, "(spread_out Liverpool)\n")
     assert run(config(LIVERPOOL, inp, format="trace")) == 0
     assert capsys.readouterr().out == "#spread_out (#t3 #lpl)\n"
+
+
+def test_a_nested_conjunction_prints_its_trace_s_last_term(tmp_path, capsys):
+    # --format term prints the reading; --format trace ends on it after
+    # normal order, which leaves the morphism's binder `y` as it is
+    lex = tmp_path / "y_binder.mgl"
+    lex.write_text(Y_BINDER)
+    inp = trees(tmp_path, "((AND (AND p q) p) w)\n")
+    assert run(config(str(lex), inp, format="term")) == 0
+    [term] = capsys.readouterr().out.splitlines()
+    assert run(config(str(lex), inp, format="trace")) == 0
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last.split(" ⇒ ")[1] == term
+    assert "y1" not in term
 
 
 FOUR_WAY = (

@@ -557,6 +557,10 @@ def _normal_form_cases():
     for m in range(1, 7):
         # conjunction depth 2: m ** 3 readings
         yield _fan_out_lexicon(m), "((AND (AND p q) p) w)"
+    arrow = load_lexicon(ARROW_SHARED)
+    for words in ARROW_SHARED_CHARGES:
+        for conj in _bracketings(words.split()):
+            yield arrow, f"({conj} dog)"
 
 
 def test_readings_are_normal_forms_of_their_sources():
@@ -603,9 +607,9 @@ def test_a_conjunct_is_built_once_per_node():
 
 
 def test_a_nested_conjunction_substitutes_each_shared_part_once():
-    # the inner node's 36 readings hold 6 left and 6 right halves; the
-    # outer node substitutes the argument into each of them once, so the
-    # readings it builds share them as the inner readings did
+    # the inner node's 36 readings hold 6 left and 6 right halves, built
+    # over the argument itself; the outer node takes each inner reading as
+    # its half, so the readings it builds share them as the inner did
     readings = felicity(parse_tree("((AND (AND p q) p) w)"),
                         _fan_out_lexicon(6)).readings
     assert len(readings) == 216
@@ -673,6 +677,127 @@ def test_depth_3_fuel_charges_are_pinned():
             assert len(felicity(tree, lex, charge).readings) == m ** 4
             v = felicity(tree, lex, charge - 1)
             assert v.status == RESOURCE_LIMIT, (kind, m)
+
+
+def _bracketings(words):
+    """Every bracketing of a conjunction of `words`, in their order."""
+    if len(words) == 1:
+        yield words[0]
+    for i in range(1, len(words)):
+        for left, right in product(_bracketings(words[:i]),
+                                   _bracketings(words[i:])):
+            yield f"(AND {left} {right})"
+
+
+# the smallest fuel at which every bracketing of 3 and of 4 conjuncts is
+# judged, per kind of fan-out lexicon at m = 1 to 3, recorded while a
+# nested conjunction was still built over a placeholder for the shared
+# argument and applied to it afterwards; n conjuncts give m ** n readings
+BRACKETING_CHARGES = {
+    ("p", "q", "p"): {"normal": [18] * 3, "non-normal": [29] * 3,
+                      "odd": [23, 29, 29]},
+    ("p", "q", "p", "q"): {"normal": [28] * 3, "non-normal": [41] * 3,
+                           "odd": [33, 41, 41]},
+}
+
+# a shared argument of arrow type: each morphism puts it at the head of an
+# application, the rigid one twice, and `every` puts it under a binder
+ARROW_SHARED = """\
+sorts: e f
+pred dog : e -> t
+pred g : f -> e
+pred h : f -> e
+pred q : e -> t
+word dog : e -> t = lam x:e. #dog x
+  morph m1 : (e -> t) -> f -> t = lam P:e -> t. lam y:f. P (#g y) [flexible]
+  morph m2 : (e -> t) -> f -> t = \
+lam P:e -> t. lam y:f. (#& (P (#g y))) (P (#h y)) [rigid]
+word some : (e -> t) -> t = lam P:e -> t. #exists{e} P
+word every : (e -> t) -> t = lam P:e -> t. \
+#forall{e} (lam x:e. (#=> (#q x)) (P x))
+word somef : (f -> t) -> t = lam P:f -> t. #exists{f} P
+"""
+
+# (smallest fuel, readings) of each bracketing of 2 and 3 conjuncts over
+# `dog`, in the order of `_bracketings`, recorded as BRACKETING_CHARGES was
+ARROW_SHARED_CHARGES = {
+    "some some": [(12, 1)], "some every": [(13, 1)],
+    "some somef": [(13, 1)], "every some": [(13, 1)],
+    "every every": [(14, 1)], "every somef": [(14, 1)],
+    "somef some": [(13, 1)], "somef every": [(14, 1)],
+    "somef somef": [(16, 2)],
+    "some some some": [(24, 1)] * 2, "some some every": [(25, 1)] * 2,
+    "some some somef": [(25, 1)] * 2, "some every some": [(25, 1)] * 2,
+    "some every every": [(26, 1)] * 2, "some every somef": [(26, 1)] * 2,
+    "some somef some": [(25, 1)] * 2, "some somef every": [(26, 1)] * 2,
+    "some somef somef": [(28, 2), (26, 1)],
+    "every some some": [(25, 1)] * 2, "every some every": [(26, 1)] * 2,
+    "every some somef": [(26, 1)] * 2, "every every some": [(26, 1)] * 2,
+    "every every every": [(27, 1)] * 2, "every every somef": [(27, 1)] * 2,
+    "every somef some": [(26, 1)] * 2, "every somef every": [(27, 1)] * 2,
+    "every somef somef": [(29, 2), (27, 1)],
+    "somef some some": [(25, 1)] * 2, "somef some every": [(26, 1)] * 2,
+    "somef some somef": [(26, 1)] * 2, "somef every some": [(26, 1)] * 2,
+    "somef every every": [(27, 1)] * 2, "somef every somef": [(27, 1)] * 2,
+    "somef somef some": [(26, 1), (28, 2)],
+    "somef somef every": [(27, 1), (29, 2)],
+    "somef somef somef": [(29, 2)] * 2,
+}
+
+
+def _bracketing_cases():
+    for words, per_kind in BRACKETING_CHARGES.items():
+        for kind, per_m in per_kind.items():
+            for m, charge in enumerate(per_m, 1):
+                lex = _fan_out_lexicon(m, kind)
+                for conj in _bracketings(words):
+                    yield lex, f"({conj} w)", charge, m ** len(words)
+    lex = load_lexicon(ARROW_SHARED)
+    for words, per_tree in ARROW_SHARED_CHARGES.items():
+        trees = list(_bracketings(words.split()))
+        assert len(trees) == len(per_tree)
+        for conj, (charge, count) in zip(trees, per_tree):
+            yield lex, f"({conj} dog)", charge, count
+
+
+def test_every_bracketing_keeps_its_fuel_charge():
+    cases = 0
+    for lex, text, charge, count in _bracketing_cases():
+        tree = parse_tree(text)
+        assert len(felicity(tree, lex, charge).readings) == count, text
+        v = felicity(tree, lex, charge - 1)
+        assert v.status == RESOURCE_LIMIT, text
+        cases += 1
+    assert cases == 3 * 3 * (2 + 5) + 9 + 27 * 2
+
+
+Y_BINDER = """\
+sorts: T A
+pred c : T
+pred r : T -> A -> t
+pred p : A -> t
+pred q : A -> t
+word w : T = #c
+  morph u : T -> A = lam z:T. #iota{A} (lam y:A. #r z y) [flexible]
+word p : A -> t = #p
+word q : A -> t = #q
+"""
+
+
+def test_a_binder_named_y_keeps_its_name_under_a_nested_conjunction():
+    # the morphism's own binder prints alike however the conjuncts are
+    # bracketed: nothing in a reading is named after the source's `y`
+    lex = load_lexicon(Y_BINDER)
+    part = "iota[A](y. r(c, y))"
+    [flat] = felicity(parse_tree("((AND p q) w)"), lex).readings
+    assert render_formula(flat.formula) == f"p({part}) & q({part})"
+    [nested] = felicity(parse_tree("((AND (AND p q) p) w)"), lex).readings
+    assert render_formula(nested.formula) == \
+        f"p({part}) & q({part}) & p({part})"
+    term = "#iota{A} (lam y:A. #r #c y)"
+    assert render_term(nested.term) == \
+        f"#& (#& (#p ({term})) (#q ({term}))) (#p ({term}))"
+    assert nested.term == normal_form(nested.source)
 
 
 def _runs_out(source, fuel):

@@ -221,34 +221,6 @@ def test_hereditary_application_reaches_the_normal_form():
     assert applied > 100
 
 
-def test_a_memo_returns_its_kept_result_and_charges_its_steps():
-    # a node met again under the same variable and value returns the
-    # result kept for it, and is charged the contractions that result
-    # cost, so a meter runs out exactly where it does without a memo
-    gen = termgen.RandomTerms(12)
-    memo, charged = {}, 0
-    for f in POPULATION:
-        ty = type_of(f)
-        if not isinstance(ty, Arrow):
-            continue
-        f, a = normal_form(f), normal_form(gen.term(ty.domain, 3, []))
-        alone = _Meter(10**6)
-        want = _apply(f, a, alone)
-        meters = _Meter(10**6), _Meter(10**6)
-        first, again = (_apply(f, a, meter, memo) for meter in meters)
-        assert first == again == want
-        assert [meter.spent for meter in meters] == [alone.spent] * 2
-        if isinstance(f, Abs):
-            assert again is first
-        if alone.spent:
-            short = _Meter(alone.spent)
-            short(1)    # one step short of the charge
-            with pytest.raises(FuelExhausted):
-                _apply(f, a, short, memo)
-            charged += 1
-    assert charged > 20
-
-
 def test_hereditary_application_contracts_the_redexes_it_makes():
     # F lands at the head of F (lam x:e. #p x), which then puts #k under
     # #p: three contractions, each made where the one before it landed
