@@ -16,7 +16,8 @@ from .kernel import (Abs, App, Arrow, Forall, KernelError, PROP, ParseError,
                      Term, TyApp, Type, TypeVar, Var, _apply, alpha_equiv,
                      alpha_key, record, render_type, subst_type, type_of)
 from .lexicon import (LexEntry, Lexicon, LexiconError, POLY_AND_BINDERS,
-                      candidates, coercion_pairs, is_predicate, poly_and)
+                      _normal, candidates, coercion_pairs, is_predicate,
+                      poly_and)
 from .logic import AND_NAME, IOTA_NAME, _LOGICAL_TERMS, Formula, _formula
 from .reduction import FuelExhausted, _Meter, _built
 
@@ -292,8 +293,9 @@ def _leaf(leaf: Leaf, path, st: _State):
     # past the fuel its term has no normal form, and a node is built anew
     node = entry._leaf
     if node is None or node.alts[0].steps > st.fuel:
-        nf, steps, ty = st.lex._normal(entry, st.fuel)
-        node = _Node(ty, (_Alt(entry.principal, nf, steps),), entry)
+        nf, steps = _normal(entry.principal, st.fuel)
+        node = _Node(type_of(entry.principal),
+                     (_Alt(entry.principal, nf, steps),), entry)
         if nf is not None:
             object.__setattr__(entry, "_leaf", node)
     return node
@@ -306,7 +308,7 @@ def _apply_node(fun: _Node, arg: _Node, path, st: _State):
                                f" to {render_type(arg.type)}", path)
     # each morphism's normal form and lexicon steps, looked up once
     coercions = [(None, None, 0) if m is None
-                 else (m, *st.lex._normal(arg.entry, st.fuel, m)[:2])
+                 else (m, *_normal(m.term, st.fuel))
                  for m in ms]
     alts = []
     for f, a in product(fun.alts, arg.alts):
@@ -395,8 +397,7 @@ def _copred_node(fun: _Marker, arg: _Node, path, arg_path, st: _State):
     # each morphism's normal form and lexicon steps, looked up once
     entry, halves = arg.entry, {}
     tried = {id(m): m for pair in pairs for m in pair}
-    normals = {k: st.lex._normal(entry, st.fuel, m)[:2]
-               for k, m in tried.items()}
+    normals = {k: _normal(m.term, st.fuel) for k, m in tried.items()}
 
     # a half, one conjunct applied to the argument through one morphism,
     # is built once per node for each such pair, together with the

@@ -132,7 +132,7 @@ class _TermNode:
     # kept on the node, not as fields: its `alpha_key`, its text per style
     # (see `_rt`), its formula and its reference (see `logic._formula` and
     # `logic._ref`) and, for a lexicon term, its normal form (see
-    # `lexicon.Lexicon._normal`)
+    # `lexicon._normal`)
     _key = _ascii = _unicode = _formula = _ref = _normal = None
 
     def __str__(self):
@@ -653,7 +653,7 @@ class _Parser:
         kind, text, at = self.peek()
         if kind == "ident" and text not in _KEYWORDS:
             self.advance()
-            if text not in self.sorts:
+            if text != "t" and text not in self.sorts:
                 raise _error(f"unknown sort '{text}'", self.text, at)
             return SortRef(text)
         if kind == "tyvar":
@@ -735,13 +735,10 @@ class _Parser:
         self.fail("expected a term")
 
 
-def _sort_names(env):
-    return set(env.sorts if isinstance(env, Context) else env) | {"t"}
-
-
 def parse_type(text: str, env):
-    """Parse the ASCII type syntax against a sort environment."""
-    p = _Parser(text, _sort_names(env))
+    """Parse the ASCII type syntax against a sort environment: a `Context`
+    or a set of sort names, read in place.  `t` is always a sort."""
+    p = _Parser(text, env.sorts if isinstance(env, Context) else env)
     try:
         ty = p.type_()
     except RecursionError:

@@ -19,7 +19,7 @@ use.
 from __future__ import annotations
 
 import re
-from functools import cache, cached_property
+from functools import cache
 from itertools import product
 
 from .kernel import (Abs, App, Arrow, Context, KernelError, PROP, ParseError,
@@ -92,9 +92,10 @@ class Lexicon:
         self.predicates = predicates
         self.entries = {} if entries is None else entries
 
-    @cached_property
+    @property
     def context(self) -> Context:
-        return Context(sorts=set(self.sorts),
+        """A `Context` of the current declarations, built on each read."""
+        return Context(sorts=self.sorts,
                        constants={**_LOGICAL_CONSTANTS, **self.predicates})
 
     def entry(self, word: str) -> LexEntry:
@@ -106,77 +107,77 @@ class Lexicon:
             raise LexiconError(f"unknown word '{shown}'")
         return self.entries[word]
 
-    def _normal(self, entry: LexEntry, fuel, m: Morphism | None = None):
-        """`(normal form, steps, type)` of `entry`'s principal term, or of
-        the term of its morphism `m`; the normal form is None when its
-        steps exceed `fuel`.
-
-        Each term is normalized once, on first use, under a meter of its
-        own: a caller adds the steps to its own charge.  The result
-        depends on the term alone, so the term node keeps it; an entry or
-        morphism replaced in `entries` carries a new term, and misses.  A
-        term that ran out of fuel keeps nothing.
-        """
-        term = entry.principal if m is None else m.term
-        kept = term._normal
-        if kept is None:
-            nf, steps = _built(fuel, 0, lambda step: _normal_form(term, step))
-            kept = nf, steps, type_of(term)
-            if nf is not None:
-                object.__setattr__(term, "_normal", kept)
-        nf, steps, ty = kept
-        return nf if steps <= fuel else None, steps, ty
-
     def validate(self):
         if not (set(self.sorts) - {"t"}):
             raise LexiconError("a lexicon needs at least one individual sort")
         for name in self.predicates:
             if name in _LOGICAL_CONSTANTS:
                 raise LexiconError(f"'{name}' is a logical constant")
+        ctx = self.context
         for e in self.entries.values():
-            self._check_entry(e)
+            _check_entry(e, ctx)
 
-    def _check_entry(self, e: LexEntry):
-        ty = type_of(e.principal, self.context)
-        if not alpha_equiv(ty, e.principal_type):
+
+def _check_entry(e: LexEntry, ctx: Context):
+    ty = type_of(e.principal, ctx)
+    if not alpha_equiv(ty, e.principal_type):
+        raise LexiconError(
+            f"word '{e.word}': term has type {render_type(ty)},"
+            f" declared {render_type(e.principal_type)}")
+    src = e.coercion_source
+    names = [m.name for m in e.morphisms]
+    if len(names) != len(set(names)):
+        dup = next(n for n in names if names.count(n) > 1)
+        raise LexiconError(
+            f"word '{e.word}': morphism name '{dup}' declared twice")
+    for m in e.morphisms:
+        if m.rigidity not in (RIGID, FLEXIBLE):
             raise LexiconError(
-                f"word '{e.word}': term has type {render_type(ty)},"
-                f" declared {render_type(e.principal_type)}")
-        src = e.coercion_source
-        names = [m.name for m in e.morphisms]
-        if len(names) != len(set(names)):
-            dup = next(n for n in names if names.count(n) > 1)
+                f"word '{e.word}': morphism {m.name} has rigidity"
+                f" {m.rigidity!r}")
+        if m.is_identity and not alpha_equiv(
+                m.term, identity_morphism(m.source).term):
             raise LexiconError(
-                f"word '{e.word}': morphism name '{dup}' declared twice")
-        for m in e.morphisms:
-            if m.rigidity not in (RIGID, FLEXIBLE):
-                raise LexiconError(
-                    f"word '{e.word}': morphism {m.name} has rigidity"
-                    f" {m.rigidity!r}")
-            if m.is_identity and not alpha_equiv(
-                    m.term, identity_morphism(m.source).term):
-                raise LexiconError(
-                    f"word '{e.word}': endomorphism {m.name} must be the"
-                    f" identity function")
-            mty = type_of(m.term, self.context)
-            if not alpha_equiv(mty, Arrow(m.source, m.target)):
-                raise LexiconError(
-                    f"word '{e.word}': morphism {m.name} has type"
-                    f" {render_type(mty)}, declared"
-                    f" {render_type(Arrow(m.source, m.target))}")
-            if not alpha_equiv(m.source, src):
-                raise LexiconError(
-                    f"word '{e.word}': morphism {m.name} leaves from"
-                    f" {render_type(m.source)}, the entry coerces from"
-                    f" {render_type(src)}")
-        if e.morphisms:
-            pt = e.principal_type
-            if not (alpha_equiv(src, pt) or is_predicate(pt)
-                    and alpha_equiv(src, pt.domain)):
-                raise LexiconError(
-                    f"word '{e.word}': morphisms leave from"
-                    f" {render_type(src)}, which is neither the principal"
-                    f" type nor its referent domain")
+                f"word '{e.word}': endomorphism {m.name} must be the"
+                f" identity function")
+        mty = type_of(m.term, ctx)
+        if not alpha_equiv(mty, Arrow(m.source, m.target)):
+            raise LexiconError(
+                f"word '{e.word}': morphism {m.name} has type"
+                f" {render_type(mty)}, declared"
+                f" {render_type(Arrow(m.source, m.target))}")
+        if not alpha_equiv(m.source, src):
+            raise LexiconError(
+                f"word '{e.word}': morphism {m.name} leaves from"
+                f" {render_type(m.source)}, the entry coerces from"
+                f" {render_type(src)}")
+    if e.morphisms:
+        pt = e.principal_type
+        if not (alpha_equiv(src, pt) or is_predicate(pt)
+                and alpha_equiv(src, pt.domain)):
+            raise LexiconError(
+                f"word '{e.word}': morphisms leave from"
+                f" {render_type(src)}, which is neither the principal"
+                f" type nor its referent domain")
+
+
+def _normal(term: "Term", fuel):
+    """`(normal form, steps)` of a lexicon term; the normal form is None
+    when its steps exceed `fuel`.
+
+    Each term is normalized once, on first use, under a meter of its
+    own: a caller adds the steps to its own charge.  The result depends
+    on the term alone, so the term node keeps it; an entry or morphism
+    replaced in `Lexicon.entries` carries a new term, and misses.  A term
+    that ran out of fuel keeps nothing.
+    """
+    kept = term._normal
+    if kept is None:
+        kept = _built(fuel, 0, lambda step: _normal_form(term, step))
+        if kept[0] is not None:
+            object.__setattr__(term, "_normal", kept)
+    nf, steps = kept
+    return nf if steps <= fuel else None, steps
 
 
 def identity_morphism(ty) -> Morphism:
@@ -332,6 +333,9 @@ def load_lexicon(text: str) -> Lexicon:
         raise LexiconError("a lexicon needs at least one individual sort")
 
     lex = Lexicon(sorts=sorts, predicates={})
+    # the one context every line is parsed against; a `pred` line adds its
+    # constant in place
+    ctx = Context(sorts=sorts, constants=_LOGICAL_CONSTANTS)
     current: str | None = None
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -340,65 +344,61 @@ def load_lexicon(text: str) -> Lexicon:
         # where `line` begins in the file's line
         lead = len(raw) - len(raw.lstrip())
         if line.startswith("pred"):
-            _load_pred(lex, line, lineno, lead)
+            _load_pred(lex, ctx, line, lineno, lead)
         elif line.startswith("word"):
-            current = _load_word(lex, line, lineno, lead)
+            current = _load_word(lex, ctx, line, lineno, lead)
         elif line.startswith("morph"):
             if current is None:
                 _fail(lineno, "a morph line needs a preceding word")
             e = lex.entries[current]
             lex.entries[current] = LexEntry(
                 e.word, e.principal, e.principal_type,
-                e.morphisms + (_load_morph(lex, line, lineno, lead),))
+                e.morphisms + (_load_morph(ctx, line, lineno, lead),))
         else:
             _fail(lineno, f"cannot read {line!r}")
     try:
-        lex.validate()
+        for e in lex.entries.values():
+            _check_entry(e, ctx)
     except RecursionError:
         raise LexiconError("a type or term is nested too deeply") from None
     return lex
 
 
-def _load_pred(lex, line, lineno, lead):
+def _load_pred(lex, ctx, line, lineno, lead):
     m = _PRED_RE.match(line)
     if not m:
         _fail(lineno, "expected 'pred <name> : <type>'")
     name, ty_src = m.groups()
-    if name in lex.predicates or name in _LOGICAL_CONSTANTS:
+    if name in ctx.constants:
         _fail(lineno, f"constant '{name}' already declared")
-    ty = _parse(lineno, parse_type, ty_src, lex.sorts, lead + m.start(2))
-    lex.predicates[name] = ty
-    # a context built already grows in place: `parse_type` checked the
-    # type's sorts against `lex.sorts`, which the context holds
-    if "context" in lex.__dict__:
-        lex.context.constants[name] = ty
+    # `parse_type` checks the type's sorts against the context's
+    ty = _parse(lineno, parse_type, ty_src, ctx, lead + m.start(2))
+    lex.predicates[name] = ctx.constants[name] = ty
 
 
-def _load_word(lex, line, lineno, lead) -> str:
+def _load_word(lex, ctx, line, lineno, lead) -> str:
     m = _WORD_RE.match(line)
     if not m:
         _fail(lineno, "expected 'word <name> : <type> = <term>'")
     name, ty_src, term_src = m.groups()
     if name in lex.entries:
         _fail(lineno, f"word '{name}' already declared")
-    ty = _parse(lineno, parse_type, ty_src, lex.sorts, lead + m.start(2))
-    term = _parse(lineno, parse_term, term_src, lex.context,
-                  lead + m.start(3))
+    ty = _parse(lineno, parse_type, ty_src, ctx, lead + m.start(2))
+    term = _parse(lineno, parse_term, term_src, ctx, lead + m.start(3))
     lex.entries[name] = LexEntry(name, term, ty)
     return name
 
 
-def _load_morph(lex, line, lineno, lead) -> Morphism:
+def _load_morph(ctx, line, lineno, lead) -> Morphism:
     m = _MORPH_RE.match(line)
     if not m:
         _fail(lineno,
               "expected 'morph <name> : <type> = <term> [rigid|flexible]'")
     name, ty_src, term_src, rigidity = m.groups()
-    ty = _parse(lineno, parse_type, ty_src, lex.sorts, lead + m.start(2))
+    ty = _parse(lineno, parse_type, ty_src, ctx, lead + m.start(2))
     if not isinstance(ty, Arrow):
         _fail(lineno, f"a morphism needs an arrow type, got {ty_src.strip()!r}")
-    term = _parse(lineno, parse_term, term_src, lex.context,
-                  lead + m.start(3))
+    term = _parse(lineno, parse_term, term_src, ctx, lead + m.start(3))
     return Morphism(name, term, ty.domain, ty.codomain, rigidity)
 
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from lexsem import (App, Arrow, CompositionError, Const, FELICITOUS,
                     FLEXIBLE, Forall, FuelExhausted, INFELICITOUS, LexEntry,
-                    Leaf, Lexicon, Morphism, Node, PROP, ParseError,
+                    Leaf, Morphism, Node, PROP, ParseError,
                     RESOURCE_LIMIT, Rejection, SortRef,
                     THE_MARKER, TYPE_ERROR, TyApp, TypeVar, alpha_equiv,
                     alpha_key, apply_with_coercion, choice_type, compose,
@@ -18,7 +18,7 @@ from lexsem import (App, Arrow, CompositionError, Const, FELICITOUS,
                     normalize, parse_tree, poly_and, quantifier_type,
                     render_formula, render_term, subst_type, to_formula,
                     type_of)
-from lexsem import composition, kernel, lexicon, reduction
+from lexsem import composition, kernel, lexicon, logic, reduction
 from lexsem.kernel import _apply
 from lexsem.reduction import _Meter, _normal_form
 
@@ -950,17 +950,35 @@ def test_fuel_below_one_is_refused_before_anything_else(fuel):
     ("(p w)", 2 + 6),
 ])
 def test_a_node_looks_up_each_lexicon_term_once(monkeypatch, text, lookups):
-    normal, calls = Lexicon._normal, []
+    normal, calls = composition._normal, []
 
     def counted_normal(*args):
         calls.append(args)
         return normal(*args)
 
-    monkeypatch.setattr(Lexicon, "_normal", counted_normal)
+    monkeypatch.setattr(composition, "_normal", counted_normal)
     v = felicity(parse_tree(text), _fan_out_lexicon(6))
     assert v.status == FELICITOUS
     # at most one lookup per leaf, and one per morphism per node
     assert len(calls) <= lookups
+
+
+def test_judging_types_no_morphism_term(monkeypatch):
+    # a morphism term was typed when its lexicon loaded; a judgement
+    # needs only its normal form
+    lex = _fan_out_lexicon(6)
+    morph_terms = {id(m.term) for e in lex.entries.values()
+                   for m in e.morphisms}
+    typed = []
+    for module in (kernel, lexicon, composition, logic, reduction):
+        def counted(term, *args, _type_of=module.type_of):
+            typed.append(term)
+            return _type_of(term, *args)
+        monkeypatch.setattr(module, "type_of", counted)
+    v = felicity(parse_tree("((AND p q) w)"), lex)
+    assert v.status == FELICITOUS
+    assert typed
+    assert not any(id(t) in morph_terms for t in typed)
 
 
 def test_a_replaced_entry_misses_the_memo():
@@ -1244,7 +1262,7 @@ def test_a_kept_the_node_answers_as_a_fresh_lexicon_does_at_any_fuel():
 
 def test_judging_a_the_tree_normalizes_lexicon_terms_only(monkeypatch):
     # the reduction loop looks for its next redex with `_leftmost`
-    normal, find = Lexicon._normal, reduction._leftmost
+    normal, find = composition._normal, reduction._leftmost
     depth, inside, outside = [0], [], []
 
     def counted_normal(*args):
@@ -1258,7 +1276,7 @@ def test_judging_a_the_tree_normalizes_lexicon_terms_only(monkeypatch):
         (inside if depth[0] else outside).append(term)
         return find(term, *path)
 
-    monkeypatch.setattr(Lexicon, "_normal", counted_normal)
+    monkeypatch.setattr(composition, "_normal", counted_normal)
     monkeypatch.setattr(reduction, "_leftmost", counted_find)
     # fresh lexica, so that their terms are normalized here
     cases = [(lex, text) for lex, text in _fixture_trees()

@@ -1,3 +1,4 @@
+import collections.abc
 import random
 
 import pytest
@@ -63,6 +64,29 @@ def test_parse_type_unknown_sort():
     with pytest.raises(ParseError) as err:
         parse_type("e -> q", {"e"})
     assert "q" in str(err.value)
+
+
+def test_parse_type_reads_the_sort_set_in_place():
+    # a copy of the set would iterate it: a lexicon with n sorts would
+    # load in O(n) per type
+    class Sorts(collections.abc.Set):
+        iterated = 0
+
+        def __init__(self, names):
+            self.names = frozenset(names)
+
+        def __contains__(self, name):
+            return name in self.names
+
+        def __iter__(self):
+            Sorts.iterated += 1
+            return iter(self.names)
+
+        def __len__(self):
+            return len(self.names)
+
+    assert parse_type("e -> t", Sorts({"e"})) == Arrow(E, PROP)
+    assert Sorts.iterated == 0
 
 
 def test_render_type_round_trip():

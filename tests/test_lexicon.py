@@ -1,10 +1,10 @@
 import pytest
 
-from lexsem import (Abs, Arrow, Forall, LexEntry, Lexicon, LexiconError,
-                    Morphism, PROP, SortRef, TypeVar, Var, alpha_equiv,
-                    candidates, find_redexes, iota, load_lexicon, parse_term,
-                    parse_type, poly_and, render_formula, render_term,
-                    save_lexicon, type_of)
+from lexsem import (Abs, Arrow, Const, Forall, LexEntry, Lexicon,
+                    LexiconError, Morphism, PROP, SortRef, TypeVar,
+                    TypingError, Var, alpha_equiv, candidates, find_redexes,
+                    iota, load_lexicon, parse_term, parse_type, poly_and,
+                    render_formula, render_term, save_lexicon, type_of)
 from lexsem import kernel, lexicon
 
 from conftest import fixture_text
@@ -296,6 +296,21 @@ def test_a_morph_line_attaches_to_the_last_word_across_preds():
     assert lex.entry("v").morphisms == ()
 
 
+def test_the_context_follows_the_declarations():
+    lex = load_lexicon("sorts: e\npred c : e\nword w : e = #c\n")
+    e = SortRef("e")
+    # a context read before the lexicon grows is not kept
+    assert "d" not in lex.context.constants
+    lex.predicates["d"] = e
+    lex.entries["v"] = LexEntry("v", Const("d", e), e)
+    lex.validate()
+    lex.entries["u"] = LexEntry("u", Const("k", e), e)
+    with pytest.raises(TypingError, match="unknown constant '#k'"):
+        lex.validate()
+    lex.sorts.add("f")
+    assert "f" in lex.context.sorts
+
+
 def test_interleaved_pred_and_word_lines_load_in_linear_work(monkeypatch):
     # three predicates and two words per entry, each word after the
     # predicates it uses: the context is built once and grows in place,
@@ -322,13 +337,13 @@ def test_interleaved_pred_and_word_lines_load_in_linear_work(monkeypatch):
     monkeypatch.setattr(kernel, "_check_sorts", counted_check_sorts)
     lex = load_lexicon("\n".join(lines) + "\n")
     assert len(lex.entries) == 2 * n
-    assert lex.context.constants.keys() == \
-        {*lex.predicates, *lexicon._LOGICAL_CONSTANTS}
     assert len(built) <= 1
     # linear in what is declared: a few calls per constant's type, and
     # one per binder's
     constants = len(lex.predicates) + len(lexicon._LOGICAL_CONSTANTS)
     assert len(checks) <= 3 * constants + n
+    assert lex.context.constants.keys() == \
+        {*lex.predicates, *lexicon._LOGICAL_CONSTANTS}
 
 
 def test_a_term_keeps_its_normal_form_once_it_has_one():
@@ -336,17 +351,17 @@ def test_a_term_keeps_its_normal_form_once_it_has_one():
                        " lam x:T. (lam y:T. (lam z:T. #p z) y) x\n")
     entry = lex.entry("w")
     # out of fuel: nothing is kept
-    assert lex._normal(entry, 1)[::2] == (None, Arrow(T, PROP))
+    assert lexicon._normal(entry.principal, 1)[0] is None
     assert entry.principal._normal is None
-    nf, steps, ty = lex._normal(entry, 10)
+    nf, steps = lexicon._normal(entry.principal, 10)
     assert (render_term(nf), steps) == ("lam x:T. #p x", 2)
-    assert entry.principal._normal == (nf, 2, ty)
+    assert entry.principal._normal == (nf, 2)
     # the kept result still answers a smaller fuel, and another lexicon
     # holding the same term finds it
-    assert lex._normal(entry, 1) == (None, 2, ty)
+    assert lexicon._normal(entry.principal, 1) == (None, 2)
     other = Lexicon(sorts=set(lex.sorts), predicates=dict(lex.predicates),
                     entries={"w": entry})
-    assert other._normal(entry, 10)[0] is nf
+    assert lexicon._normal(other.entry("w").principal, 10)[0] is nf
 
 
 # ---------------------------------------------------------------------------
@@ -393,9 +408,9 @@ def test_the_implicit_identity_is_built_once_per_entry_and_type():
     (ident,) = candidates(leeds, e, e)
     assert candidates(leeds, SortRef("e"), SortRef("e"))[0] is ident
     # its normal form is kept on its term, so a later use finds it
-    nf, steps, ty = lex._normal(leeds, 10, ident)
-    assert ident.term._normal == (nf, 0, Arrow(e, e))
-    assert lex._normal(leeds, 10, candidates(leeds, e, e)[0])[0] is nf
+    nf, steps = lexicon._normal(ident.term, 10)
+    assert ident.term._normal == (nf, 0)
+    assert lexicon._normal(candidates(leeds, e, e)[0].term, 10)[0] is nf
     # each entry, and each type, has its own
     assert candidates(club, e, e)[0] is not ident
     eet = Arrow(e, Arrow(e, PROP))
