@@ -15,9 +15,9 @@ from itertools import product, starmap
 from .kernel import (Abs, App, Arrow, Forall, KernelError, PROP, ParseError,
                      Term, TyApp, Type, TypeVar, Var, _apply, alpha_equiv,
                      alpha_key, record, render_type, subst_type, type_of)
-from .lexicon import (LexEntry, Lexicon, LexiconError, POLY_AND_BINDERS,
-                      _normal, candidates, coercion_pairs, is_predicate,
-                      poly_and)
+from .lexicon import (AND_MARKER, THE_MARKER, LexEntry, Lexicon, LexiconError,
+                      POLY_AND_BINDERS, _normal, candidates, coercion_pairs,
+                      is_predicate, poly_and)
 from .logic import AND_NAME, IOTA_NAME, _LOGICAL_TERMS, Formula, _formula
 from .reduction import FuelExhausted, _Meter, _built
 
@@ -25,9 +25,6 @@ FELICITOUS = "felicitous"
 INFELICITOUS = "infelicitous"
 TYPE_ERROR = "typeError"
 RESOURCE_LIMIT = "resourceLimit"
-
-THE_MARKER = "THE"
-AND_MARKER = "AND"
 
 _CONJUNCTION = _LOGICAL_TERMS[AND_NAME]
 _CHOICE = _LOGICAL_TERMS[IOTA_NAME]
@@ -253,12 +250,10 @@ def _applied(fun_term, type_args, arg_term, m):
     return App(fun_term, arg_term if m is None else App(m.term, arg_term))
 
 
-def _applied_nf(fun_nf, type_args, arg_nf, m_nf, step):
-    """The normal form of `_applied` on normal parts, `m_nf` being the
-    morphism's normal form or None: only the redexes the application
+def _applied_nf(fun_nf, type_args, arg_nf, step):
+    """The normal form of `_applied` on normal parts, the argument's
+    already routed through its morphism: only the redexes the application
     makes are contracted."""
-    if m_nf is not None:
-        arg_nf = _apply(m_nf, arg_nf, step)
     for ty in type_args:
         fun_nf = _apply(fun_nf, ty, step)
     return _apply(fun_nf, arg_nf, step)
@@ -301,24 +296,48 @@ def _leaf(leaf: Leaf, path, st: _State):
     return node
 
 
+def _routed(a: _Alt, m, fuel):
+    """`(nf, steps)` of the argument reading `a` routed through the
+    morphism `m`, or of `a` itself for None.  The routed term depends on
+    `a`'s normal form and `m` alone, so that node keeps it per morphism,
+    with the steps it adds to `a`'s: the morphism's lexicon steps and the
+    contractions where the two meet.  It is kept only when built within
+    the fuel, as `_leaf` keeps its node, and then returned at any fuel:
+    below `a`'s steps and those, the caller's `_built` builds nothing on
+    it.  The morphism is held beside it, so that its id stays its own."""
+    if m is None:
+        return a.nf, a.steps
+    kept = getattr(a.nf, "_routes", None)    # past the fuel `a.nf` is None
+    found = kept and kept.get(id(m))
+    if not found:
+        m_nf, m_steps = _normal(m.term, fuel)
+        nf, steps = _built(fuel, a.steps + m_steps,
+                           lambda step: _apply(m_nf, a.nf, step))
+        if nf is None:
+            return nf, steps
+        if kept is None:
+            object.__setattr__(a.nf, "_routes", kept := {})
+        found = kept[id(m)] = (m, nf, steps - a.steps)
+    return found[1], a.steps + found[2]
+
+
 def _apply_node(fun: _Node, arg: _Node, path, st: _State):
     inst, ms, ty = _applying(fun.type, arg.type, arg.entry, path)
     if not ms:
         raise CompositionError(f"cannot apply {render_type(fun.type)}"
                                f" to {render_type(arg.type)}", path)
-    # each morphism's normal form and lexicon steps, looked up once
-    coercions = [(None, None, 0) if m is None
-                 else (m, *_normal(m.term, st.fuel))
-                 for m in ms]
+    # the argument routed through each morphism is kept by its normal
+    # form, so a word's coercions are built once per lexicon (see `_routed`)
     alts = []
     for f, a in product(fun.alts, arg.alts):
-        for m, m_nf, m_steps in coercions:
+        for m in ms:
             morphs = f.morphs + a.morphs
             if m is not None:
                 morphs += ((arg.entry.word, path + (1,), m.name),)
+            a_nf, a_steps = _routed(a, m, st.fuel)
             nf, steps = _built(
-                st.fuel, f.steps + a.steps + m_steps,
-                lambda step: _applied_nf(f.nf, inst, a.nf, m_nf, step))
+                st.fuel, f.steps + a_steps,
+                lambda step: _applied_nf(f.nf, inst, a_nf, step))
             alts.append(_Alt(_applied(f.term, inst, a.term, m), nf, steps,
                              morphs, f.presups + a.presups))
     return _Node(ty, alts)
@@ -394,15 +413,13 @@ def _copred_node(fun: _Marker, arg: _Node, path, arg_path, st: _State):
     pairs, refused = (coercion_pairs(arg.entry, xi, alpha, beta)
                       if left.alts and right.alts else ((), ()))
     st.rejections += starmap(Rejection, refused)
-    # each morphism's normal form and lexicon steps, looked up once
     entry, halves = arg.entry, {}
-    tried = {id(m): m for pair in pairs for m in pair}
-    normals = {k: _normal(m.term, st.fuel) for k, m in tried.items()}
 
-    # a half, one conjunct applied to the argument through one morphism,
-    # is built once per node for each such pair, together with the
-    # partial application `#& L` that every reading holding it on the
-    # left shares.  A word that is both conjuncts holds one reading on
+    # a half, one conjunct applied to the argument routed through one
+    # morphism, is built once per node for each such pair, together with
+    # the partial application `#& L` that every reading holding it on the
+    # left shares; the routed argument is built once per lexicon (see
+    # `_routed`).  A word that is both conjuncts holds one reading on
     # both sides, so one half may serve on the left and on the right
     def half(c, m, nested):
         key = id(c), id(m)    # each lives as long as the node
@@ -410,10 +427,9 @@ def _copred_node(fun: _Marker, arg: _Node, path, arg_path, st: _State):
             if nested:    # applied already: one step for Id, one for λy
                 nf, steps = _built(st.fuel, c.steps + 2, lambda step: c.nf)
             else:
-                m_nf, m_steps = normals[id(m)]
-                nf, steps = _built(
-                    st.fuel, c.steps + a.steps + m_steps,
-                    lambda step: _applied_nf(c.nf, (), a.nf, m_nf, step))
+                a_nf, a_steps = _routed(a, m, st.fuel)
+                nf, steps = _built(st.fuel, c.steps + a_steps,
+                                   lambda step: _apply(c.nf, a_nf, step))
             halves[key] = (nf, steps,
                            None if nf is None else App(_CONJUNCTION, nf))
         return halves[key]

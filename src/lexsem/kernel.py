@@ -131,9 +131,10 @@ PROP = SortRef("t")
 class _TermNode:
     # kept on the node, not as fields: its `alpha_key`, its text per style
     # (see `_rt`), its formula and its reference (see `logic._formula` and
-    # `logic._ref`) and, for a lexicon term, its normal form (see
-    # `lexicon._normal`)
-    _key = _ascii = _unicode = _formula = _ref = _normal = None
+    # `logic._ref`), for a lexicon term its normal form (see
+    # `lexicon._normal`), and for an argument's normal form the argument
+    # routed through each morphism (see `composition._routed`)
+    _key = _ascii = _unicode = _formula = _ref = _normal = _routes = None
 
     def __str__(self):
         return render_term(self)

@@ -34,6 +34,10 @@ FLEXIBLE = "flexible"
 
 IMPLICIT_ID = "id"
 
+# the two markers a parse tree may hold besides words (see `composition`)
+THE_MARKER = "THE"
+AND_MARKER = "AND"
+
 
 class LexiconError(KernelError):
     pass
@@ -119,6 +123,10 @@ class Lexicon:
 
 
 def _check_entry(e: LexEntry, ctx: Context):
+    if e.word in (THE_MARKER, AND_MARKER):
+        # a tree reads the name as its marker, so no tree could reach it
+        raise LexiconError(
+            f"word '{e.word}': the name of a tree marker is not a word")
     ty = type_of(e.principal, ctx)
     if not alpha_equiv(ty, e.principal_type):
         raise LexiconError(
@@ -336,7 +344,9 @@ def load_lexicon(text: str) -> Lexicon:
     # the one context every line is parsed against; a `pred` line adds its
     # constant in place
     ctx = Context(sorts=sorts, constants=_LOGICAL_CONSTANTS)
-    current: str | None = None
+    # the latest word's name, term, type and morphisms so far: its entry
+    # is built once, when the next word begins or the file ends
+    word = None
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#") or _SORTS_RE.match(line):
@@ -346,16 +356,15 @@ def load_lexicon(text: str) -> Lexicon:
         if line.startswith("pred"):
             _load_pred(lex, ctx, line, lineno, lead)
         elif line.startswith("word"):
-            current = _load_word(lex, ctx, line, lineno, lead)
+            _enter(lex, word)
+            word = _load_word(lex, ctx, line, lineno, lead)
         elif line.startswith("morph"):
-            if current is None:
+            if word is None:
                 _fail(lineno, "a morph line needs a preceding word")
-            e = lex.entries[current]
-            lex.entries[current] = LexEntry(
-                e.word, e.principal, e.principal_type,
-                e.morphisms + (_load_morph(ctx, line, lineno, lead),))
+            word[3].append(_load_morph(ctx, line, lineno, lead))
         else:
             _fail(lineno, f"cannot read {line!r}")
+    _enter(lex, word)
     try:
         for e in lex.entries.values():
             _check_entry(e, ctx)
@@ -376,7 +385,9 @@ def _load_pred(lex, ctx, line, lineno, lead):
     lex.predicates[name] = ctx.constants[name] = ty
 
 
-def _load_word(lex, ctx, line, lineno, lead) -> str:
+def _load_word(lex, ctx, line, lineno, lead) -> tuple:
+    """The word's `(name, term, type, [])`, for its morphisms to follow;
+    every word before it is in `lex.entries`."""
     m = _WORD_RE.match(line)
     if not m:
         _fail(lineno, "expected 'word <name> : <type> = <term>'")
@@ -385,8 +396,13 @@ def _load_word(lex, ctx, line, lineno, lead) -> str:
         _fail(lineno, f"word '{name}' already declared")
     ty = _parse(lineno, parse_type, ty_src, ctx, lead + m.start(2))
     term = _parse(lineno, parse_term, term_src, ctx, lead + m.start(3))
-    lex.entries[name] = LexEntry(name, term, ty)
-    return name
+    return name, term, ty, []
+
+
+def _enter(lex, word):
+    if word is not None:
+        name, term, ty, morphs = word
+        lex.entries[name] = LexEntry(name, term, ty, tuple(morphs))
 
 
 def _load_morph(ctx, line, lineno, lead) -> Morphism:

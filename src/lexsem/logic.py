@@ -78,18 +78,22 @@ def logical_signature(sorts) -> Context:
 # ---------------------------------------------------------------------------
 # formulae
 
+class _RefNode:
+    _ascii = _unicode = None  # top-scope text per style, kept by `_render_ref`
+
+
 @record
-class ConstRef:
+class ConstRef(_RefNode):
     name: str
 
 
 @record
-class VarRef:
+class VarRef(_RefNode):
     name: str
 
 
 @record
-class Description:
+class Description(_RefNode):
     """A choice-operator description: the `pred` such that iota[sort](pred)."""
 
     sort: "Type"
@@ -97,13 +101,13 @@ class Description:
 
 
 @record
-class Applied:
+class Applied(_RefNode):
     fun: "Ref"
     args: tuple
 
 
 @record
-class TermRef:
+class TermRef(_RefNode):
     """Fallback for higher-order arguments with no first-order shape."""
 
     term: "Term"
@@ -404,21 +408,31 @@ def _sort_text(sort, sym):
 
 
 def _render_ref(r, sym, printed, names):
+    """`r`'s text; kept on the reference, as `_render` keeps a formula
+    node's, only with no binder in scope."""
     match r:
         case VarRef():
             return names.get(r.name, r.name)
         case ConstRef():
             return r.name
-        case Description():
-            pred = _pred_text(_rebind(r.pred, names), sym, printed)
-            return f"{sym['iota']}[{_rty(r.sort, sym)}]({pred})"
-        case Applied():
-            inner = ", ".join(_render_ref(a, sym, printed, names)
-                              for a in r.args)
-            return f"{_render_ref(r.fun, sym, printed, names)}({inner})"
-        case TermRef():
-            return _rt(_rebind(r.term, names), sym)
-    raise LogicError(f"not a term reference: {r!r}")
+    top = not printed
+    s = getattr(r, sym["kept"]) if top and isinstance(r, _RefNode) else None
+    if s is None:
+        match r:
+            case Description():
+                pred = _pred_text(_rebind(r.pred, names), sym, printed)
+                s = f"{sym['iota']}[{_rty(r.sort, sym)}]({pred})"
+            case Applied():
+                inner = ", ".join(_render_ref(a, sym, printed, names)
+                                  for a in r.args)
+                s = f"{_render_ref(r.fun, sym, printed, names)}({inner})"
+            case TermRef():
+                s = _rt(_rebind(r.term, names), sym)
+            case _:
+                raise LogicError(f"not a term reference: {r!r}")
+        if top:
+            object.__setattr__(r, sym["kept"], s)
+    return s
 
 
 def _eta_head(pred) -> str | None:

@@ -530,6 +530,10 @@ def _nested_and(depth):
 
 
 def _fan_out_lexicon(m, kind="normal"):
+    return load_lexicon(_fan_out_text(m, kind))
+
+
+def _fan_out_text(m, kind="normal"):
     """A word with `m` flexible morphisms into its predicates' sort.  Of
     kind "non-normal", the word, the predicate `p` and every morphism are
     terms that take steps to normalize; of kind "odd", the word, `p` and
@@ -543,10 +547,9 @@ def _fan_out_lexicon(m, kind="normal"):
         f"  morph u{i} : T -> A = "
         + (f"lam z:T. (lam k:T. #u{i} k) z" if i in slow else f"#u{i}")
         + " [flexible]\n" for i in range(m))
-    return load_lexicon(
-        f"sorts: T A\npred c : T\n{preds}pred p : A -> t\npred q : A -> t\n"
-        f"word w : T = {w}\n{morphs}word p : A -> t = {p}\n"
-        f"word q : A -> t = #q\n")
+    return (f"sorts: T A\npred c : T\n{preds}pred p : A -> t\n"
+            f"pred q : A -> t\nword w : T = {w}\n{morphs}"
+            f"word p : A -> t = {p}\nword q : A -> t = #q\n")
 
 
 def _normal_form_cases():
@@ -981,6 +984,68 @@ def test_judging_types_no_morphism_term(monkeypatch):
     assert not any(id(t) in morph_terms for t in typed)
 
 
+def _counted_apply(monkeypatch, fun, arg):
+    """The calls to composition's `_apply` of a term `== fun` to a term
+    for which `arg` holds."""
+    calls = []
+
+    def counted(f, a, step):
+        if f == fun and arg(a):
+            calls.append(a)
+        return _apply(f, a, step)
+
+    monkeypatch.setattr(composition, "_apply", counted)
+    return calls
+
+
+def test_a_coerced_argument_is_built_once_per_lexicon(monkeypatch):
+    # a word's coercion depends on the lexicon alone: one lexicon builds
+    # `t3` applied to `#lpl`, and `f_phi` applied to the ι term of
+    # assinatura, once for any number of trees
+    liverpool = load_lexicon(fixture_text("liverpool.mgl"))
+    town = SortRef("T")
+    calls = _counted_apply(
+        monkeypatch, Const("t3", Arrow(town, SortRef("Pl"))),
+        lambda a: a == Const("lpl", town))
+    for _ in range(50):
+        v = felicity(parse_tree("(spread_out Liverpool)"), liverpool)
+        assert [render_formula(r.formula) for r in v.readings] == \
+            ["spread_out(t3(lpl))"]
+    assert len(calls) == 1
+
+    assinatura = load_lexicon(fixture_text("assinatura.mgl"))
+    event = SortRef("v")
+    calls = _counted_apply(
+        monkeypatch, Const("f_phi", Arrow(event, SortRef("phi"))),
+        lambda a: isinstance(a, App) and a.fun == TyApp(
+            logic._LOGICAL_TERMS[logic.IOTA_NAME], event))
+    for _ in range(50):
+        v = felicity(parse_tree("(ilegivel (THE assinatura))"), assinatura)
+        assert [render_formula(r.formula) for r in v.readings] == \
+            ["ilegivel(f_phi(iota[v](assi)))"]
+    assert len(calls) == 1
+
+
+def test_a_replaced_morphism_misses_the_kept_route():
+    # the principal term, and so the argument's normal form that keeps
+    # the routes, is the same object; the morphism is not
+    lex = load_lexicon(fixture_text("liverpool.mgl"))
+    tree = parse_tree("(spread_out Liverpool)")
+    [r] = felicity(tree, lex).readings
+    assert render_formula(r.formula) == "spread_out(t3(lpl))"
+    old = lex.entries["Liverpool"]
+    town, place = old.principal_type, SortRef("Pl")
+    lex.predicates["t4"] = Arrow(town, place)
+    t3 = Morphism("t3", Const("t4", Arrow(town, place)), town, place,
+                  FLEXIBLE)
+    lex.entries["Liverpool"] = LexEntry(old.word, old.principal, town,
+                                        old.morphisms[:3] + (t3,))
+    del old
+    lex.validate()
+    [r] = felicity(tree, lex).readings
+    assert render_formula(r.formula) == "spread_out(t4(lpl))"
+
+
 def test_a_replaced_entry_misses_the_memo():
     lex = load_lexicon(fixture_text("liverpool.mgl"))
     tree = parse_tree("(spread_out Liverpool)")
@@ -1226,13 +1291,22 @@ def test_a_the_node_over_a_leaf_noun_is_built_once_per_entry(monkeypatch):
 
 def _the_cases():
     """Per lexicon text, its fixture's THE trees and `(THE w)` on each
-    noun `_nouns` walks."""
+    noun `_nouns` walks; then arguments routed through a morphism: one
+    through Liverpool's declared `Id`, an abstraction, which costs one
+    contraction, and through fan-out morphisms that take steps to
+    normalize."""
     for name in ("montague", "liverpool", "assinatura"):
         trees = [line for line in fixture_text(f"trees_{name}.txt")
                  .splitlines() if THE_MARKER in line]
         yield fixture_text(f"{name}.mgl"), trees
     yield NON_NORMAL, []
     yield NON_NORMAL_NOUNS, []
+    yield (fixture_text("liverpool.mgl")
+           + "pred big : T -> t\nword big : T -> t = #big\n",
+           ["(spread_out Liverpool)", "((AND big spread_out) Liverpool)",
+            "((AND voted big) Liverpool)", "((AND big big) Liverpool)"])
+    for kind in ("non-normal", "odd"):
+        yield _fan_out_text(3, kind), ["(p w)", "((AND p q) w)"]
 
 
 def test_a_kept_the_node_answers_as_a_fresh_lexicon_does_at_any_fuel():
@@ -1240,7 +1314,8 @@ def test_a_kept_the_node_answers_as_a_fresh_lexicon_does_at_any_fuel():
     # resource limit, ascending, then descending once its nodes are kept,
     # then the default: a kept node is reused only at or above the steps
     # its claim is charged, which for a noun that is an abstraction are
-    # one more than its reading's
+    # one more than its reading's, and a kept routed argument only at or
+    # above its steps and those of its morphism and their meeting
     judged = 0
     for text, trees in _the_cases():
         lex = load_lexicon(text)
@@ -1257,7 +1332,7 @@ def test_a_kept_the_node_answers_as_a_fresh_lexicon_does_at_any_fuel():
             for fuel in fuels + fuels[::-1] + [10000]:
                 assert felicity(tree, lex, fuel) == want[fuel], (tree, fuel)
                 judged += 1
-    assert judged == 103
+    assert judged == 309
 
 
 def test_judging_a_the_tree_normalizes_lexicon_terms_only(monkeypatch):

@@ -346,6 +346,43 @@ def test_interleaved_pred_and_word_lines_load_in_linear_work(monkeypatch):
         {*lex.predicates, *lexicon._LOGICAL_CONSTANTS}
 
 
+def test_a_word_s_morph_lines_build_its_entry_once(monkeypatch):
+    # the entry is built after the word's last morph line, not once per
+    # line with its morphisms copied, which is quadratic in their number
+    n = 2000
+    text = ("sorts: T A\npred c : T\npred f : T -> A\nword w : T = #c\n"
+            + "".join(f"  morph u{i} : T -> A = #f [flexible]\n"
+                      for i in range(n))
+            + "word v : T = #c\n")
+    built = []
+
+    def counted(*args):
+        built.append(args[0])
+        return LexEntry(*args)
+
+    monkeypatch.setattr(lexicon, "LexEntry", counted)
+    lex = load_lexicon(text)
+    assert built == ["w", "v"]
+    assert [m.name for m in lex.entry("w").morphisms] == \
+        [f"u{i}" for i in range(n)]
+    assert lex.entry("v").morphisms == ()
+
+
+def test_a_word_named_like_a_tree_marker_is_refused():
+    # a tree reads THE and AND as its markers, so no tree reaches such a
+    # word: the loader and validate() refuse it, naming it
+    for name in ("THE", "AND"):
+        text = f"sorts: e\npred c : e\nword {name} : e = #c\n"
+        message = f"^word '{name}': "
+        with pytest.raises(LexiconError, match=message):
+            load_lexicon(text)
+        lex = load_lexicon(text.replace(f"word {name}", "word w"))
+        lex.entries[name] = LexEntry(name, lex.entry("w").principal,
+                                     SortRef("e"))
+        with pytest.raises(LexiconError, match=message):
+            lex.validate()
+
+
 def test_a_term_keeps_its_normal_form_once_it_has_one():
     lex = load_lexicon("sorts: T\npred p : T -> t\nword w : T -> t ="
                        " lam x:T. (lam y:T. (lam z:T. #p z) y) x\n")

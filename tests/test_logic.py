@@ -305,6 +305,30 @@ def test_render_order_does_not_change_the_text():
         assert render_formula(nodes[3], then) == fresh[then][3]
 
 
+def test_a_kept_reference_text_never_answers_under_a_binder():
+    # a reference shared by two formulae, printed at top scope first:
+    # under a binder of its own binder's name it prints a fresh name, in
+    # either style, and each style keeps its own top-scope text
+    ctx = sig(p=Arrow(E, PROP), q=Arrow(E, PROP))
+    d = Description(E, parse_term("lam x:e. (#& (#p x)) (#q x)", ctx))
+    applied = Applied(ConstRef("f"), (d,))
+    for ref, top, under in [
+            (d, ("iota[e](x. p(x) & q(x))", "ι[e](x. p(x) ∧ q(x))"),
+             ("iota[e](x1. p(x1) & q(x1))", "ι[e](x1. p(x1) ∧ q(x1))")),
+            (applied,
+             ("f(iota[e](x. p(x) & q(x)))", "f(ι[e](x. p(x) ∧ q(x)))"),
+             ("f(iota[e](x1. p(x1) & q(x1)))",
+              "f(ι[e](x1. p(x1) ∧ q(x1)))"))]:
+        atom = Atom(ConstRef("r"), (ref,))
+        bound = Quant("exists", "x", E, Atom(ConstRef("s"),
+                                             (VarRef("x"), ref)))
+        assert render_formula(atom) == f"r({top[0]})"
+        assert render_formula(atom, "unicode") == f"r({top[1]})"
+        assert render_formula(bound) == f"exists x:e. s(x, {under[0]})"
+        assert render_formula(bound, "unicode") == f"∃x:e. s(x, {under[1]})"
+        assert (ref._ascii, ref._unicode) == top
+
+
 def test_rendering_leaves_the_record_unchanged():
     rendered, copy = _shadowing(), _shadowing()
     for f in rendered:
