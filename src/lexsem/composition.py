@@ -16,10 +16,10 @@ from .kernel import (Abs, App, Arrow, Forall, KernelError, PROP, ParseError,
                      Term, TyApp, Type, TypeVar, Var, _apply, alpha_equiv,
                      alpha_key, record, render_type, subst_type, type_of)
 from .lexicon import (AND_MARKER, THE_MARKER, LexEntry, Lexicon, LexiconError,
-                      POLY_AND_BINDERS, _normal, candidates, coercion_pairs,
+                      POLY_AND_BINDERS, _kept, candidates, coercion_pairs,
                       is_predicate, poly_and)
 from .logic import AND_NAME, IOTA_NAME, _LOGICAL_TERMS, Formula, _formula
-from .reduction import FuelExhausted, _Meter, _built
+from .reduction import FuelExhausted, _Meter, _built, _normal_form
 
 FELICITOUS = "felicitous"
 INFELICITOUS = "infelicitous"
@@ -284,41 +284,38 @@ def _leaf(leaf: Leaf, path, st: _State):
         entry = st.lex.entry(leaf.word)
     except LexiconError as err:
         raise CompositionError(str(err), path) from err
-    # the word's node depends on its entry alone, so the entry keeps it;
-    # past the fuel its term has no normal form, and a node is built anew
-    node = entry._leaf
-    if node is None or node.alts[0].steps > st.fuel:
-        nf, steps = _normal(entry.principal, st.fuel)
-        node = _Node(type_of(entry.principal),
-                     (_Alt(entry.principal, nf, steps),), entry)
-        if nf is not None:
-            object.__setattr__(entry, "_leaf", node)
-    return node
+    # the word's node depends on its entry alone, so the entry keeps it
+    # (see `lexicon._kept`)
+    return _kept(entry, "leaf", st.fuel, _leaf_node, entry, st.fuel)[0]
 
 
-def _routed(a: _Alt, m, fuel):
-    """`(nf, steps)` of the argument reading `a` routed through the
-    morphism `m`, or of `a` itself for None.  The routed term depends on
-    `a`'s normal form and `m` alone, so that node keeps it per morphism,
-    with the steps it adds to `a`'s: the morphism's lexicon steps and the
-    contractions where the two meet.  It is kept only when built within
-    the fuel, as `_leaf` keeps its node, and then returned at any fuel:
-    below `a`'s steps and those, the caller's `_built` builds nothing on
-    it.  The morphism is held beside it, so that its id stays its own."""
+def _leaf_node(entry: LexEntry, fuel):
+    nf, steps = _built(fuel, 0,
+                       lambda step: _normal_form(entry.principal, step))
+    return _Node(type_of(entry.principal),
+                 (_Alt(entry.principal, nf, steps),), entry), steps
+
+
+def _routed(entry, a: _Alt, m, fuel):
+    """`(nf, steps)` of the argument reading `a` of `entry` routed
+    through the morphism `m`, or of `a` itself for None.  The entry
+    keeps it per morphism (see `lexicon._kept`): a word is routed from
+    its coercion source alone, the type of its leaf node or of `THE`'s
+    over it, never both, so the morphism names the route.  Its steps
+    are `a`'s, the morphism's lexicon steps and the contractions where
+    the two meet."""
     if m is None:
         return a.nf, a.steps
-    kept = getattr(a.nf, "_routes", None)    # past the fuel `a.nf` is None
-    found = kept and kept.get(id(m))
-    if not found:
-        m_nf, m_steps = _normal(m.term, fuel)
-        nf, steps = _built(fuel, a.steps + m_steps,
-                           lambda step: _apply(m_nf, a.nf, step))
-        if nf is None:
-            return nf, steps
-        if kept is None:
-            object.__setattr__(a.nf, "_routes", kept := {})
-        found = kept[id(m)] = (m, nf, steps - a.steps)
-    return found[1], a.steps + found[2]
+    (nf, _), steps = _kept(entry, id(m), fuel, _route, a, m, fuel)
+    return nf, steps
+
+
+def _route(a: _Alt, m, fuel):
+    """`_routed`'s route, with the morphism held beside it, so that its
+    id stays its own."""
+    nf, steps = _built(fuel, a.steps, lambda step: _apply(
+        _normal_form(m.term, step), a.nf, step))
+    return (nf, m), steps
 
 
 def _apply_node(fun: _Node, arg: _Node, path, st: _State):
@@ -326,15 +323,15 @@ def _apply_node(fun: _Node, arg: _Node, path, st: _State):
     if not ms:
         raise CompositionError(f"cannot apply {render_type(fun.type)}"
                                f" to {render_type(arg.type)}", path)
-    # the argument routed through each morphism is kept by its normal
-    # form, so a word's coercions are built once per lexicon (see `_routed`)
+    # the argument routed through each morphism is kept by its entry, so
+    # a word's coercions are built once per lexicon (see `_routed`)
     alts = []
     for f, a in product(fun.alts, arg.alts):
         for m in ms:
             morphs = f.morphs + a.morphs
             if m is not None:
                 morphs += ((arg.entry.word, path + (1,), m.name),)
-            a_nf, a_steps = _routed(a, m, st.fuel)
+            a_nf, a_steps = _routed(arg.entry, a, m, st.fuel)
             nf, steps = _built(
                 st.fuel, f.steps + a_steps,
                 lambda step: _applied_nf(f.nf, inst, a_nf, step))
@@ -347,17 +344,21 @@ def _the_node(noun: _Node, path, st: _State):
     if not is_predicate(noun.type):
         raise CompositionError(f"{THE_MARKER} needs a predicate,"
                                f" got {render_type(noun.type)}", path)
-    # over a word's kept leaf node the node depends on the entry alone:
-    # the entry keeps it with its claim's steps, one more than the
-    # reading's for a noun that is an abstraction, and it is reused at
-    # any fuel at or above those, as `_leaf` reuses its node
+    # over a word's leaf node, whose one reading is its principal term,
+    # the node depends on the entry alone: the entry keeps it with its
+    # claim's steps (see `lexicon._kept`)
     entry = noun.entry
-    leaf = entry is not None and noun is entry._leaf
-    if leaf and entry._the is not None and entry._the[0] <= st.fuel:
-        return entry._the[1]
+    if entry is None or noun.alts[0].term is not entry.principal:
+        return _the(noun, st.fuel)[0]
+    return _kept(entry, THE_MARKER, st.fuel, _the, noun, st.fuel)[0]
+
+
+def _the(noun: _Node, fuel):
+    """`THE`'s node over `noun`, and the steps of its last claim: a leaf
+    node has one reading."""
     sort = noun.type.domain
     choice = TyApp(_CHOICE, sort)
-    alts = []
+    alts, steps = [], 0
     for alt in noun.alts:
         term = App(choice, alt.term)
         nf = App(choice, alt.nf)
@@ -367,17 +368,14 @@ def _the_node(noun: _Node, path, st: _State):
         # has a constant at its head, so substituting it into the noun's
         # normal form makes no redex: the claim costs one step for a noun
         # that is an abstraction, none otherwise
-        claim, steps = _built(st.fuel, alt.steps,
+        claim, steps = _built(fuel, alt.steps,
                               lambda step: _apply(alt.nf, nf, step))
         if claim is None:
             alts.append(_Alt(term, None, steps, alt.morphs, alt.presups))
         else:
             alts.append(_Alt(term, nf, alt.steps, alt.morphs,
                              alt.presups + (_formula(claim),)))
-    node = _Node(sort, tuple(alts), entry)
-    if leaf and claim is not None:    # a leaf node has one reading
-        object.__setattr__(entry, "_the", (steps, node))
-    return node
+    return _Node(sort, tuple(alts), noun.entry), steps
 
 
 def _nested(conj: _Marker, arg: _Node, path, arg_path, st: _State):
@@ -427,7 +425,7 @@ def _copred_node(fun: _Marker, arg: _Node, path, arg_path, st: _State):
             if nested:    # applied already: one step for Id, one for λy
                 nf, steps = _built(st.fuel, c.steps + 2, lambda step: c.nf)
             else:
-                a_nf, a_steps = _routed(a, m, st.fuel)
+                a_nf, a_steps = _routed(entry, a, m, st.fuel)
                 nf, steps = _built(st.fuel, c.steps + a_steps,
                                    lambda step: _apply(c.nf, a_nf, step))
             halves[key] = (nf, steps,

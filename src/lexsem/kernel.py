@@ -130,11 +130,9 @@ PROP = SortRef("t")
 
 class _TermNode:
     # kept on the node, not as fields: its `alpha_key`, its text per style
-    # (see `_rt`), its formula and its reference (see `logic._formula` and
-    # `logic._ref`), for a lexicon term its normal form (see
-    # `lexicon._normal`), and for an argument's normal form the argument
-    # routed through each morphism (see `composition._routed`)
-    _key = _ascii = _unicode = _formula = _ref = _normal = _routes = None
+    # (see `_rt`), and its formula and its reference (see `logic._formula`
+    # and `logic._ref`)
+    _key = _ascii = _unicode = _formula = _ref = None
 
     def __str__(self):
         return render_term(self)
@@ -238,26 +236,30 @@ class Context:
 def free_vars(term) -> dict:
     """Free term variables of a term, mapped to their annotated types."""
     out: dict[str, Type] = {}
-    _free_vars(term, frozenset(), out)
+    _free_vars(term, frozenset(), out, set())
     return out
 
 
-def _free_vars(t, bound, out):
+def _free_vars(t, bound, out, seen):
     # a module function, not a closure: a closure that calls itself is a
-    # reference cycle, left to the cyclic collector after every call
+    # reference cycle, left to the cyclic collector after every call.
+    # Paths to a shared part branch only at an application, the one node
+    # with two children, so each is walked once per set of bound names
     match t:
         case Var():
             if t.name not in bound:
                 out.setdefault(t.name, t.type)
         case App():
-            _free_vars(t.fun, bound, out)
-            _free_vars(t.arg, bound, out)
+            if (key := (id(t), bound)) not in seen:
+                seen.add(key)
+                _free_vars(t.fun, bound, out, seen)
+                _free_vars(t.arg, bound, out, seen)
         case Abs():
-            _free_vars(t.body, bound | {t.var}, out)
+            _free_vars(t.body, bound | {t.var}, out, seen)
         case TyApp():
-            _free_vars(t.fun, bound, out)
+            _free_vars(t.fun, bound, out, seen)
         case TyAbs():
-            _free_vars(t.body, bound, out)
+            _free_vars(t.body, bound, out, seen)
 
 
 def free_type_vars(target) -> set:
@@ -816,13 +818,14 @@ def render_term(term, style: str = "ascii") -> str:
 def _rt(t, sym):
     """`t`'s text.  It depends on the node and the style alone, so a
     compound node keeps it, in the attribute that `sym["kept"]` names,
-    and a node shared by several terms is printed once."""
+    and a node shared by several terms is printed once.  Only a term
+    node's kept text is read: a formula keeps its own."""
     match t:
         case Var():
             return t.name
         case Const():
             return f"{sym['const']}{t.name}"
-    s = getattr(t, sym["kept"], None)
+    s = getattr(t, sym["kept"]) if isinstance(t, _TermNode) else None
     if s is not None:
         return s
     match t:

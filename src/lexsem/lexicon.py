@@ -27,7 +27,7 @@ from .kernel import (Abs, App, Arrow, Context, KernelError, PROP, ParseError,
                      alpha_key, parse_term, parse_type, render_term, record,
                      render_type, type_of)
 from .logic import IOTA_NAME, _LOGICAL_CONSTANTS, _LOGICAL_TERMS, to_formula
-from .reduction import _Meter, _built, _normal_form
+from .reduction import _Meter, _normal_form
 
 RIGID = "rigid"
 FLEXIBLE = "flexible"
@@ -71,9 +71,8 @@ class LexEntry:
     principal: "Term"
     principal_type: "Type"
     morphisms: tuple = ()
-    # kept data, outside the fields: the answers of `candidates` and
-    # `coercion_pairs`, and composition's leaf node and `THE` node over it
-    _candidates = _plans = _leaf = _the = None
+    # kept data, outside the fields: everything `_kept` builds for it
+    _kept = None
 
     @property
     def coercion_source(self) -> "Type":
@@ -169,23 +168,26 @@ def _check_entry(e: LexEntry, ctx: Context):
                 f" type nor its referent domain")
 
 
-def _normal(term: "Term", fuel):
-    """`(normal form, steps)` of a lexicon term; the normal form is None
-    when its steps exceed `fuel`.
+def _kept(entry: LexEntry, key, fuel, build, *args):
+    """`(result, steps)` of `build(*args)`, which depends on `entry`
+    alone and is charged `steps` under `fuel`; 0 for work that reduces
+    nothing.
 
-    Each term is normalized once, on first use, under a meter of its
-    own: a caller adds the steps to its own charge.  The result depends
-    on the term alone, so the term node keeps it; an entry or morphism
-    replaced in `Lexicon.entries` carries a new term, and misses.  A term
-    that ran out of fuel keeps nothing.
+    The entry keeps it in one mapping, under a `key` of strings, ids or
+    α-keys, never a record, whose hash walks its term.  A result is kept
+    only when built within the fuel, and reused at any fuel at or above
+    its steps; below them it is built anew.  An entry replaced in
+    `Lexicon.entries` keeps nothing of the old one's.
     """
-    kept = term._normal
+    kept = entry._kept
     if kept is None:
-        kept = _built(fuel, 0, lambda step: _normal_form(term, step))
-        if kept[0] is not None:
-            object.__setattr__(term, "_normal", kept)
-    nf, steps = kept
-    return nf if steps <= fuel else None, steps
+        object.__setattr__(entry, "_kept", kept := {})
+    found = kept.get(key)
+    if found is None or found[1] > fuel:
+        found = build(*args)
+        if found[1] <= fuel:
+            kept[key] = found
+    return found
 
 
 def identity_morphism(ty) -> Morphism:
@@ -201,26 +203,24 @@ def candidates(entry: LexEntry, frm, to) -> list:
     replaces it, keeping its own rigidity.
 
     The answer depends on the entry and the two types up to α, so the
-    entry keeps it, the morphisms or the error message, per pair: an
-    implicit identity is built once, and keeps its normal form.
+    entry keeps it, the morphisms or the error message, per pair of
+    α-keys: an implicit identity is built once.
     """
-    kept = entry._candidates
-    if kept is None:
-        object.__setattr__(entry, "_candidates", kept := {})
     key = alpha_key(frm), alpha_key(to)
-    found = kept.get(key)
-    if found is None:
-        if not alpha_equiv(frm, entry.coercion_source):
-            found = f"'{entry.word}' has no coercions from {render_type(frm)}"
-        else:
-            found = tuple(m for m in entry.morphisms
-                          if alpha_equiv(m.target, to))
-            if key[0] == key[1] and not any(m.is_identity for m in found):
-                found += (identity_morphism(frm),)
-        kept[key] = found
+    found, _ = _kept(entry, key, 0, _candidates, entry, frm, to, key)
     if isinstance(found, str):
         raise LexiconError(found)
     return list(found)
+
+
+def _candidates(entry, frm, to, key):
+    """`candidates`' answer and its steps, none."""
+    if not alpha_equiv(frm, entry.coercion_source):
+        return f"'{entry.word}' has no coercions from {render_type(frm)}", 0
+    found = tuple(m for m in entry.morphisms if alpha_equiv(m.target, to))
+    if key[0] == key[1] and not any(m.is_identity for m in found):
+        found += (identity_morphism(frm),)
+    return found, 0
 
 
 def coercion_pairs(entry: LexEntry, xi, alpha, beta):
@@ -232,14 +232,9 @@ def coercion_pairs(entry: LexEntry, xi, alpha, beta):
     sides.  The answer depends on the entry and the three types up to α,
     so the entry keeps it per triple of α-keys, except for the refusal of
     a side with no morphism, written anew in the caller's own types."""
-    kept = entry._plans
-    if kept is None:
-        object.__setattr__(entry, "_plans", kept := {})
     key = alpha_key(xi), alpha_key(alpha), alpha_key(beta)
-    plan = kept.get(key)
-    if plan is None:
-        plan = kept[key] = _plan(entry, xi, alpha, beta)
-    pairs, refused, missing = plan
+    (pairs, refused, missing), _ = _kept(entry, key, 0, _plan, entry, xi,
+                                         alpha, beta)
     for side in missing:
         # in the caller's own types; beside a side with no morphism no
         # pair was refused, so this keeps the order of the log
@@ -251,11 +246,11 @@ def coercion_pairs(entry: LexEntry, xi, alpha, beta):
 
 def _plan(entry, xi, alpha, beta):
     """`(pairs, refused pairs, sides with no morphism)` for
-    `coercion_pairs`."""
+    `coercion_pairs`, and its steps, none."""
     try:
         fs, gs = (candidates(entry, xi, target) for target in (alpha, beta))
     except LexiconError as err:
-        return (), (((), str(err)),), ()
+        return ((), (((), str(err)),), ()), 0
     pairs, refused = [], []
     for f, g in product(fs, gs):
         if f.name == g.name or RIGID not in (f.rigidity, g.rigidity):
@@ -265,7 +260,7 @@ def _plan(entry, xi, alpha, beta):
             refused.append(((f.name, g.name),
                             f"rigid {rigid.name} excludes {other.name}"))
     return (tuple(pairs), tuple(refused),
-            tuple(i for i, ms in enumerate((fs, gs)) if not ms))
+            tuple(i for i, ms in enumerate((fs, gs)) if not ms)), 0
 
 
 # ---------------------------------------------------------------------------

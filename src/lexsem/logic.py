@@ -375,8 +375,10 @@ def _render(f, prec, sym, printed, names):
     """`f`'s text, in parentheses if its precedence is below `prec`.  With
     no binder in scope the text depends on `f` and the style alone, so it
     is kept on the node (not as a field) and a shared node is printed
-    once; under a binder, where a shadowed name prints fresh, it is not."""
-    s = None if printed else getattr(f, sym["kept"], None)
+    once; under a binder, where a shadowed name prints fresh, it is not.
+    Only a formula node's kept text is read: a term keeps its own."""
+    top = not printed and isinstance(f, _FormulaNode)
+    s = getattr(f, sym["kept"]) if top else None
     if s is None:
         match f:
             case Quant() if f.kind in _QUANTIFIERS:
@@ -395,7 +397,7 @@ def _render(f, prec, sym, printed, names):
                     s = f"{s}({inner})"
             case _:
                 raise LogicError(f"not a formula: {f!r}")
-        if not printed:
+        if top:
             object.__setattr__(f, sym["kept"], s)
     return f"({s})" if prec > _OWN_PREC.get(type(f), prec) else s
 

@@ -953,13 +953,13 @@ def test_fuel_below_one_is_refused_before_anything_else(fuel):
     ("(p w)", 2 + 6),
 ])
 def test_a_node_looks_up_each_lexicon_term_once(monkeypatch, text, lookups):
-    normal, calls = composition._normal, []
+    normal, calls = composition._normal_form, []
 
     def counted_normal(*args):
         calls.append(args)
         return normal(*args)
 
-    monkeypatch.setattr(composition, "_normal", counted_normal)
+    monkeypatch.setattr(composition, "_normal_form", counted_normal)
     v = felicity(parse_tree(text), _fan_out_lexicon(6))
     assert v.status == FELICITOUS
     # at most one lookup per leaf, and one per morphism per node
@@ -1072,25 +1072,36 @@ def test_a_replaced_entry_misses_the_memo():
 # ---------------------------------------------------------------------------
 # an entry keeps its word's leaf node and its conjunction plans
 
+def _kept_leaf(entry):
+    """The leaf node `entry` keeps, or None."""
+    return (entry._kept or {}).get("leaf", (None,))[0]
+
+
+def _kept_plans(entry):
+    """The conjunction plans `entry` keeps, by their triples of α-keys."""
+    return [k for k in entry._kept or () if isinstance(k, tuple)
+            and len(k) == 3]
+
+
 def test_a_replaced_entry_misses_the_kept_leaf_and_plan():
     lex = load_lexicon(fixture_text("liverpool.mgl"))
     conj = parse_tree("((AND voted won) Liverpool)")
     old = lex.entries["Liverpool"]
     assert felicity(conj, lex).status == INFELICITOUS
-    assert old._leaf is not None and old._plans
+    assert _kept_leaf(old) is not None and _kept_plans(old)
     # the same word with every morphism flexible, and another referent
     town = old.principal_type
     lex.entries["Liverpool"] = new = LexEntry(
         old.word, Const("everton", town), town,
         tuple(Morphism(m.name, m.term, m.source, m.target, FLEXIBLE)
               for m in old.morphisms))
-    assert new._leaf is None and new._plans is None
+    assert _kept_leaf(new) is None and not _kept_plans(new)
     v = felicity(conj, lex)
     assert v.status == FELICITOUS
     assert [render_formula(r.formula) for r in v.readings] == \
         ["voted(t2(everton)) & won(t1(everton))"]
-    assert new._leaf is not old._leaf
-    assert new._leaf.alts[0].term == Const("everton", town)
+    assert _kept_leaf(new) is not _kept_leaf(old)
+    assert _kept_leaf(new).alts[0].term == Const("everton", town)
 
 
 SLOW_WORD = """\
@@ -1116,15 +1127,15 @@ def test_a_leaf_past_the_fuel_is_neither_reused_nor_kept():
     entry = lex.entries["w"]
     v = felicity(parse_tree("w"), lex, 1)
     assert v.status == RESOURCE_LIMIT
-    assert entry._leaf is None
+    assert _kept_leaf(entry) is None
     for tree, fuel in cases:
         assert repr(felicity(parse_tree(tree), lex, fuel)) == \
             fresh(tree, fuel), (tree, fuel)
-    kept = entry._leaf
+    kept = _kept_leaf(entry)
     assert kept.alts[0].steps == 2
     # a kept node is not reused below its steps, nor replaced there
     assert felicity(parse_tree("w"), lex, 1).status == RESOURCE_LIMIT
-    assert entry._leaf is kept
+    assert _kept_leaf(entry) is kept
     assert felicity(parse_tree("w"), lex, 2).status == FELICITOUS
 
 
@@ -1337,7 +1348,7 @@ def test_a_kept_the_node_answers_as_a_fresh_lexicon_does_at_any_fuel():
 
 def test_judging_a_the_tree_normalizes_lexicon_terms_only(monkeypatch):
     # the reduction loop looks for its next redex with `_leftmost`
-    normal, find = composition._normal, reduction._leftmost
+    normal, find = composition._normal_form, reduction._leftmost
     depth, inside, outside = [0], [], []
 
     def counted_normal(*args):
@@ -1351,7 +1362,7 @@ def test_judging_a_the_tree_normalizes_lexicon_terms_only(monkeypatch):
         (inside if depth[0] else outside).append(term)
         return find(term, *path)
 
-    monkeypatch.setattr(composition, "_normal", counted_normal)
+    monkeypatch.setattr(composition, "_normal_form", counted_normal)
     monkeypatch.setattr(reduction, "_leftmost", counted_find)
     # fresh lexica, so that their terms are normalized here
     cases = [(lex, text) for lex, text in _fixture_trees()

@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 
 from lexsem import (Abs, App, Arrow, Const, Context, Forall, PROP, ParseError,
                     SortRef, TyAbs, TyApp, TypeVar, TypingError, Var,
-                    alpha_equiv, alpha_key, choice_type, free_type_vars,
-                    free_vars, fresh_name, parse_term, parse_type,
-                    quantifier_type, reduce_at, render_term, render_type,
-                    subst_term, subst_type, type_of)
+                    alpha_equiv, alpha_key, choice_type, felicity,
+                    free_type_vars, free_vars, fresh_name, load_lexicon,
+                    parse_term, parse_tree, parse_type, quantifier_type,
+                    reduce_at, render_term, render_type, subst_term,
+                    subst_type, type_of)
+from lexsem import kernel
 from lexsem.kernel import _apply, is_term, is_type
 from lexsem.reduction import _Meter
 
@@ -611,3 +613,49 @@ def test_alpha_key_of_a_type_never_equals_a_term_key():
     type_keys |= {alpha_key(x) for x in (TypeVar("a"), E, PROP)}
     assert alpha_key(TypeVar("a")) != alpha_key(Var("a", TypeVar("a")))
     assert not term_keys & type_keys
+
+
+# ---------------------------------------------------------------------------
+# a term that shares its parts is walked as a graph
+
+DUP = """\
+sorts: e
+pred c : e
+pred pair : e -> e -> e
+pred ok : e -> t
+word c : e = #c
+word ok : e -> t = #ok
+word dup : e -> e = lam x:e. (#pair x) x
+"""
+
+
+def _nodes(t) -> int:
+    """The distinct term nodes of `t`."""
+    seen, todo = set(), [t]
+    while todo:
+        x = todo.pop()
+        if id(x) not in seen:
+            seen.add(id(x))
+            todo += [getattr(x, f) for f in ("fun", "arg", "body")
+                     if is_term(getattr(x, f, None))]
+    return len(seen)
+
+
+def test_free_vars_walks_a_shared_node_once(monkeypatch):
+    # `(ok (dup (dup ... c)))` reads as a term of 2^n leaves over 2n + 4
+    # distinct nodes; walked as a tree, judging it never ends
+    walk, visits = kernel._free_vars, [0]
+
+    def counted(*args):
+        visits[0] += 1
+        if visits[0] > 100_000:
+            raise AssertionError("free_vars walks a shared term as a tree")
+        return walk(*args)
+
+    monkeypatch.setattr(kernel, "_free_vars", counted)
+    n = 30
+    tree = "(ok " + "(dup " * n + "c" + ")" * (n + 1)
+    [r] = felicity(parse_tree(tree), load_lexicon(DUP)).readings
+    visits[0] = 0
+    assert free_vars(r.term) == {}
+    assert visits[0] <= 3 * _nodes(r.term)

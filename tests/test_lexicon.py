@@ -5,7 +5,8 @@ from lexsem import (Abs, Arrow, Const, Forall, LexEntry, Lexicon,
                     TypingError, Var, alpha_equiv, candidates, find_redexes,
                     iota, load_lexicon, parse_term, parse_type, poly_and,
                     render_formula, render_term, save_lexicon, type_of)
-from lexsem import kernel, lexicon
+from lexsem import felicity, kernel, lexicon, parse_tree
+from lexsem.reduction import _built, _normal_form
 
 from conftest import fixture_text
 
@@ -387,18 +388,24 @@ def test_a_term_keeps_its_normal_form_once_it_has_one():
     lex = load_lexicon("sorts: T\npred p : T -> t\nword w : T -> t ="
                        " lam x:T. (lam y:T. (lam z:T. #p z) y) x\n")
     entry = lex.entry("w")
+
+    def normal(e, fuel):
+        # a normal form kept by the one rule for lexicon-determined data
+        return lexicon._kept(e, "nf", fuel, _built, fuel, 0,
+                             lambda step: _normal_form(e.principal, step))
+
     # out of fuel: nothing is kept
-    assert lexicon._normal(entry.principal, 1)[0] is None
-    assert entry.principal._normal is None
-    nf, steps = lexicon._normal(entry.principal, 10)
+    assert normal(entry, 1)[0] is None
+    assert "nf" not in entry._kept
+    nf, steps = normal(entry, 10)
     assert (render_term(nf), steps) == ("lam x:T. #p x", 2)
-    assert entry.principal._normal == (nf, 2)
-    # the kept result still answers a smaller fuel, and another lexicon
-    # holding the same term finds it
-    assert lexicon._normal(entry.principal, 1) == (None, 2)
+    assert entry._kept["nf"] == (nf, 2)
+    # a smaller fuel still gets no normal form, and another lexicon
+    # holding the same entry finds the kept one
+    assert normal(entry, 1) == (None, 2)
     other = Lexicon(sorts=set(lex.sorts), predicates=dict(lex.predicates),
                     entries={"w": entry})
-    assert lexicon._normal(other.entry("w").principal, 10)[0] is nf
+    assert normal(other.entry("w"), 10)[0] is nf
 
 
 # ---------------------------------------------------------------------------
@@ -444,10 +451,14 @@ def test_the_implicit_identity_is_built_once_per_entry_and_type():
     leeds, club = lex.entry("Leeds"), lex.entry("club")
     (ident,) = candidates(leeds, e, e)
     assert candidates(leeds, SortRef("e"), SortRef("e"))[0] is ident
-    # its normal form is kept on its term, so a later use finds it
-    nf, steps = lexicon._normal(ident.term, 10)
-    assert ident.term._normal == (nf, 0)
-    assert lexicon._normal(candidates(leeds, e, e)[0].term, 10)[0] is nf
+    # its normal form is built with the route through it, which the entry
+    # keeps by the identity's id, so a later use finds it
+    tree = parse_tree("((AND club club) Leeds)")
+    felicity(tree, lex)
+    (nf, m), steps = leeds._kept[id(ident)]
+    assert (render_term(nf), m, steps) == ("#Leeds", ident, 1)
+    felicity(tree, lex)
+    assert leeds._kept[id(candidates(leeds, e, e)[0])][0][0] is nf
     # each entry, and each type, has its own
     assert candidates(club, e, e)[0] is not ident
     eet = Arrow(e, Arrow(e, PROP))

@@ -329,6 +329,18 @@ def test_a_kept_reference_text_never_answers_under_a_binder():
         assert (ref._ascii, ref._unicode) == top
 
 
+def test_a_term_is_not_a_formula_after_it_is_printed():
+    # a term keeps its own printed text, which `render_formula` never reads
+    term = parse_term("(lam x:e. x) #lpl", sig(lpl=E))
+    for style in ("ascii", "unicode"):
+        with pytest.raises(LogicError, match="^not a formula"):
+            render_formula(term, style)
+        assert render_term(term, style) in ("(lam x:e. x) #lpl",
+                                            "(λx^e. x) lpl")
+        with pytest.raises(LogicError, match="^not a formula"):
+            render_formula(term, style)
+
+
 def test_rendering_leaves_the_record_unchanged():
     rendered, copy = _shadowing(), _shadowing()
     for f in rendered:
