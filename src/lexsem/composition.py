@@ -378,7 +378,7 @@ def _the(noun: _Node, fuel):
     return _Node(sort, tuple(alts), noun.entry), steps
 
 
-def _nested(conj: _Marker, arg: _Node, path, arg_path, st: _State):
+def _nested(conj: _Marker, arg: _Node, path, st: _State):
     """A nested conjunction at the shared referent type: a predicate
     `λy. S` with its own morphism choices made, `y` being in the source
     alone, where it cannot capture a constant.  A reading's `nf` is `S`
@@ -387,20 +387,20 @@ def _nested(conj: _Marker, arg: _Node, path, arg_path, st: _State):
     xi = arg.type
     (a,) = arg.alts
     shared = _Node(xi, (_Alt(Var("y", xi), a.nf, a.steps),), arg.entry)
-    inner = _copred_node(conj, shared, path, arg_path, st)
+    inner = _copred_node(conj, shared, path, st)
     return _Node(Arrow(xi, PROP),
                  [_Alt(Abs("y", xi, i.term), i.nf, i.steps, i.morphs,
                        i.presups) for i in inner.alts])
 
 
-def _copred_node(fun: _Marker, arg: _Node, path, arg_path, st: _State):
+def _copred_node(fun: _Marker, arg: _Node, path, st: _State):
     st.copred_nodes += 1
     if arg.entry is None:
         raise CompositionError(
             "a shared argument must carry a lexical entry", path)
     (a,) = arg.alts    # a word's leaf node or THE's over it: one reading
     nested = [isinstance(c, _Marker) for c in fun.conjuncts]
-    left, right = (_nested(c, arg, path, arg_path, st) if n else c
+    left, right = (_nested(c, arg, path, st) if n else c
                    for c, n in zip(fun.conjuncts, nested))
     for side in (left, right):
         if not is_predicate(side.type):
@@ -411,7 +411,7 @@ def _copred_node(fun: _Marker, arg: _Node, path, arg_path, st: _State):
     pairs, refused = (coercion_pairs(arg.entry, xi, alpha, beta)
                       if left.alts and right.alts else ((), ()))
     st.rejections += starmap(Rejection, refused)
-    entry, halves = arg.entry, {}
+    entry, halves, arg_path = arg.entry, {}, path + (1,)
 
     # a half, one conjunct applied to the argument routed through one
     # morphism, is built once per node for each such pair, together with
@@ -474,7 +474,7 @@ def _node(tree, path, st: _State):
         return _Marker(AND_MARKER, lv.conjuncts + (rv,))
     if isinstance(rv, _Marker):
         raise CompositionError("a conjunction needs a term argument", path)
-    return _copred_node(lv, rv, path, path + (1,), st)
+    return _copred_node(lv, rv, path, st)
 
 
 def _finish(node: _Node, st: _State):
@@ -532,9 +532,7 @@ def felicity(tree: ParseTree, lex: Lexicon, fuel: int = 10000) -> Verdict:
     notes = ()
     if st.copred_nodes > 1:
         notes = ("rigidity applies within each conjunction node separately",)
-    if readings:
-        return Verdict(FELICITOUS, tuple(readings),
-                       tuple(st.rejections), notes)
-    if st.rejections:
-        return Verdict(INFELICITOUS, (), tuple(st.rejections), notes)
-    return Verdict(TYPE_ERROR, (), (), notes, error="no readings")
+    # readings vanish only at a conjunction node whose pairs are all
+    # refused, and each refusal is logged
+    return Verdict(FELICITOUS if readings else INFELICITOUS,
+                   tuple(readings), tuple(st.rejections), notes)

@@ -203,20 +203,24 @@ def candidates(entry: LexEntry, frm, to) -> list:
     replaces it, keeping its own rigidity.
 
     The answer depends on the entry and the two types up to α, so the
-    entry keeps it, the morphisms or the error message, per pair of
-    α-keys: an implicit identity is built once.
+    entry keeps it per pair of α-keys, None for an error, whose message
+    is written in the caller's types: an implicit identity is built once.
     """
     key = alpha_key(frm), alpha_key(to)
     found, _ = _kept(entry, key, 0, _candidates, entry, frm, to, key)
-    if isinstance(found, str):
-        raise LexiconError(found)
+    if found is None:
+        raise LexiconError(_no_coercions(entry, frm))
     return list(found)
+
+
+def _no_coercions(entry, frm):
+    return f"'{entry.word}' has no coercions from {render_type(frm)}"
 
 
 def _candidates(entry, frm, to, key):
     """`candidates`' answer and its steps, none."""
     if not alpha_equiv(frm, entry.coercion_source):
-        return f"'{entry.word}' has no coercions from {render_type(frm)}", 0
+        return None, 0
     found = tuple(m for m in entry.morphisms if alpha_equiv(m.target, to))
     if key[0] == key[1] and not any(m.is_identity for m in found):
         found += (identity_morphism(frm),)
@@ -230,11 +234,13 @@ def coercion_pairs(entry: LexEntry, xi, alpha, beta):
     A pair is admissible when it is one morphism twice or holds no rigid
     one.  An entry with no coercions from `xi` is refused once, for both
     sides.  The answer depends on the entry and the three types up to α,
-    so the entry keeps it per triple of α-keys, except for the refusal of
-    a side with no morphism, written anew in the caller's own types."""
+    so the entry keeps it per triple of α-keys, except for a refusal for
+    want of morphisms, written anew in the caller's own types."""
     key = alpha_key(xi), alpha_key(alpha), alpha_key(beta)
-    (pairs, refused, missing), _ = _kept(entry, key, 0, _plan, entry, xi,
-                                         alpha, beta)
+    plan, _ = _kept(entry, key, 0, _plan, entry, xi, alpha, beta)
+    if plan is None:
+        return (), (((), _no_coercions(entry, xi)),)
+    pairs, refused, missing = plan
     for side in missing:
         # in the caller's own types; beside a side with no morphism no
         # pair was refused, so this keeps the order of the log
@@ -246,11 +252,11 @@ def coercion_pairs(entry: LexEntry, xi, alpha, beta):
 
 def _plan(entry, xi, alpha, beta):
     """`(pairs, refused pairs, sides with no morphism)` for
-    `coercion_pairs`, and its steps, none."""
+    `coercion_pairs`, None with no coercions from `xi`; its steps, none."""
     try:
         fs, gs = (candidates(entry, xi, target) for target in (alpha, beta))
-    except LexiconError as err:
-        return ((), (((), str(err)),), ()), 0
+    except LexiconError:
+        return None, 0
     pairs, refused = [], []
     for f, g in product(fs, gs):
         if f.name == g.name or RIGID not in (f.rigidity, g.rigidity):

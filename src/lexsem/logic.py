@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from .kernel import (Abs, App, Arrow, Const, Context, Forall, KernelError,
                      PROP, SortRef, Term, TyApp, Type, TypeVar, Var, _rt,
-                     _rty, _symbols, free_vars, fresh_name, record,
-                     render_type, subst_term, type_of)
+                     _rty, _subst, _symbols, free_vars, fresh_name, record,
+                     render_type, type_of)
 from .reduction import find_redexes
 
 AND_NAME = "&"
@@ -367,7 +367,7 @@ def _rebind(t, names):
     """`t` with its free variables renamed as their binders print."""
     for x, ty in (free_vars(t).items() if names else ()):
         if x in names:
-            t = subst_term(t, x, Var(names[x], ty))
+            t = _subst(t, x, Var(names[x], ty), {names[x]})
     return t
 
 

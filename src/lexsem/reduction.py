@@ -43,43 +43,25 @@ def find_redexes(term) -> list:
     1 (argument); Abs, TyApp and TyAbs have a single child 0.  Preorder
     means the first entry is the leftmost-outermost redex.
     """
-    out = []
-    _redexes(term, (), out)
-    return out
+    return list(_redexes(term))
 
 
-def _redexes(t, path, out):
+def _redexes(t, path=()):
+    """Yield `find_redexes(t)` one at a time, so that the normal-order
+    loop takes the first without walking past it."""
     # a module function, not a closure: see `kernel._free_vars`
     match t:
         case App():
             if isinstance(t.fun, Abs):
-                out.append((path, BETA))
-            _redexes(t.fun, path + (0,), out)
-            _redexes(t.arg, path + (1,), out)
+                yield path, BETA
+            yield from _redexes(t.fun, path + (0,))
+            yield from _redexes(t.arg, path + (1,))
         case Abs() | TyAbs():
-            _redexes(t.body, path + (0,), out)
+            yield from _redexes(t.body, path + (0,))
         case TyApp():
             if isinstance(t.fun, TyAbs):
-                out.append((path, TYPE_BETA))
-            _redexes(t.fun, path + (0,), out)
-
-
-def _leftmost(t, path=()):
-    """`find_redexes(t)[0]`, or None for a normal term, found without
-    looking past it."""
-    match t:
-        case App():
-            if isinstance(t.fun, Abs):
-                return path, BETA
-            return (_leftmost(t.fun, path + (0,))
-                    or _leftmost(t.arg, path + (1,)))
-        case Abs() | TyAbs():
-            return _leftmost(t.body, path + (0,))
-        case TyApp():
-            if isinstance(t.fun, TyAbs):
-                return path, TYPE_BETA
-            return _leftmost(t.fun, path + (0,))
-    return None
+                yield path, TYPE_BETA
+            yield from _redexes(t.fun, path + (0,))
 
 
 def reduce_at(term, path):
@@ -109,11 +91,8 @@ def reduce_at(term, path):
 
 def reduce_step(term):
     """One leftmost-outermost step: (term', path, rule), or None if normal."""
-    redex = _leftmost(term)
-    if redex is None:
-        return None
-    path, rule = redex
-    return reduce_at(term, path), path, rule
+    path, rule = next(_redexes(term), (None, None))
+    return None if path is None else (reduce_at(term, path), path, rule)
 
 
 def normalize(term, fuel: int = 10000, strategy: str = "leftmost", rng=None):
@@ -175,7 +154,7 @@ def _normal_form(term, step, choose=None, trace=None):
     type-checked parts: until no redex is left, call `step()` and contract
     the redex `choose` picks from `find_redexes`, or by default the
     leftmost-outermost one, appending a TraceStep to `trace` if given."""
-    while (redex := _leftmost(term)) is not None:
+    while (redex := next(_redexes(term), None)) is not None:
         step()
         path, rule = choose(find_redexes(term)) if choose else redex
         term = reduce_at(term, path)

@@ -577,6 +577,18 @@ def test_readings_are_normal_forms_of_their_sources():
     assert readings >= 500
 
 
+def test_a_verdict_with_no_readings_logs_a_rejection():
+    # readings vanish only at a conjunction node whose pairs are all
+    # refused, and each refusal is logged
+    empty = 0
+    for lex, text in _normal_form_cases():
+        v = felicity(parse_tree(text), lex)
+        if v.error is None and not v.readings:
+            assert v.status == INFELICITOUS and v.rejection_log, text
+            empty += 1
+    assert empty >= 100
+
+
 def _frames():
     return len(traceback.extract_stack())
 
@@ -1347,8 +1359,8 @@ def test_a_kept_the_node_answers_as_a_fresh_lexicon_does_at_any_fuel():
 
 
 def test_judging_a_the_tree_normalizes_lexicon_terms_only(monkeypatch):
-    # the reduction loop looks for its next redex with `_leftmost`
-    normal, find = composition._normal_form, reduction._leftmost
+    # the reduction loop looks for its next redex with `_redexes`
+    normal, find = composition._normal_form, reduction._redexes
     depth, inside, outside = [0], [], []
 
     def counted_normal(*args):
@@ -1363,7 +1375,7 @@ def test_judging_a_the_tree_normalizes_lexicon_terms_only(monkeypatch):
         return find(term, *path)
 
     monkeypatch.setattr(composition, "_normal_form", counted_normal)
-    monkeypatch.setattr(reduction, "_leftmost", counted_find)
+    monkeypatch.setattr(reduction, "_redexes", counted_find)
     # fresh lexica, so that their terms are normalized here
     cases = [(lex, text) for lex, text in _fixture_trees()
              if THE_MARKER in text]

@@ -9,9 +9,10 @@ call against the same call on objects built anew for it.
 import random
 from itertools import count
 
-from lexsem import (RESOURCE_LIMIT, alpha_key, felicity, load_lexicon,
-                    normalize, parse_tree, render_formula, render_term,
-                    to_formula)
+from lexsem import (RESOURCE_LIMIT, alpha_key, candidates, felicity,
+                    load_lexicon, normalize, parse_tree, parse_type,
+                    render_formula, render_term, to_formula)
+from lexsem.lexicon import coercion_pairs
 
 import termgen
 from conftest import fixture_text
@@ -65,6 +66,16 @@ CALLS = {
     "normalize": lambda x, _: normalize(x),
 }
 
+# a word's coercions, asked in α-equal spellings of one type: the entry
+# keeps an answer per α-key, and each answer is still in the caller's types
+COERCING = ("sorts: e f\npred c : e\npred g : e -> f\nword w : e = #c\n"
+            "  morph m : e -> f = #g [rigid]\n")
+SPELLINGS = ("e", "f", "Pi 'a. 'a -> t", "Pi 'b. 'b -> t")
+COERCIONS = {
+    "candidates": lambda entry, xi, alpha, _: candidates(entry, xi, alpha),
+    "coercion_pairs": coercion_pairs,
+}
+
 
 def test_an_answer_does_not_depend_on_the_calls_before_it():
     rng = random.Random(13)
@@ -81,13 +92,22 @@ def test_an_answer_does_not_depend_on_the_calls_before_it():
         for j, x in enumerate(_parts(felicity(trees[i], lexica[text]))[:8]):
             shared[i, j] = x
     sites = sorted(shared)
+    coercing = load_lexicon(COERCING)
     calls = 0
     for _ in range(800):
-        if rng.random() < 0.3:
+        roll = rng.random()
+        if roll < 0.3:
             i = rng.randrange(len(cases))
             fuel = rng.choice([10000, rng.randint(1, charges[i] + 1)])
             got = felicity(trees[i], lexica[cases[i][0]], fuel)
             assert got == _fresh(cases[i], fuel), (cases[i], fuel)
+        elif roll < 0.45:
+            name = rng.choice(sorted(COERCIONS))
+            spelt = [rng.choice(SPELLINGS) for _ in range(3)]
+            types = [parse_type(t, coercing.context) for t in spelt]
+            fresh = load_lexicon(COERCING).entry("w")
+            assert _outcome(COERCIONS[name], coercing.entry("w"), *types) == \
+                _outcome(COERCIONS[name], fresh, *types), (name, spelt)
         else:
             name = rng.choice(sorted(CALLS))
             i, j = site = rng.choice(sites)
