@@ -15,12 +15,10 @@ import os
 import sys
 
 from .composition import (FELICITOUS, INFELICITOUS, RESOURCE_LIMIT, Reading,
-                          Verdict, felicity, parse_tree)
+                          Verdict, _derivation, felicity, parse_tree)
 from .kernel import KernelError, record, render_term
 from .lexicon import load_lexicon
 from .logic import render_formula
-from .reduction import (FuelExhausted, ReductionTrace, _Meter, _normal_form,
-                        render_trace)
 
 FORMATS = ("formula", "term", "verdict", "trace")
 
@@ -105,7 +103,8 @@ def _verdict_block(v: Verdict) -> list:
 def _tree_block(line: str, lex, config: CliConfig):
     """Judges one input tree; returns (lines to print, felicitous?)."""
     try:
-        v = felicity(parse_tree(line), lex, fuel=config.fuel)
+        alts = []
+        v = felicity(parse_tree(line), lex, fuel=config.fuel, _alts=alts)
         ok = v.status == FELICITOUS
         if config.format == "verdict" or not ok:
             return _verdict_block(v), ok
@@ -114,16 +113,15 @@ def _tree_block(line: str, lex, config: CliConfig):
             return [render_term(r.term) for r in readings], True
         if config.format == "formula":
             return [_summary(r) for r in readings], True
-        # trace: the first reading's derivation, then a line per other one;
-        # its source was built from type-checked parts: no entry check
-        first, steps = readings[0].source, []
-        _normal_form(first, _Meter(config.fuel), None, steps)
-        return ([render_term(first)]
-                + render_trace(ReductionTrace(steps)).splitlines()
-                + [f"also: {_summary(r)}" for r in readings[1:]]), True
-    except FuelExhausted as err:
-        # the trace's normal-order steps can outnumber the reading's charge
-        return [f"RESOURCE-LIMIT: {err}"], False
+        # trace: the first reading's source, a line per node of its
+        # derivation, the last its normal form, then a line per other one
+        lines, total = [render_term(readings[0].source)], 0
+        for path, kind, steps, nf in _derivation(alts[0]):
+            total += steps
+            at = ".".join(map(str, path)) or "ε"
+            lines.append(f"{at} {kind} +{steps} steps ({total} in all)"
+                         f" ⇒ {render_term(nf)}")
+        return lines + [f"also: {_summary(r)}" for r in readings[1:]], True
     except KernelError as err:
         return [f"ERROR: {err}"], False
     except RecursionError:

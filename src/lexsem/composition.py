@@ -156,13 +156,27 @@ class _Alt:
     exactly when `steps` exceed the fuel: nothing is built past it.  A
     nested conjunct's `nf` is its reading already applied to the
     argument; only `_copred_node` reads it, routing the argument through
-    an identity that `Lexicon.validate` forces to be `λx. x`."""
+    an identity that `Lexicon.validate` forces to be `λx. x`.  `made` is
+    `(shape, *parts)`: the node's shape (see `_WORD`) and the readings of
+    its children it was built from, which `_derivation` walks; readings
+    with the same parts share the tuple."""
 
     term: "Term"
     nf: Term | None
     steps: int
     morphs: tuple = ()
     presups: tuple = ()
+    made: tuple = ()
+
+
+# a node's kind, then where each part of its readings' `made` sits below
+# it: an applied conjunction's shared argument comes first, so that a
+# nested conjunct, whose normal form holds it, follows it
+_WORD = ("word",)
+_THE = ("THE", (1,))
+_APPLY = ("apply", (0,), (1,))
+_AND = ("AND", (1,), (0, 0, 1), (0, 1))
+_NESTED = ("AND", (0, 1), (1,))
 
 
 @record
@@ -293,7 +307,8 @@ def _leaf_node(entry: LexEntry, fuel):
     nf, steps = _built(fuel, 0,
                        lambda step: _normal_form(entry.principal, step))
     return _Node(type_of(entry.principal),
-                 (_Alt(entry.principal, nf, steps),), entry), steps
+                 (_Alt(entry.principal, nf, steps, made=(_WORD,)),),
+                 entry), steps
 
 
 def _routed(entry, a: _Alt, m, fuel):
@@ -327,6 +342,7 @@ def _apply_node(fun: _Node, arg: _Node, path, st: _State):
     # a word's coercions are built once per lexicon (see `_routed`)
     alts = []
     for f, a in product(fun.alts, arg.alts):
+        made = _APPLY, f, a
         for m in ms:
             morphs = f.morphs + a.morphs
             if m is not None:
@@ -336,7 +352,7 @@ def _apply_node(fun: _Node, arg: _Node, path, st: _State):
                 st.fuel, f.steps + a_steps,
                 lambda step: _applied_nf(f.nf, inst, a_nf, step))
             alts.append(_Alt(_applied(f.term, inst, a.term, m), nf, steps,
-                             morphs, f.presups + a.presups))
+                             morphs, f.presups + a.presups, made))
     return _Node(ty, alts)
 
 
@@ -371,10 +387,12 @@ def _the(noun: _Node, fuel):
         claim, steps = _built(fuel, alt.steps,
                               lambda step: _apply(alt.nf, nf, step))
         if claim is None:
-            alts.append(_Alt(term, None, steps, alt.morphs, alt.presups))
+            alts.append(_Alt(term, None, steps, alt.morphs, alt.presups,
+                             (_THE, alt)))
         else:
             alts.append(_Alt(term, nf, alt.steps, alt.morphs,
-                             alt.presups + (_formula(claim),)))
+                             alt.presups + (_formula(claim),),
+                             (_THE, alt)))
     return _Node(sort, tuple(alts), noun.entry), steps
 
 
@@ -388,9 +406,11 @@ def _nested(conj: _Marker, arg: _Node, path, st: _State):
     (a,) = arg.alts
     shared = _Node(xi, (_Alt(Var("y", xi), a.nf, a.steps),), arg.entry)
     inner = _copred_node(conj, shared, path, st)
+    # the shared argument is a part of the outer node, not of this one
     return _Node(Arrow(xi, PROP),
                  [_Alt(Abs("y", xi, i.term), i.nf, i.steps, i.morphs,
-                       i.presups) for i in inner.alts])
+                       i.presups, (_NESTED,) + i.made[2:])
+                  for i in inner.alts])
 
 
 def _copred_node(fun: _Marker, arg: _Node, path, st: _State):
@@ -441,7 +461,10 @@ def _copred_node(fun: _Marker, arg: _Node, path, st: _State):
         term = App(TyApp(App(App(head, l.term), r.term), xi), a.term)
         morphs = l.morphs + r.morphs + a.morphs
         presups = l.presups + r.presups + a.presups
+        made, last = (_AND, a, l, r), None
         for f, g in pairs:
+            if f is not last:    # pairs come in runs of one left morphism
+                last, term_f = f, App(term, f.term)
             recs = morphs + ((entry.word, arg_path, f.name),
                              (entry.word, arg_path, g.name))
             _, l_steps, l_partial = half(l, f, nested[0])
@@ -449,8 +472,8 @@ def _copred_node(fun: _Marker, arg: _Node, path, st: _State):
             # the argument both halves hold is charged once
             steps = POLY_AND_BINDERS + l_steps + r_steps - a.steps
             nf = App(l_partial, r_nf) if steps <= st.fuel else None
-            alts.append(_Alt(App(App(term, f.term), g.term), nf, steps, recs,
-                             presups))
+            alts.append(_Alt(App(term_f, g.term), nf, steps, recs, presups,
+                             made))
     return _Node(PROP, alts)
 
 
@@ -491,10 +514,10 @@ def _finish(node: _Node, st: _State):
         first = {}
         for alt in alts:
             first.setdefault(alpha_key(alt.nf), alt)
-        alts = first.values()
+        alts = list(first.values())
     prop = node.type == PROP
-    return [Reading(alt.nf, _formula(alt.nf) if prop else None,
-                    alt.morphs, alt.presups, alt.term) for alt in alts]
+    return alts, [Reading(alt.nf, _formula(alt.nf) if prop else None,
+                          alt.morphs, alt.presups, alt.term) for alt in alts]
 
 
 def _run(tree, lex, fuel):
@@ -516,19 +539,23 @@ def compose(tree: ParseTree, lex: Lexicon, fuel: int = 10000):
     FuelExhausted when a reading is charged more steps than `fuel`; an
     empty result means every candidate reading was rejected.
     """
-    readings, _ = _run(tree, lex, fuel)
+    (_, readings), _ = _run(tree, lex, fuel)
     return readings
 
 
-def felicity(tree: ParseTree, lex: Lexicon, fuel: int = 10000) -> Verdict:
+def felicity(tree: ParseTree, lex: Lexicon, fuel: int = 10000, *,
+             _alts: list | None = None) -> Verdict:
     """Judge a tree: felicitous, infelicitous, a type error, or a resource
-    limit when a reading is charged more steps than `fuel` allows."""
+    limit when a reading is charged more steps than `fuel` allows.  A list
+    given as `_alts` gets the readings' alternatives, for `_derivation`."""
     try:
-        readings, st = _run(tree, lex, fuel)
+        (alts, readings), st = _run(tree, lex, fuel)
     except FuelExhausted as err:
         return Verdict(RESOURCE_LIMIT, error=str(err))
     except KernelError as err:
         return Verdict(TYPE_ERROR, error=str(err))
+    if _alts is not None:
+        _alts += alts
     notes = ()
     if st.copred_nodes > 1:
         notes = ("rigidity applies within each conjunction node separately",)
@@ -536,3 +563,23 @@ def felicity(tree: ParseTree, lex: Lexicon, fuel: int = 10000) -> Verdict:
     # refused, and each refusal is logged
     return Verdict(FELICITOUS if readings else INFELICITOUS,
                    tuple(readings), tuple(st.rejections), notes)
+
+
+def _derivation(alt: _Alt, path=(), lines=None, held=0) -> list:
+    """`(path, kind, steps, normal form)` for each tree node of the
+    reading `alt`, bottom-up: composition's own derivation of it.  The
+    steps contracted at a node are its charge less its parts' charges
+    and less `held`: a nested conjunct's charge holds the shared
+    argument's, which the argument's own node counts.  So they sum to
+    `alt.steps`."""
+    lines = [] if lines is None else lines
+    shape, *parts = alt.made
+    kind, *below = shape
+    shared = parts[0].steps if shape is _AND else held
+    steps = alt.steps - held
+    for at, part in zip(below, parts):
+        inner = shared if part.made[0] is _NESTED else 0
+        steps -= part.steps - inner
+        _derivation(part, path + at, lines, inner)
+    lines.append((path, kind, steps, alt.nf))
+    return lines

@@ -755,14 +755,18 @@ def parse_term(text: str, ctx: Context):
 
     The parser takes every constant, variable and sort from `ctx`, so the
     result agrees with it by construction and is typed without it."""
+    return _parse_term(text, ctx)[0]
+
+
+def _parse_term(text, ctx):
+    """`parse_term`'s term, and the type its check found."""
     try:
         p = _Parser(text, ctx.sorts, ctx.constants, ctx.variables)
         t = p.term()
         p.expect("eof", "unexpected trailing input")
-        type_of(t)
+        return t, type_of(t)
     except RecursionError:
         raise ParseError("nested too deeply") from None
-    return t
 
 
 # ---------------------------------------------------------------------------

@@ -23,9 +23,9 @@ from functools import cache
 from itertools import product
 
 from .kernel import (Abs, App, Arrow, Context, KernelError, PROP, ParseError,
-                     Term, TyApp, Type, TypingError, Var, alpha_equiv,
-                     alpha_key, parse_term, parse_type, render_term, record,
-                     render_type, type_of)
+                     Term, TyApp, Type, TypingError, Var, _parse_term,
+                     alpha_equiv, alpha_key, parse_term, parse_type,
+                     render_term, record, render_type, type_of)
 from .logic import IOTA_NAME, _LOGICAL_CONSTANTS, _LOGICAL_TERMS, to_formula
 from .reduction import _Meter, _normal_form
 
@@ -121,12 +121,14 @@ class Lexicon:
             _check_entry(e, ctx)
 
 
-def _check_entry(e: LexEntry, ctx: Context):
+def _check_entry(e: LexEntry, ctx: Context, types=()):
+    """Check `e` against `ctx`, its terms typed as in `types`, the
+    principal's first, when they were parsed against `ctx`."""
     if e.word in (THE_MARKER, AND_MARKER):
         # a tree reads the name as its marker, so no tree could reach it
         raise LexiconError(
             f"word '{e.word}': the name of a tree marker is not a word")
-    ty = type_of(e.principal, ctx)
+    ty = types[0] if types else type_of(e.principal, ctx)
     if not alpha_equiv(ty, e.principal_type):
         raise LexiconError(
             f"word '{e.word}': term has type {render_type(ty)},"
@@ -137,7 +139,7 @@ def _check_entry(e: LexEntry, ctx: Context):
         dup = next(n for n in names if names.count(n) > 1)
         raise LexiconError(
             f"word '{e.word}': morphism name '{dup}' declared twice")
-    for m in e.morphisms:
+    for i, m in enumerate(e.morphisms, 1):
         if m.rigidity not in (RIGID, FLEXIBLE):
             raise LexiconError(
                 f"word '{e.word}': morphism {m.name} has rigidity"
@@ -147,7 +149,7 @@ def _check_entry(e: LexEntry, ctx: Context):
             raise LexiconError(
                 f"word '{e.word}': endomorphism {m.name} must be the"
                 f" identity function")
-        mty = type_of(m.term, ctx)
+        mty = types[i] if types else type_of(m.term, ctx)
         if not alpha_equiv(mty, Arrow(m.source, m.target)):
             raise LexiconError(
                 f"word '{e.word}': morphism {m.name} has type"
@@ -204,7 +206,8 @@ def candidates(entry: LexEntry, frm, to) -> list:
 
     The answer depends on the entry and the two types up to α, so the
     entry keeps it per pair of α-keys, None for an error, whose message
-    is written in the caller's types: an implicit identity is built once.
+    is written in the caller's types.  An implicit identity is built
+    once, over the entry's own coercion source, however it is asked for.
     """
     key = alpha_key(frm), alpha_key(to)
     found, _ = _kept(entry, key, 0, _candidates, entry, frm, to, key)
@@ -223,7 +226,7 @@ def _candidates(entry, frm, to, key):
         return None, 0
     found = tuple(m for m in entry.morphisms if alpha_equiv(m.target, to))
     if key[0] == key[1] and not any(m.is_identity for m in found):
-        found += (identity_morphism(frm),)
+        found += (identity_morphism(entry.coercion_source),)
     return found, 0
 
 
@@ -319,6 +322,7 @@ _MORPH_RE = re.compile(
     rf"^morph\s+({_IDENT})\s*:\s*(.+?)\s*=\s*(.+?)\s*"
     r"\[(rigid|flexible)\]\s*$")
 _IDENT_RE = re.compile(rf"^{_IDENT}$")
+_READABLE = ("#", "sorts:", "pred", "word", "morph")
 
 
 def _fail(lineno, message, col=None):
@@ -339,6 +343,11 @@ def load_lexicon(text: str) -> Lexicon:
                 _fail(lineno, f"bad sort name {name!r}")
             sorts.add(name)
     if not (sorts - {"t"}):
+        # a misspelt `sorts:` line, or one behind a byte-order mark,
+        # declares none: the first line no pass can read is named first
+        for lineno, line in enumerate(map(str.strip, lines), start=1):
+            if line and not line.startswith(_READABLE):
+                _fail(lineno, f"cannot read {line!r}")
         raise LexiconError("a lexicon needs at least one individual sort")
 
     lex = Lexicon(sorts=sorts, predicates={})
@@ -346,8 +355,9 @@ def load_lexicon(text: str) -> Lexicon:
     # constant in place
     ctx = Context(sorts=sorts, constants=_LOGICAL_CONSTANTS)
     # the latest word's name, term, type and morphisms so far: its entry
-    # is built once, when the next word begins or the file ends
-    word = None
+    # is built once, when the next word begins or the file ends; `typed`
+    # gets its terms' types
+    word, typed = None, []
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#") or _SORTS_RE.match(line):
@@ -357,18 +367,18 @@ def load_lexicon(text: str) -> Lexicon:
         if line.startswith("pred"):
             _load_pred(lex, ctx, line, lineno, lead)
         elif line.startswith("word"):
-            _enter(lex, word)
+            _enter(lex, word, typed)
             word = _load_word(lex, ctx, line, lineno, lead)
         elif line.startswith("morph"):
             if word is None:
                 _fail(lineno, "a morph line needs a preceding word")
-            word[3].append(_load_morph(ctx, line, lineno, lead))
+            _load_morph(ctx, line, lineno, lead, word)
         else:
             _fail(lineno, f"cannot read {line!r}")
-    _enter(lex, word)
+    _enter(lex, word, typed)
     try:
-        for e in lex.entries.values():
-            _check_entry(e, ctx)
+        for e, types in zip(lex.entries.values(), typed):
+            _check_entry(e, ctx, types)
     except RecursionError:
         raise LexiconError("a type or term is nested too deeply") from None
     return lex
@@ -387,8 +397,9 @@ def _load_pred(lex, ctx, line, lineno, lead):
 
 
 def _load_word(lex, ctx, line, lineno, lead) -> tuple:
-    """The word's `(name, term, type, [])`, for its morphisms to follow;
-    every word before it is in `lex.entries`."""
+    """The word's `(name, term, type, [], [term's type])`, for its
+    morphisms and their terms' types to follow; every word before it is
+    in `lex.entries`."""
     m = _WORD_RE.match(line)
     if not m:
         _fail(lineno, "expected 'word <name> : <type> = <term>'")
@@ -396,17 +407,20 @@ def _load_word(lex, ctx, line, lineno, lead) -> tuple:
     if name in lex.entries:
         _fail(lineno, f"word '{name}' already declared")
     ty = _parse(lineno, parse_type, ty_src, ctx, lead + m.start(2))
-    term = _parse(lineno, parse_term, term_src, ctx, lead + m.start(3))
-    return name, term, ty, []
+    term, term_ty = _parse(lineno, _parse_term, term_src, ctx,
+                           lead + m.start(3))
+    return name, term, ty, [], [term_ty]
 
 
-def _enter(lex, word):
+def _enter(lex, word, typed):
     if word is not None:
-        name, term, ty, morphs = word
+        name, term, ty, morphs, types = word
         lex.entries[name] = LexEntry(name, term, ty, tuple(morphs))
+        typed.append(types)
 
 
-def _load_morph(ctx, line, lineno, lead) -> Morphism:
+def _load_morph(ctx, line, lineno, lead, word):
+    """Add the line's morphism, and its term's type, to `word`'s."""
     m = _MORPH_RE.match(line)
     if not m:
         _fail(lineno,
@@ -415,8 +429,10 @@ def _load_morph(ctx, line, lineno, lead) -> Morphism:
     ty = _parse(lineno, parse_type, ty_src, ctx, lead + m.start(2))
     if not isinstance(ty, Arrow):
         _fail(lineno, f"a morphism needs an arrow type, got {ty_src.strip()!r}")
-    term = _parse(lineno, parse_term, term_src, ctx, lead + m.start(3))
-    return Morphism(name, term, ty.domain, ty.codomain, rigidity)
+    term, term_ty = _parse(lineno, _parse_term, term_src, ctx,
+                           lead + m.start(3))
+    word[3].append(Morphism(name, term, ty.domain, ty.codomain, rigidity))
+    word[4].append(term_ty)
 
 
 def _parse(lineno, fn, src, env, offset):

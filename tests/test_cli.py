@@ -3,16 +3,18 @@ import os
 import subprocess
 import sys
 import threading
+from itertools import product
 from pathlib import Path
 
 import pytest
 
 import lexsem
 from lexsem import reduction
-from lexsem.cli import CliConfig, main, parse_args, run
+from lexsem.cli import FORMATS, CliConfig, main, parse_args, run
 
 from conftest import FIXTURES, deep_shared_lexicon
-from test_composition import CAPTURE, Y_BINDER
+from test_composition import (CAPTURE, FAN_OUT_TREES, Y_BINDER,
+                              _fan_out_text)
 
 MONTAGUE = str(FIXTURES / "montague.mgl")
 LIVERPOOL = str(FIXTURES / "liverpool.mgl")
@@ -133,14 +135,20 @@ def test_fuel_exhaustion_is_a_resource_limit(tmp_path, capsys):
 
 
 def test_trace_out_of_fuel_is_a_resource_limit(tmp_path, capsys):
-    # normal order contracts the shared Id_v coercion twice, so the trace
-    # takes 20 steps where the reading is charged 19
+    # the trace prints the derivation the reading was charged for, so it
+    # runs out exactly where every other format does: below the charge, 19
     inp = trees(tmp_path,
                 "((AND (AND furou ilegivel) atrasou) (THE assinatura))\n")
-    assert run(config(ASSINATURA, inp, format="trace", fuel=19)) == 1
-    assert capsys.readouterr().out == \
-        "RESOURCE-LIMIT: no normal form after 19 steps\n"
-    assert run(config(ASSINATURA, inp, format="trace", fuel=20)) == 0
+    for fmt in ("trace", "verdict", "formula", "term"):
+        assert run(config(ASSINATURA, inp, format=fmt, fuel=18)) == 1
+        assert capsys.readouterr().out == \
+            "RESOURCE-LIMIT: no normal form after 18 steps\n"
+    assert run(config(ASSINATURA, inp, format="term", fuel=19)) == 0
+    term = capsys.readouterr().out.rstrip("\n")
+    for fuel in (19, 20):
+        assert run(config(ASSINATURA, inp, format="trace", fuel=fuel)) == 0
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert last == f"ε AND +11 steps (19 in all) ⇒ {term}"
 
 
 def test_trace_does_not_type_check_the_source_again(tmp_path, capsys,
@@ -357,17 +365,29 @@ def test_trace_format(tmp_path, capsys):
     assert lines[0] == ("(lam P:e -> t. lam Q:e -> t. #exists{e}"
                         " (lam x:e. #& (P x) (Q x))) (lam x:e. #club x)"
                         " ((lam y:e. lam x:e. #defeated x y) #Leeds)")
-    assert len(lines) == 6
-    assert lines[1].startswith("1 beta at 0 ")
-    assert lines[5] == ("5 beta at 1.0.1 ⇒ #exists{e}"
-                        " (lam x:e. #& (#club x) (#defeated x #Leeds))")
+    # a line per node, bottom-up, with the steps contracted there
+    assert lines[1:] == [
+        "0.0 word +0 steps (0 in all) ⇒ lam P:e -> t. lam Q:e -> t."
+        " #exists{e} (lam x:e. #& (P x) (Q x))",
+        "0.1 word +0 steps (0 in all) ⇒ lam x:e. #club x",
+        "0 apply +2 steps (2 in all) ⇒ lam Q:e -> t. #exists{e}"
+        " (lam x:e. #& (#club x) (Q x))",
+        "1.0 word +0 steps (2 in all) ⇒ lam y:e. lam x:e. #defeated x y",
+        "1.1 word +0 steps (2 in all) ⇒ #Leeds",
+        "1 apply +1 steps (3 in all) ⇒ lam x:e. #defeated x #Leeds",
+        "ε apply +2 steps (5 in all) ⇒ #exists{e}"
+        " (lam x:e. #& (#club x) (#defeated x #Leeds))"]
 
 
 def test_trace_format_normal_source(tmp_path, capsys):
-    # the built term is already normal: just the source line
+    # the built term is already normal: no node contracts anything
     inp = trees(tmp_path, "(spread_out Liverpool)\n")
     assert run(config(LIVERPOOL, inp, format="trace")) == 0
-    assert capsys.readouterr().out == "#spread_out (#t3 #lpl)\n"
+    assert capsys.readouterr().out == (
+        "#spread_out (#t3 #lpl)\n"
+        "0 word +0 steps (0 in all) ⇒ #spread_out\n"
+        "1 word +0 steps (0 in all) ⇒ #lpl\n"
+        "ε apply +0 steps (0 in all) ⇒ #spread_out (#t3 #lpl)\n")
 
 
 def test_a_nested_conjunction_prints_its_trace_s_last_term(tmp_path, capsys):
@@ -418,9 +438,53 @@ def test_all_readings_trace_summarizes_rest(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     also = [l for l in lines if l.startswith("also: ")]
     assert len(also) == 3
-    # the first reading got the full derivation instead
-    assert not lines[0].startswith("also: ")
-    assert any(" beta at " in l for l in lines)
+    # the first reading got its derivation instead: the shared argument,
+    # the two conjuncts, then their conjunction
+    assert [l.split(" +")[0] for l in lines[1:-3]] == \
+        ["1 word", "0.0.1 word", "0.1 word", "ε AND"]
+
+
+DUP = ("sorts: e\npred c : e\npred pair : e -> e -> e\npred ok : e -> t\n"
+       "word c : e = #c\nword ok : e -> t = #ok\n"
+       "word dup : e -> e = lam x:e. (#pair x) x\n")
+STATUSES = ("INFELICITOUS: ", "TYPE-ERROR: ", "RESOURCE-LIMIT: ", "ERROR: ")
+
+
+def _status_cases(tmp_path):
+    for name in ("montague", "liverpool", "assinatura", "fanout"):
+        yield (str(FIXTURES / f"{name}.mgl"),
+               str(FIXTURES / f"trees_{name}.txt"))
+    lexica = [(f"fanout_{kind}_{m}", _fan_out_text(m, kind), FAN_OUT_TREES)
+              for kind in ("normal", "non-normal", "odd") for m in (1, 2, 3)]
+    lexica.append(("dup", DUP, ["(ok " + "(dup " * n + "c" + ")" * (n + 1)
+                                for n in range(1, 13)]))
+    for name, text, lines in lexica:
+        lex = tmp_path / f"{name}.mgl"
+        lex.write_text(text)
+        yield str(lex), trees(tmp_path, "\n".join(lines) + "\n")
+
+
+def _statuses(out):
+    return tuple(next((s for s in STATUSES if block.startswith(s)), "")
+                 for block in out.split("\n\n"))
+
+
+def test_a_tree_has_one_status_in_every_format(tmp_path, capsys):
+    # the trace prints the derivation the verdict was reached by, so no
+    # format can run out of fuel, or fail, where another does not
+    for lex, inp in _status_cases(tmp_path):
+        for fuel in (8, 19, 10000):
+            seen, outs = set(), {}
+            for fmt, every in product(FORMATS, (False, True)):
+                code = run(config(lex, inp, fmt, every, fuel))
+                outs[fmt, every] = capsys.readouterr().out
+                seen.add((code, _statuses(outs[fmt, every])))
+            assert len(seen) == 1, (lex, fuel, seen)
+            terms = outs["term", False].split("\n\n")
+            for term, trace in zip(terms, outs["trace", False].split("\n\n")):
+                if not term.startswith(STATUSES):
+                    last = trace.rstrip("\n").splitlines()[-1]
+                    assert last.split(" ⇒ ", 1)[1] == term.rstrip("\n")
 
 
 def test_output_is_deterministic(tmp_path, capsys):

@@ -786,6 +786,109 @@ def test_every_bracketing_keeps_its_fuel_charge():
     assert cases == 3 * 3 * (2 + 5) + 9 + 27 * 2
 
 
+def _node_paths(tree, path=(), fun=False):
+    """The paths of the nodes of `tree` that have a normal form: all but
+    the markers, a conjunction with one conjunct, and a conjunction with
+    two that its parent applies to their argument."""
+    if isinstance(tree, Leaf):
+        return [] if tree.word in ("THE", "AND") else [path]
+    below = (_node_paths(tree.fun, path + (0,), True)
+             + _node_paths(tree.arg, path + (1,)))
+    if tree.fun == Leaf("AND") or fun and isinstance(tree.fun, Node) \
+            and tree.fun.fun == Leaf("AND"):
+        return below
+    return below + [path]
+
+
+def _subtree(tree, path):
+    for i in path:
+        tree = (tree.fun, tree.arg)[i]
+    return tree
+
+
+def _check_nested_lines(tree, lex, lines):
+    """A nested conjunction's lines, its own and its conjuncts', count
+    what its conjunction applied alone to the shared argument is charged,
+    less the argument's lines: those belong to the argument's node."""
+    def total(prefix):
+        return sum(own for path, _, own, _ in lines
+                   if path[:len(prefix)] == prefix)
+
+    conjunctions = [path for path, kind, _, _ in lines if kind == "AND"]
+    applied = [q for q in conjunctions
+               if _subtree(tree, q).fun.fun != Leaf("AND")]
+    for path in set(conjunctions) - set(applied):
+        outer = max(q for q in applied if path[:len(q)] == q)
+        arg = outer + (1,)
+        alone = parse_tree(f"({_subtree(tree, path)} {_subtree(tree, arg)})")
+        first = []
+        felicity(alone, lex, _alts=first)
+        assert total(path) == first[0].steps - total(arg), (tree, path)
+
+
+def _derivation_cases():
+    for lex, text in _fixture_trees():
+        yield lex, text
+    fanout = load_lexicon(fixture_text("fanout.mgl"))
+    for line in fixture_text("trees_fanout.txt").splitlines():
+        yield fanout, line
+    for kind in ("normal", "non-normal", "odd"):
+        for m in range(1, 4):
+            lex = _fan_out_lexicon(m, kind)
+            for words in (("p", "q"), ("p", "q", "p"), ("p", "q", "p", "q")):
+                for conj in _bracketings(words):
+                    yield lex, f"({conj} w)"
+    for seed in (23, 41):
+        gen = termgen.RandomCopreds(seed)
+        for _ in range(100):
+            inst = gen.instance()
+            yield inst.lexicon, inst.tree_text
+
+
+def test_a_derivation_s_steps_add_up_to_its_reading_s_charge():
+    # composition's own derivation of a reading, which --format trace
+    # prints: one line per tree node with a normal form, bottom-up, whose
+    # steps sum to the charge at any fuel that lets the reading be, none
+    # of them below 0
+    readings = checked = 0
+    for lex, text in _derivation_cases():
+        tree = parse_tree(text)
+        alts = []
+        v = felicity(tree, lex, _alts=alts)
+        if v.status != FELICITOUS:
+            continue
+        readings += len(v.readings)
+        _check_nested_lines(tree, lex, composition._derivation(alts[0]))
+        charges = [alt.steps for alt in alts]
+        for fuel in range(1, max(charges) + 2):
+            alts = []
+            at_fuel = felicity(tree, lex, fuel, _alts=alts)
+            if at_fuel.status != FELICITOUS:
+                assert at_fuel.status == RESOURCE_LIMIT, (text, fuel)
+                assert max(charges) > fuel, (text, fuel)
+                continue
+            assert at_fuel == v and max(charges) <= fuel, (text, fuel)
+            assert [alt.steps for alt in alts] == charges, (text, fuel)
+            for alt, r in zip(alts, v.readings):
+                lines = composition._derivation(alt)
+                assert sum(own for _, _, own, _ in lines) == alt.steps
+                assert all(own >= 0 for _, _, own, _ in lines), text
+                assert lines[-1][0] == () and lines[-1][3] == r.term
+                assert sorted(p for p, *_ in lines) == \
+                    sorted(_node_paths(tree)), text
+                # a word's line counts what normal order takes on its term,
+                # and THE contracts nothing a reading is charged for
+                for path, kind, own, _ in lines:
+                    if kind == "word":
+                        word = _subtree(tree, path).word
+                        term = lex.entry(word).principal
+                        assert own == len(normalize(term)[1]), text
+                    assert kind != "THE" or own == 0, text
+                checked += 1
+    # a tree is felicitous from its largest charge on, at least once
+    assert readings > 2000 and checked >= readings
+
+
 Y_BINDER = """\
 sorts: T A
 pred c : T
@@ -826,7 +929,7 @@ def _runs_out(source, fuel):
 def test_fuel_bounds_the_steps_of_each_reading():
     # a reading is charged the steps of its parts plus those of their
     # meeting; on the fixture trees that is what normalizing its source
-    # takes, so --format trace never runs out where the verdict did not
+    # takes
     for lex, text in _fixture_trees():
         tree = parse_tree(text)
         readings = felicity(tree, lex).readings

@@ -122,6 +122,21 @@ def test_a_parse_error_is_placed_once_in_its_file_line(text, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("text,message", [
+    ("pred c : e\nxsorts: e\nword c : e = #c\n",
+     "line 2: cannot read 'xsorts: e'"),
+    ("\ufeffsorts: e\nword c : e = #c\n",
+     "line 1: cannot read '\\ufeffsorts: e'"),
+    # no line that cannot be read: no sort is all there is to say
+    ("# xsorts: e\nsorts:\npred p : t -> t\n",
+     "a lexicon needs at least one individual sort"),
+])
+def test_with_no_sort_the_first_unreadable_line_is_named(text, message):
+    with pytest.raises(LexiconError) as err:
+        load_lexicon(text)
+    assert str(err.value) == message
+
+
 def test_endomorphisms_must_be_identities():
     text = ("sorts: e\npred f : e -> e\npred k : e\n"
             "word w : e = #k\n"
@@ -369,6 +384,39 @@ def test_a_word_s_morph_lines_build_its_entry_once(monkeypatch):
     assert lex.entry("v").morphisms == ()
 
 
+def test_a_loaded_term_is_typed_once(monkeypatch):
+    # the loader checks each word and morph term with the type its parse
+    # found; a hand-built entry is still typed by validate()
+    n = 2000
+    text = ("sorts: T A\npred c : T\npred f : T -> A\npred p : A -> t\n"
+            + "".join(f"word w{i} : T = #c\n"
+                      f"  morph u : T -> A = lam x:T. #f x [flexible]\n"
+                      f"word p{i} : A -> t = lam y:A. #p y\n"
+                      for i in range(n // 2)))
+    depth, typed = [0], []
+    type_of_ = kernel._type_of
+
+    def counted(t, *args):
+        if depth[0] == 0:
+            typed.append(t)
+        depth[0] += 1
+        try:
+            return type_of_(t, *args)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(kernel, "_type_of", counted)
+    lex = load_lexicon(text)
+    assert len(lex.entries) == n
+    terms = [t for e in lex.entries.values()
+             for t in (e.principal, *(m.term for m in e.morphisms))]
+    assert len(typed) == len(terms) == 3 * n // 2
+    assert all(t is u for t, u in zip(typed, terms))
+    typed.clear()
+    lex.validate()
+    assert len(typed) == len(terms)
+
+
 def test_a_word_named_like_a_tree_marker_is_refused():
     # a tree reads THE and AND as its markers, so no tree reaches such a
     # word: the loader and validate() refuse it, naming it
@@ -464,6 +512,23 @@ def test_the_implicit_identity_is_built_once_per_entry_and_type():
     eet = Arrow(e, Arrow(e, PROP))
     (rel_ident,) = candidates(lex.entry("defeated"), eet, eet)
     assert rel_ident.source == eet and rel_ident is not ident
+
+
+def test_the_implicit_identity_is_spelled_as_the_entry_is():
+    # asked in two spellings of one type, in either order, on a lexicon
+    # that keeps its answers or on a fresh one, the identity is the same
+    text = ("sorts: e\n"
+            "word f : Pi 'a. 'a -> 'a = Lam 'a. lam x:'a. x\n")
+    spellings = [Forall(v, Arrow(TypeVar(v), TypeVar(v))) for v in "ab"]
+    answers = []
+    for order in (spellings, spellings[::-1]):
+        shared = load_lexicon(text).entry("f")
+        for ty in order:
+            answers.append(candidates(shared, ty, ty))
+            answers.append(candidates(load_lexicon(text).entry("f"), ty, ty))
+    assert all(a == answers[0] for a in answers)
+    [ident] = answers[0]
+    assert ident.source == spellings[0]
 
 
 def _fresh_candidates(entry, frm, to):
