@@ -1,5 +1,6 @@
 """Golden CLI output: every fixture lexicon with its trees, in every format,
-with and without `--all-readings`, at the default fuel.
+with and without `--all-readings`, at the default fuel; and the
+copredication tables of the two paper lexica in `--format verdict`.
 
 Each golden file holds `exit: N` on its first line and the exact stdout
 after it.  To record them again after an intended change of output:
@@ -20,15 +21,18 @@ GOLDEN = FIXTURES / "golden"
 LEXICA = ("montague", "liverpool", "assinatura", "fanout")
 CASES = [(lex, fmt, every) for lex in LEXICA for fmt in FORMATS
          for every in (False, True)]
+# each predicate alone, each ordered pair under one AND and both
+# bracketings of each ordered triple, over one shared argument
+TABLES = ("liverpool", "assinatura")
 
 
 def _name(lex, fmt, every):
     return f"{lex}-{fmt}{'-all' if every else ''}"
 
 
-def _output(lex, fmt, every):
+def _output(lex, fmt, every, trees="trees"):
     config = CliConfig(str(FIXTURES / f"{lex}.mgl"),
-                       str(FIXTURES / f"trees_{lex}.txt"), fmt, every, 10000)
+                       str(FIXTURES / f"{trees}_{lex}.txt"), fmt, every, 10000)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = run(config)
@@ -42,7 +46,16 @@ def test_cli_golden(lex, fmt, every):
     assert _output(lex, fmt, every) == expected
 
 
+@pytest.mark.parametrize("lex", TABLES)
+def test_copredication_table_golden(lex):
+    expected = (GOLDEN / f"{lex}-table-verdict.txt").read_text()
+    assert _output(lex, "verdict", False, "table") == expected
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for case in CASES:
         (GOLDEN / f"{_name(*case)}.txt").write_text(_output(*case))
+    for lex in TABLES:
+        (GOLDEN / f"{lex}-table-verdict.txt").write_text(
+            _output(lex, "verdict", False, "table"))
