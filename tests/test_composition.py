@@ -1720,3 +1720,33 @@ def test_instantiation_matches_the_brute_force_oracle():
         instantiated += bool(got)
     # both outcomes are well represented
     assert 500 < instantiated < 1000
+
+
+ENDO = """\
+sorts: e
+pred c : e
+pred g : e -> e
+pred p : e -> t
+pred q : e -> t
+pred k : Pi 'a. 'a
+word c : e = #c
+word g : e -> e = #g
+word p : e -> t = #p
+word q : e -> t = #q
+word k : Pi 'a. 'a = #k
+"""
+
+
+@pytest.mark.parametrize("lexicon,text,error", [
+    ("liverpool", "(THE Liverpool)", "at ε: THE needs a predicate, got T"),
+    # an application has no entry to route a morphism from
+    ("endo", "((AND p q) (g c))",
+     "at ε: a shared argument must carry a lexical entry"),
+    # a quantified functor whose body is not a function type
+    ("endo", "(k c)", "at ε: cannot apply Pi 'a. 'a to e"),
+])
+def test_a_tree_the_node_rules_refuse_is_a_type_error(lexicon, text, error):
+    lex = load_lexicon(ENDO if lexicon == "endo"
+                       else fixture_text(f"{lexicon}.mgl"))
+    v = felicity(parse_tree(text), lex)
+    assert (v.status, v.error, v.readings) == (TYPE_ERROR, error, ())

@@ -12,6 +12,8 @@ from conftest import fixture_text
 
 T = SortRef("T")
 V = SortRef("v")
+E = SortRef("e")
+F = SortRef("f")
 
 
 # ---------------------------------------------------------------------------
@@ -134,6 +136,47 @@ def test_a_parse_error_is_placed_once_in_its_file_line(text, message):
 def test_with_no_sort_the_first_unreadable_line_is_named(text, message):
     with pytest.raises(LexiconError) as err:
         load_lexicon(text)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("text,message", [
+    ("sorts: e 9x\n", "line 1: bad sort name '9x'"),
+    ("sorts: e\npred p e -> t\n", "line 2: expected 'pred <name> : <type>'"),
+    ("sorts: e\nword w e = #c\n",
+     "line 2: expected 'word <name> : <type> = <term>'"),
+])
+def test_a_malformed_declaration_is_named_by_its_line(text, message):
+    with pytest.raises(LexiconError) as err:
+        load_lexicon(text)
+    assert str(err.value) == message
+
+
+def _morph(name, fun_type, source, target, rigidity="flexible"):
+    return Morphism(name, Const(name, fun_type), source, target, rigidity)
+
+
+@pytest.mark.parametrize("sorts,predicates,morphisms,message", [
+    ({"t"}, {}, None, "a lexicon needs at least one individual sort"),
+    ({"e"}, {"exists": Arrow(E, PROP)}, None,
+     "'exists' is a logical constant"),
+    ({"e"}, {}, (Morphism("m", Abs("x", E, Var("x", E)), E, E, "stiff"),),
+     "word 'w': morphism m has rigidity 'stiff'"),
+    ({"e", "f"}, {"m": Arrow(E, E)}, (_morph("m", Arrow(E, E), E, F),),
+     "word 'w': morphism m has type e -> e, declared e -> f"),
+    ({"e", "f"}, {"m": Arrow(E, F), "n": Arrow(F, E)},
+     (_morph("m", Arrow(E, F), E, F), _morph("n", Arrow(F, E), F, E)),
+     "word 'w': morphism n leaves from f, the entry coerces from e"),
+], ids=["no-individual-sort", "logical-constant", "rigidity", "morph-type",
+        "morph-source"])
+def test_validate_refuses_a_hand_built_lexicon(sorts, predicates, morphisms,
+                                               message):
+    entries = {}
+    if morphisms is not None:
+        predicates = {"c": E, **predicates}
+        entries["w"] = LexEntry("w", Const("c", E), E, morphisms)
+    lex = Lexicon(sorts=sorts, predicates=predicates, entries=entries)
+    with pytest.raises(LexiconError) as err:
+        lex.validate()
     assert str(err.value) == message
 
 

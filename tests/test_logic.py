@@ -451,3 +451,21 @@ def test_formula_to_term_unbound_variable():
     with pytest.raises(LogicError):
         formula_to_term(Atom(ConstRef("p"), (VarRef("x"),)),
                         sig(p=Arrow(E, PROP)))
+
+
+def test_formula_to_term_on_applied_and_term_references():
+    ctx = sig(p=Arrow(E, PROP), f=Arrow(E, E), a=E)
+    applied = Applied(ConstRef("f"), (ConstRef("a"),))
+    assert render_term(formula_to_term(Atom(ConstRef("p"), (applied,)),
+                                       ctx)) == "#p (#f #a)"
+    held = TermRef(Const("a", E))
+    assert render_term(formula_to_term(Atom(ConstRef("p"), (held,)),
+                                       ctx)) == "#p #a"
+
+
+def test_a_description_over_an_application_prints_its_term():
+    # neither a name nor an abstraction: the predicate prints as a term
+    r = Const("r", Arrow(E, Arrow(E, PROP)))
+    the = Description(E, App(r, Const("a", E)))
+    assert render_formula(Atom(ConstRef("q0"), (the,))) == \
+        "q0(iota[e](#r #a))"
