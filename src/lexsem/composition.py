@@ -170,8 +170,8 @@ class _Alt:
 
 
 # a node's kind, then where each part of its readings' `made` sits below
-# it: an applied conjunction's shared argument comes first, so that a
-# nested conjunct, whose normal form holds it, follows it
+# it: an applied conjunction's shared argument comes first, so that its
+# line prints first
 _WORD = ("word",)
 _THE = ("THE", (1,))
 _APPLY = ("apply", (0,), (1,))
@@ -314,21 +314,21 @@ def _leaf_node(entry: LexEntry, fuel):
 def _routed(entry, a: _Alt, m, fuel):
     """`(nf, steps)` of the argument reading `a` of `entry` routed
     through the morphism `m`, or of `a` itself for None.  The entry
-    keeps it per morphism (see `lexicon._kept`): a word is routed from
-    its coercion source alone, the type of its leaf node or of `THE`'s
-    over it, never both, so the morphism names the route.  Its steps
-    are `a`'s, the morphism's lexicon steps and the contractions where
-    the two meet."""
-    if m is None:
+    keeps the route per morphism (see `lexicon._kept`): a word is
+    routed from its coercion source alone, the type of its leaf node or
+    of `THE`'s over it, never both, so the morphism names the route.
+    Its steps are `a`'s, the morphism's lexicon steps and the
+    contractions where the two meet; the route is charged the last two."""
+    if m is None or a.nf is None:
         return a.nf, a.steps
     (nf, _), steps = _kept(entry, id(m), fuel, _route, a, m, fuel)
-    return nf, steps
+    return nf, a.steps + steps
 
 
 def _route(a: _Alt, m, fuel):
     """`_routed`'s route, with the morphism held beside it, so that its
     id stays its own."""
-    nf, steps = _built(fuel, a.steps, lambda step: _apply(
+    nf, steps = _built(fuel, 0, lambda step: _apply(
         _normal_form(m.term, step), a.nf, step))
     return (nf, m), steps
 
@@ -404,7 +404,10 @@ def _nested(conj: _Marker, arg: _Node, path, st: _State):
     an identity, which `Lexicon.validate` forces to be `λx. x`."""
     xi = arg.type
     (a,) = arg.alts
-    shared = _Node(xi, (_Alt(Var("y", xi), a.nf, a.steps),), arg.entry)
+    # the argument's steps are its own node's; an argument past the fuel
+    # leaves the placeholder past it, by `_Alt`'s invariant
+    spent = 0 if a.nf is not None else a.steps
+    shared = _Node(xi, (_Alt(Var("y", xi), a.nf, spent),), arg.entry)
     inner = _copred_node(conj, shared, path, st)
     # the shared argument is a part of the outer node, not of this one
     return _Node(Arrow(xi, PROP),
@@ -419,9 +422,8 @@ def _copred_node(fun: _Marker, arg: _Node, path, st: _State):
         raise CompositionError(
             "a shared argument must carry a lexical entry", path)
     (a,) = arg.alts    # a word's leaf node or THE's over it: one reading
-    nested = [isinstance(c, _Marker) for c in fun.conjuncts]
-    left, right = (_nested(c, arg, path, st) if n else c
-                   for c, n in zip(fun.conjuncts, nested))
+    left, right = (_nested(c, arg, path, st) if isinstance(c, _Marker)
+                   else c for c in fun.conjuncts)
     for side in (left, right):
         if not is_predicate(side.type):
             raise CompositionError(f"a conjunct must be a one-place predicate,"
@@ -439,13 +441,14 @@ def _copred_node(fun: _Marker, arg: _Node, path, st: _State):
     # left shares; the routed argument is built once per lexicon (see
     # `_routed`).  A word that is both conjuncts holds one reading on
     # both sides, so one half may serve on the left and on the right
-    def half(c, m, nested):
+    def half(c, m):
         key = id(c), id(m)    # each lives as long as the node
         if key not in halves:
-            if nested:    # applied already: one step for Id, one for λy
-                nf, steps = _built(st.fuel, c.steps + 2, lambda step: c.nf)
+            a_nf, a_steps = _routed(entry, a, m, st.fuel)
+            if c.made[0] is _NESTED:    # applied already: one more for λy
+                nf, steps = _built(st.fuel, c.steps + a_steps + 1,
+                                   lambda step: c.nf)
             else:
-                a_nf, a_steps = _routed(entry, a, m, st.fuel)
                 nf, steps = _built(st.fuel, c.steps + a_steps,
                                    lambda step: _apply(c.nf, a_nf, step))
             halves[key] = (nf, steps,
@@ -467,8 +470,8 @@ def _copred_node(fun: _Marker, arg: _Node, path, st: _State):
                 last, term_f = f, App(term, f.term)
             recs = morphs + ((entry.word, arg_path, f.name),
                              (entry.word, arg_path, g.name))
-            _, l_steps, l_partial = half(l, f, nested[0])
-            r_nf, r_steps, _ = half(r, g, nested[1])
+            _, l_steps, l_partial = half(l, f)
+            r_nf, r_steps, _ = half(r, g)
             # the argument both halves hold is charged once
             steps = POLY_AND_BINDERS + l_steps + r_steps - a.steps
             nf = App(l_partial, r_nf) if steps <= st.fuel else None
@@ -565,21 +568,17 @@ def felicity(tree: ParseTree, lex: Lexicon, fuel: int = 10000, *,
                    tuple(readings), tuple(st.rejections), notes)
 
 
-def _derivation(alt: _Alt, path=(), lines=None, held=0) -> list:
+def _derivation(alt: _Alt, path=(), lines=None) -> list:
     """`(path, kind, steps, normal form)` for each tree node of the
     reading `alt`, bottom-up: composition's own derivation of it.  The
-    steps contracted at a node are its charge less its parts' charges
-    and less `held`: a nested conjunct's charge holds the shared
-    argument's, which the argument's own node counts.  So they sum to
-    `alt.steps`."""
+    steps contracted at a node are its charge less its parts' charges,
+    so they sum to `alt.steps`."""
     lines = [] if lines is None else lines
     shape, *parts = alt.made
     kind, *below = shape
-    shared = parts[0].steps if shape is _AND else held
-    steps = alt.steps - held
+    steps = alt.steps
     for at, part in zip(below, parts):
-        inner = shared if part.made[0] is _NESTED else 0
-        steps -= part.steps - inner
-        _derivation(part, path + at, lines, inner)
+        steps -= part.steps
+        _derivation(part, path + at, lines)
     lines.append((path, kind, steps, alt.nf))
     return lines

@@ -1008,6 +1008,53 @@ def test_lexicon_terms_that_are_not_normal(text, charge, normal_order):
     assert felicity(tree, lex, fuel=charge - 1).status == RESOURCE_LIMIT
 
 
+def test_a_kept_route_is_charged_its_morphism_and_its_contraction():
+    # t2 takes a step to normalize and one to meet lpl; Liverpool's own
+    # step is its leaf's, added where the route is used
+    lex = load_lexicon(NON_NORMAL)
+    felicity(parse_tree("((AND spread_out voted) Liverpool)"), lex)
+    entry = lex.entry("Liverpool")
+    (t2,) = (m for m in entry.morphisms if m.name == "t2")
+    (nf, m), steps = entry._kept[id(t2)]
+    assert (render_term(nf), m, steps) == ("#t2 #lpl", t2, 2)
+
+
+# an argument past the fuel: the word takes 10 steps, THE's claim 2
+SLOW_ARGUMENT = f"""\
+sorts: T A
+pred c : T
+pred u : T -> A
+pred p : A -> t
+pred q : A -> t
+word w : T = {"(lam x:T. x) (" * 10}#c{")" * 10}
+  morph u : T -> A = #u [flexible]
+word n : T -> t = lam x:T. (lam y:T. #q (#u y)) x
+  morph u : T -> A = #u [flexible]
+word p : A -> t = #p
+word q : A -> t = #q
+"""
+
+
+def test_nothing_is_built_on_an_argument_past_the_fuel(monkeypatch):
+    # below its steps the argument has no normal form: no route, half or
+    # nested reading is built on it, and none is kept to be found at a
+    # fuel that lets the argument be
+    def applying(fun, arg, step):
+        assert fun is not None and arg is not None
+        return _apply(fun, arg, step)
+
+    monkeypatch.setattr(composition, "_apply", applying)
+    shared = load_lexicon(SLOW_ARGUMENT)
+    for fuel in range(1, 31):
+        for arg in ("w", "(THE n)"):
+            for conj in ("p", "(AND p q)", "(AND (AND p q) p)",
+                         "(AND p (AND q p))"):
+                tree = parse_tree(f"({conj} {arg})")
+                want = felicity(tree, load_lexicon(SLOW_ARGUMENT), fuel)
+                assert felicity(tree, shared, fuel) == want, (tree, fuel)
+    assert felicity(tree, shared, 30).status == FELICITOUS
+
+
 # ---------------------------------------------------------------------------
 # a lexicon normalizes each of its terms once, on first use, and keeps the
 # result: what one tree leaves behind must not change another's verdict
