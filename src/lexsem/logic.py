@@ -458,10 +458,7 @@ def _pred_text(pred, sym, printed):
     if name is not None:
         return name
     if isinstance(pred, Abs):
-        try:
-            body = _formula(pred.body)
-        except KernelError:
-            return _rt(pred, sym)
+        body = _formula(pred.body)
         var, inner, names = _bind(pred.var, body, printed, {})
         return f"{var}. {_render(body, _PREC_QUANT, sym, inner, names)}"
     return _rt(pred, sym)
