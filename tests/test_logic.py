@@ -246,6 +246,11 @@ def test_render_description():
     f = Atom(ConstRef("assi"), (d,))
     assert render_formula(f) == "assi(iota[v](assi))"
     assert render_formula(f, "unicode") == "assi(ι[v](assi))"
+    # neither a name nor an abstraction: the predicate prints as a term
+    r = Const("r", Arrow(E, Arrow(E, PROP)))
+    the = Description(E, App(r, Const("a", E)))
+    assert render_formula(Atom(ConstRef("q0"), (the,))) == \
+        "q0(iota[e](#r #a))"
 
 
 def test_render_applied_compound():
@@ -389,11 +394,14 @@ def test_render_trace_is_render_term_per_step():
 # round trip
 
 def test_formula_to_term_round_trip_eta_long():
-    ctx = sig(p=Arrow(E, PROP), q=Arrow(E, PROP), a=E)
+    ctx = sig(p=Arrow(E, PROP), q=Arrow(E, PROP), a=E, f=Arrow(E, E),
+              h=Arrow(Arrow(E, PROP), PROP))
     for src in ["(#& (#p #a)) (#q #a)",
                 "#exists{e} (lam x:e. (#| (#p x)) (#q x))",
                 "#forall{e} (lam x:e. (#=> (#p x)) (#q x))",
-                "#q (#iota{e} #p)"]:
+                "#q (#iota{e} #p)",
+                # an Applied reference, and a TermRef one
+                "#p (#f #a)", "#h (lam x:e. #p x)"]:
         t = parse_term(src, ctx)
         f = to_formula(t)
         back, _ = normalize(formula_to_term(f, ctx))
@@ -452,20 +460,3 @@ def test_formula_to_term_unbound_variable():
         formula_to_term(Atom(ConstRef("p"), (VarRef("x"),)),
                         sig(p=Arrow(E, PROP)))
 
-
-def test_formula_to_term_on_applied_and_term_references():
-    ctx = sig(p=Arrow(E, PROP), f=Arrow(E, E), a=E)
-    applied = Applied(ConstRef("f"), (ConstRef("a"),))
-    assert render_term(formula_to_term(Atom(ConstRef("p"), (applied,)),
-                                       ctx)) == "#p (#f #a)"
-    held = TermRef(Const("a", E))
-    assert render_term(formula_to_term(Atom(ConstRef("p"), (held,)),
-                                       ctx)) == "#p #a"
-
-
-def test_a_description_over_an_application_prints_its_term():
-    # neither a name nor an abstraction: the predicate prints as a term
-    r = Const("r", Arrow(E, Arrow(E, PROP)))
-    the = Description(E, App(r, Const("a", E)))
-    assert render_formula(Atom(ConstRef("q0"), (the,))) == \
-        "q0(iota[e](#r #a))"
