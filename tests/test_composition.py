@@ -1045,14 +1045,16 @@ def test_nothing_is_built_on_an_argument_past_the_fuel(monkeypatch):
 
     monkeypatch.setattr(composition, "_apply", applying)
     shared = load_lexicon(SLOW_ARGUMENT)
+    trees = [parse_tree(f"({conj} {arg})") for arg in ("w", "(THE n)")
+             for conj in ("p", "(AND p q)", "(AND (AND p q) p)",
+                          "(AND p (AND q p))")]
     for fuel in range(1, 31):
-        for arg in ("w", "(THE n)"):
-            for conj in ("p", "(AND p q)", "(AND (AND p q) p)",
-                         "(AND p (AND q p))"):
-                tree = parse_tree(f"({conj} {arg})")
-                want = felicity(tree, load_lexicon(SLOW_ARGUMENT), fuel)
-                assert felicity(tree, shared, fuel) == want, (tree, fuel)
-    assert felicity(tree, shared, 30).status == FELICITOUS
+        for tree in trees:
+            want = felicity(tree, load_lexicon(SLOW_ARGUMENT), fuel)
+            assert felicity(tree, shared, fuel) == want, (tree, fuel)
+    # the last fuel lets every tree be
+    assert all(felicity(tree, shared, 30).status == FELICITOUS
+               for tree in trees)
 
 
 # ---------------------------------------------------------------------------
@@ -1785,15 +1787,14 @@ word k : Pi 'a. 'a = #k
 
 
 @pytest.mark.parametrize("lexicon,text,error", [
-    ("liverpool", "(THE Liverpool)", "at ε: THE needs a predicate, got T"),
+    (fixture_text("liverpool.mgl"), "(THE Liverpool)",
+     "at ε: THE needs a predicate, got T"),
     # an application has no entry to route a morphism from
-    ("endo", "((AND p q) (g c))",
+    (ENDO, "((AND p q) (g c))",
      "at ε: a shared argument must carry a lexical entry"),
     # a quantified functor whose body is not a function type
-    ("endo", "(k c)", "at ε: cannot apply Pi 'a. 'a to e"),
-])
+    (ENDO, "(k c)", "at ε: cannot apply Pi 'a. 'a to e"),
+], ids=["THE-over-a-referent", "shared-application", "quantified-non-arrow"])
 def test_a_tree_the_node_rules_refuse_is_a_type_error(lexicon, text, error):
-    lex = load_lexicon(ENDO if lexicon == "endo"
-                       else fixture_text(f"{lexicon}.mgl"))
-    v = felicity(parse_tree(text), lex)
+    v = felicity(parse_tree(text), load_lexicon(lexicon))
     assert (v.status, v.error, v.readings) == (TYPE_ERROR, error, ())

@@ -459,4 +459,3 @@ def test_formula_to_term_unbound_variable():
     with pytest.raises(LogicError):
         formula_to_term(Atom(ConstRef("p"), (VarRef("x"),)),
                         sig(p=Arrow(E, PROP)))
-
