@@ -76,25 +76,23 @@ def _morph_text(records) -> str:
 
 def _verdict_block(v: Verdict) -> list:
     if v.status == FELICITOUS:
-        n = len(v.readings)
-        lines = [f"FELICITOUS: {n} reading(s)"]
+        lines = [f"FELICITOUS: {len(v.readings)} reading(s)"]
         for i, r in enumerate(v.readings, 1):
             lines.append(f"  {i}. {_summary(r)}")
             if r.used_morphisms:
                 lines.append(f"     via {_morph_text(r.used_morphisms)}")
             for p in r.presuppositions:
                 lines.append(f"     presupposes {render_formula(p)}")
-        for reason in v.rejection_log:
-            lines.append(f"  rejected: {reason}")
     elif v.status == INFELICITOUS:
         first = v.rejection_log[0] if v.rejection_log else "no readings"
         lines = [f"INFELICITOUS: {first}"]
-        for reason in v.rejection_log:
-            lines.append(f"  rejected: {reason}")
     elif v.status == RESOURCE_LIMIT:
         lines = [f"RESOURCE-LIMIT: {v.error}"]
     else:
         lines = [f"TYPE-ERROR: {v.error}"]
+    # a type error or a resource limit logs no rejection
+    for reason in v.rejection_log:
+        lines.append(f"  rejected: {reason}")
     for note in v.notes:
         lines.append(f"  note: {note}")
     return lines

@@ -202,6 +202,10 @@ class _Marker:
     conjuncts: tuple = ()
 
 
+# a bare marker leaf's, the same record on every call
+_BARE = {w: _Marker(w) for w in (THE_MARKER, AND_MARKER)}
+
+
 # ---------------------------------------------------------------------------
 # polymorphic application
 
@@ -292,8 +296,8 @@ def apply_with_coercion(fun_term, arg_term, arg_entry=None):
 # node semantics
 
 def _leaf(leaf: Leaf, path, st: _State):
-    if leaf.word in (THE_MARKER, AND_MARKER):
-        return _Marker(leaf.word)
+    if leaf.word in _BARE:
+        return _BARE[leaf.word]
     try:
         entry = st.lex.entry(leaf.word)
     except LexiconError as err:
@@ -313,24 +317,21 @@ def _leaf_node(entry: LexEntry, fuel):
 
 def _routed(entry, a: _Alt, m, fuel):
     """`(nf, steps)` of the argument reading `a` of `entry` routed
-    through the morphism `m`, or of `a` itself for None.  The entry
-    keeps the route per morphism (see `lexicon._kept`): a word is
+    through the morphism `m`, or of `a` itself for None.  A word is
     routed from its coercion source alone, the type of its leaf node or
-    of `THE`'s over it, never both, so the morphism names the route.
-    Its steps are `a`'s, the morphism's lexicon steps and the
-    contractions where the two meet; the route is charged the last two."""
+    of `THE`'s over it, never both, so the entry keeps the route by the
+    id of `m` (see `lexicon._kept`), and holds `m` too.  Its steps are
+    `a`'s, the morphism's lexicon steps and the contractions where the
+    two meet; the route is charged the last two."""
     if m is None or a.nf is None:
         return a.nf, a.steps
-    (nf, _), steps = _kept(entry, id(m), fuel, _route, a, m, fuel)
+    nf, steps = _kept(entry, id(m), fuel, _route, a, m, fuel)
     return nf, a.steps + steps
 
 
 def _route(a: _Alt, m, fuel):
-    """`_routed`'s route, with the morphism held beside it, so that its
-    id stays its own."""
-    nf, steps = _built(fuel, 0, lambda step: _apply(
+    return _built(fuel, 0, lambda step: _apply(
         _normal_form(m.term, step), a.nf, step))
-    return (nf, m), steps
 
 
 def _apply_node(fun: _Node, arg: _Node, path, st: _State):
@@ -400,8 +401,7 @@ def _nested(conj: _Marker, arg: _Node, path, st: _State):
     """A nested conjunction at the shared referent type: a predicate
     `λy. S` with its own morphism choices made, `y` being in the source
     alone, where it cannot capture a constant.  A reading's `nf` is `S`
-    already applied to the argument, read only by `_copred_node` through
-    an identity, which `Lexicon.validate` forces to be `λx. x`."""
+    already applied to the argument (see `_Alt`)."""
     xi = arg.type
     (a,) = arg.alts
     # the argument's steps are its own node's; an argument past the fuel

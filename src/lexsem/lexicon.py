@@ -234,11 +234,12 @@ def coercion_pairs(entry: LexEntry, xi, alpha, beta):
     """The admissible morphism pairs routing one referent of `xi` to
     `alpha` and to `beta`, and the refusals, each `(assignment, reason)`.
 
-    A pair is admissible when it is one morphism twice or holds no rigid
-    one.  An entry with no coercions from `xi` is refused once, for both
-    sides.  The answer depends on the entry and the three types up to α,
-    so the entry keeps it per triple of α-keys, except for a refusal for
-    want of morphisms, written anew in the caller's own types."""
+    A pair is admissible when it is one morphism object twice, whatever
+    its name, or holds no rigid one.  An entry with no coercions from
+    `xi` is refused once, for both sides.  The answer depends on the
+    entry and the three types up to α, so the entry keeps it per triple
+    of α-keys, except for a refusal for want of morphisms, written anew
+    in the caller's own types."""
     key = alpha_key(xi), alpha_key(alpha), alpha_key(beta)
     plan, _ = _kept(entry, key, 0, _plan, entry, xi, alpha, beta)
     if plan is None:
@@ -262,7 +263,7 @@ def _plan(entry, xi, alpha, beta):
         return None, 0
     pairs, refused = [], []
     for f, g in product(fs, gs):
-        if f.name == g.name or RIGID not in (f.rigidity, g.rigidity):
+        if f is g or RIGID not in (f.rigidity, g.rigidity):
             pairs.append((f, g))
         else:
             rigid, other = (f, g) if f.rigidity == RIGID else (g, f)

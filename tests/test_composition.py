@@ -225,6 +225,32 @@ def test_compose_rigid_conflict_is_empty(liverpool):
     assert compose(parse_tree("((AND voted won) Liverpool)"), liverpool) == []
 
 
+# a rigid morphism declared under the implicit identity's name
+ID_RIGID = """\
+sorts: T F
+pred lpl : T
+pred t1 : T -> F
+pred won : F -> t
+pred big : T -> t
+word L : T = #lpl
+  morph id : T -> F = #t1 [rigid]
+word won : F -> t = #won
+word big : T -> t = #big
+"""
+
+
+@pytest.mark.parametrize("name", ["id", "m"])
+@pytest.mark.parametrize("text", ["((AND big won) L)", "((AND won big) L)"])
+def test_a_rigid_morphism_excludes_the_implicit_identity_by_any_name(
+        name, text):
+    # one morphism twice is one object, not one name
+    lex = load_lexicon(ID_RIGID.replace("morph id", f"morph {name}"))
+    v = felicity(parse_tree(text), lex)
+    assert v.status == INFELICITOUS
+    assert [str(r) for r in v.rejection_log] == \
+        [f"rigid {name} excludes id"]
+
+
 def test_compose_rigid_agrees_with_itself(liverpool):
     [r] = compose(parse_tree("((AND won won) Liverpool)"), liverpool)
     assert render_formula(r.formula) == "won(t1(lpl)) & won(t1(lpl))"
@@ -237,6 +263,20 @@ def test_definite_referent(assinatura):
     assert type_of(r.term) == SortRef("v")
     assert [render_formula(p) for p in r.presuppositions] == \
         ["assi(iota[v](assi))"]
+
+
+def test_a_definite_over_a_definite_is_built_per_tree():
+    # the inner THE's node carries the word's entry but not its leaf's
+    # reading, so the entry's kept THE node is not the outer one
+    lex = load_lexicon("sorts: e\npred q : (e -> t) -> t\n"
+                       "word q : (e -> t) -> t = #q\n")
+    v = felicity(parse_tree("(THE (THE q))"), lex)
+    assert v.status == FELICITOUS
+    [r] = v.readings
+    assert render_term(r.term) == "#iota{e} (#iota{e -> t} #q)"
+    assert [render_formula(p) for p in r.presuppositions] == \
+        ["q(iota[e -> t](q))",
+         "iota[e -> t](q)(iota[e](#iota{e -> t} #q))"]
 
 
 def test_presupposition_propagates(assinatura):
@@ -1015,8 +1055,8 @@ def test_a_kept_route_is_charged_its_morphism_and_its_contraction():
     felicity(parse_tree("((AND spread_out voted) Liverpool)"), lex)
     entry = lex.entry("Liverpool")
     (t2,) = (m for m in entry.morphisms if m.name == "t2")
-    (nf, m), steps = entry._kept[id(t2)]
-    assert (render_term(nf), m, steps) == ("#t2 #lpl", t2, 2)
+    nf, steps = entry._kept[id(t2)]
+    assert (render_term(nf), steps) == ("#t2 #lpl", 2)
 
 
 # an argument past the fuel: the word takes 10 steps, THE's claim 2
