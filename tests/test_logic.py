@@ -191,6 +191,7 @@ def test_render_formula_precedence():
     assert render_formula(Implies(a, Implies(b, c))) == "a => b => c"
     assert render_formula(And(And(a, b), c)) == "a & b & c"
     assert render_formula(And(a, And(b, c))) == "a & (b & c)"
+    assert str(Or(And(a, b), c)) == "a & b | c"
 
 
 def test_render_formula_quantifier_scope():
@@ -199,6 +200,11 @@ def test_render_formula_quantifier_scope():
     assert render_formula(x) == "forall x:e. p(x) => q(x)"
     assert render_formula(And(Atom(ConstRef("r"), ()), x)) == \
         "r & (forall x:e. p(x) => q(x))"
+    # a sort that is not a name takes parentheses
+    f = Quant("forall", "f", Arrow(E, PROP),
+              Atom(VarRef("f"), (ConstRef("a"),)))
+    assert render_formula(f) == "forall f:(e -> t). f(a)"
+    assert render_formula(f, "unicode") == "∀f:(e→t). f(a)"
 
 
 def test_render_formula_unicode():
@@ -216,6 +222,11 @@ def test_render_formula_freshens_shadowed_binders():
     # the inner binder got a new name and its occurrences follow it
     assert render_formula(outer) == \
         "exists x:e. p(x) & (exists x1:e. r(x1, x1))"
+    # the new name avoids every name in the body, an applied one's too
+    applied = Applied(ConstRef("x1"), (VarRef("x"),))
+    inner = Quant("exists", "x", E, Atom(ConstRef("p"), (applied,)))
+    assert render_formula(Quant("exists", "x", E, inner)) == \
+        "exists x:e. exists x2:e. p(x1(x2))"
 
 
 def test_render_formula_freshens_inside_descriptions():
@@ -237,6 +248,11 @@ def test_render_formula_freshens_inside_embedded_terms():
     # the term's x and x1 are the two innermost binders, printed x2 and x11
     assert render_formula(f) == ("exists x:e. exists x1:e. exists x2:e."
                                  " exists x11:e. q(#r x2 x11)")
+    # a free variable no binder renamed keeps its name
+    f = Atom(ConstRef("q"), (TermRef(App(App(r, Var("x", E)),
+                                         Var("y", E))),))
+    f = Quant("exists", "x", E, Quant("exists", "x", E, f))
+    assert render_formula(f) == "exists x:e. exists x1:e. q(#r x1 y)"
 
 
 def test_render_description():
@@ -257,6 +273,9 @@ def test_render_applied_compound():
     f = Atom(ConstRef("spread_out"),
              (Applied(ConstRef("t3"), (ConstRef("lpl"),)),))
     assert render_formula(f) == "spread_out(t3(lpl))"
+    # an applied reference keeps its parentheses with no argument
+    f = Atom(ConstRef("p"), (Applied(ConstRef("f"), ()),))
+    assert render_formula(f) == "p(f())"
 
 
 def test_render_formula_bad_style():
@@ -268,17 +287,19 @@ def test_shared_subformulas_are_rendered_once(monkeypatch):
     # 216 readings over 36 distinct left and 6 distinct right conjuncts
     v = felicity(parse_tree("((AND (AND p q) p) w)"), _fan_out_lexicon(6))
     assert len(v.readings) == 216
-    calls, render_ref = [0], logic._render_ref
+    calls, render = [0], logic._render
 
     def counted(*args):
         calls[0] += 1
-        return render_ref(*args)
+        return render(*args)
 
-    monkeypatch.setattr(logic, "_render_ref", counted)
+    monkeypatch.setattr(logic, "_render", counted)
     for r in v.readings:
         render_formula(r.formula)
-    # every reading printed from scratch makes 2,592 calls
-    assert calls[0] < 600
+    # with kept text a reading prints itself and its two kept parts, 648
+    # calls, and each distinct part prints once; printed from scratch,
+    # a reading makes at least five calls
+    assert calls[0] < 900
 
 
 def _shadowing():
@@ -439,6 +460,46 @@ def test_render_formula_unknown_quantifier(style):
     f = Quant("most", "x", SortRef("e"), Atom(ConstRef("p"), (VarRef("x"),)))
     with pytest.raises(LogicError, match="not a formula"):
         render_formula(f, style)
+
+
+# nodes that print in their own place, and are out of place below
+_Q = Atom(ConstRef("q"), ())
+_F = Applied(ConstRef("f"), ())
+_D = Description(E, Const("p", Arrow(E, PROP)))
+
+
+@pytest.mark.parametrize("f, message", [
+    (Atom(ConstRef("p"), (_Q,)), f"not a term reference: {_Q!r}"),
+    (Atom(_Q, ()), f"not a term reference: {_Q!r}"),
+    (Atom(ConstRef("p"), (Applied(_Q, ()),)), f"not a term reference: {_Q!r}"),
+    (Atom(ConstRef("p"), (Applied(ConstRef("f"), (_Q,)),)),
+     f"not a term reference: {_Q!r}"),
+    (And(ConstRef("p"), _Q), "not a formula: ConstRef(name='p')"),
+    (Implies(_Q, _F), f"not a formula: {_F!r}"),
+    (Quant("exists", "x", E, VarRef("x")), "not a formula: VarRef(name='x')"),
+    (_D, f"not a formula: {_D!r}"),
+    (Atom(ConstRef("p"), (Const("a", E),)),
+     f"not a term reference: {Const('a', E)!r}"),
+    (Quant("exists", "x", E, Quant("exists", "x", E,
+                                   Atom(ConstRef("p"), ("x",)))),
+     "not a term reference: 'x'"),
+], ids=["formula-argument", "formula-head", "formula-applied-head",
+        "formula-in-applied", "reference-conjunct", "reference-consequent",
+        "reference-body", "reference-formula", "term-argument",
+        "string-argument-under-shadowing"])
+def test_a_node_out_of_place_is_refused(f, message):
+    ctx = sig(p=Arrow(E, PROP), q=PROP, f=E, a=E)
+    for style in ("ascii", "unicode"):
+        # each misplaced node, printed in its own place first, keeps text
+        # that never answers in the other place
+        render_formula(_Q, style)
+        render_formula(Atom(ConstRef("r"), (_F, _D)), style)
+        with pytest.raises(LogicError) as err:
+            render_formula(f, style)
+        assert str(err.value) == message
+    with pytest.raises(LogicError) as err:
+        formula_to_term(f, ctx)
+    assert str(err.value) == message
 
 
 def test_each_logical_constant_is_one_shared_term():
