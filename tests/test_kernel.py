@@ -35,6 +35,7 @@ def test_prop_is_a_sort_ref():
 def test_context_always_knows_t():
     c = Context(sorts={"e"}, constants={})
     assert "t" in c.sorts
+    assert repr(c) == "Context(sorts=['e', 't'], constants=0, variables=0)"
 
 
 def test_context_rejects_name_collisions():
@@ -156,6 +157,20 @@ def test_too_deep_a_nesting_is_a_parse_error(parse, text):
     assert (err.value.line, err.value.col) == (None, None)
 
 
+@pytest.mark.parametrize("parse, text, message", [
+    (parse_term, "(#a", "expected ')', found end of input (line 1, column 4)"),
+    (parse_term, "lam x e. x",
+     "expected ':' after the bound variable, found 'e' (line 1, column 7)"),
+    (parse_term, "#a )", "unexpected trailing input, found ')' (line 1, column 4)"),
+    (parse_type, "Pi a. e",
+     "expected a type variable after 'Pi', found 'a' (line 1, column 4)"),
+], ids=["term-unclosed", "term-binder-colon", "term-trailing", "type-pi"])
+def test_a_missing_token_is_named_with_what_was_found(parse, text, message):
+    with pytest.raises(ParseError) as err:
+        parse(text, ctx(a=E))
+    assert str(err.value) == message
+
+
 def test_parse_error_positions_count_lines_and_characters():
     # a column counts characters, tabs and carriage returns one each
     for text, line, col in [("lam x:e.\n  #missing", 2, 3),
@@ -227,6 +242,8 @@ def test_alpha_equiv_type_binders():
 
 def test_alpha_equiv_distinguishes_const_and_var():
     assert not alpha_equiv(Const("a", E), Var("a", E))
+    # neither a type nor a term, even if equal
+    assert not alpha_equiv("a", "a")
 
 
 def test_alpha_equiv_free_vars_by_name():
@@ -390,6 +407,16 @@ def test_type_of_checks_context_declarations():
     with pytest.raises(TypingError):
         type_of(Const("k", PROP), c)
     assert type_of(Const("k", E), c) == E
+    c = Context(sorts={"e"}, variables={"y": E})
+    assert type_of(Var("y", E), c) == E
+    for term, message in [
+            (Var("z", E), "unbound variable 'z'"),
+            (Var("y", PROP), "variable 'y' is annotated t but declared e"),
+            (Abs("y", E, Var("y", PROP)),
+             "variable 'y' is annotated t but bound at e")]:
+        with pytest.raises(TypingError) as err:
+            type_of(term, c)
+        assert str(err.value) == message
 
 
 def test_type_of_free_variable_consistency():
@@ -397,6 +424,19 @@ def test_type_of_free_variable_consistency():
             Var("x", PROP))
     with pytest.raises(TypingError):
         type_of(t)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: free_type_vars("e"), "not a type or term: 'e'"),
+    (lambda: subst_type("e", "a", E), "not a type or term: 'e'"),
+    (lambda: subst_term("e", "x", Const("a", E)), "not a term: 'e'"),
+    (lambda: render_type(Const("a", E)),
+     "not a type: Const(name='a', type=SortRef(name='e'))"),
+], ids=["free_type_vars", "subst_type", "subst_term", "render_type"])
+def test_a_walker_names_what_it_cannot_walk(call, message):
+    with pytest.raises(kernel.KernelError) as err:
+        call()
+    assert str(err.value) == message
 
 
 # ---------------------------------------------------------------------------

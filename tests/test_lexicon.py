@@ -197,6 +197,7 @@ def test_candidates_by_target(liverpool):
     entry = liverpool.entry("Liverpool")
     ms = candidates(entry, T, SortRef("Pl"))
     assert [m.name for m in ms] == ["t3"]
+    assert str(ms[0]) == "t3 : T -> Pl [flexible]"
 
 
 def test_candidates_endo_uses_declared_identity(liverpool):
