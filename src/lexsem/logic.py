@@ -78,22 +78,22 @@ def logical_signature(sorts) -> Context:
 # ---------------------------------------------------------------------------
 # formulae
 
-class _RefNode:
-    _ascii = _unicode = None  # top-scope text per style, kept by `_render_ref`
+class _Node:
+    _ascii = _unicode = None  # top-scope text per style, kept by `_render`
 
 
 @record
-class ConstRef(_RefNode):
+class ConstRef(_Node):
     name: str
 
 
 @record
-class VarRef(_RefNode):
+class VarRef(_Node):
     name: str
 
 
 @record
-class Description(_RefNode):
+class Description(_Node):
     """A choice-operator description: the `pred` such that iota[sort](pred)."""
 
     sort: "Type"
@@ -101,13 +101,13 @@ class Description(_RefNode):
 
 
 @record
-class Applied(_RefNode):
+class Applied(_Node):
     fun: "Ref"
     args: tuple
 
 
 @record
-class TermRef(_RefNode):
+class TermRef(_Node):
     """Fallback for higher-order arguments with no first-order shape."""
 
     term: "Term"
@@ -116,9 +116,7 @@ class TermRef(_RefNode):
 Ref = ConstRef | VarRef | Description | Applied | TermRef
 
 
-class _FormulaNode:
-    _ascii = _unicode = None  # top-scope text per style, kept by `_render`
-
+class _FormulaNode(_Node):
     def __str__(self):
         return render_formula(self)
 
@@ -260,45 +258,44 @@ def formula_to_term(f, ctx: Context):
     return _to_term(f, ctx, {})
 
 
-def _to_term(f, ctx, env):
-    match f:
+# A walker of formulae takes `x` where its place holds a reference
+# (`ref`) or else a formula, and matches `x` only if it is one; any other
+# node matches no case and is refused.
+
+def _misplaced(x, ref):
+    return LogicError(f"not a {'term reference' if ref else 'formula'}: {x!r}")
+
+
+def _to_term(x, ctx, env, ref=False):
+    """The term of `x`, a reference where `ref`, else a formula."""
+    match x if isinstance(x, Ref if ref else Formula) else None:
         case And() | Or() | Implies():
-            return App(App(_CONNECTIVE_TERMS[type(f)],
-                           _to_term(f.left, ctx, env)),
-                       _to_term(f.right, ctx, env))
-        case Quant() if f.kind in _QUANTIFIERS:
+            return App(App(_CONNECTIVE_TERMS[type(x)],
+                           _to_term(x.left, ctx, env)),
+                       _to_term(x.right, ctx, env))
+        case Quant() if x.kind in _QUANTIFIERS:
             inner = dict(env)
-            inner[f.var] = f.sort
-            pred = Abs(f.var, f.sort, _to_term(f.body, ctx, inner))
-            return App(TyApp(_LOGICAL_TERMS[f.kind], f.sort), pred)
-        case Atom():
-            t = _ref_term(f.pred, ctx, env)
-            for a in f.args:
-                t = App(t, _ref_term(a, ctx, env))
+            inner[x.var] = x.sort
+            pred = Abs(x.var, x.sort, _to_term(x.body, ctx, inner))
+            return App(TyApp(_LOGICAL_TERMS[x.kind], x.sort), pred)
+        case Atom() | Applied():
+            t = _to_term(x.fun if ref else x.pred, ctx, env, True)
+            for a in x.args:
+                t = App(t, _to_term(a, ctx, env, True))
             return t
-    raise LogicError(f"not a formula: {f!r}")
-
-
-def _ref_term(r, ctx, env):
-    match r:
         case VarRef():
-            if r.name not in env:
-                raise LogicError(f"unbound variable '{r.name}' in formula")
-            return Var(r.name, env[r.name])
+            if x.name not in env:
+                raise LogicError(f"unbound variable '{x.name}' in formula")
+            return Var(x.name, env[x.name])
         case ConstRef():
-            if r.name not in ctx.constants:
-                raise LogicError(f"unknown constant '#{r.name}' in formula")
-            return Const(r.name, ctx.constants[r.name])
+            if x.name not in ctx.constants:
+                raise LogicError(f"unknown constant '#{x.name}' in formula")
+            return Const(x.name, ctx.constants[x.name])
         case Description():
-            return App(TyApp(_LOGICAL_TERMS[IOTA_NAME], r.sort), r.pred)
-        case Applied():
-            t = _ref_term(r.fun, ctx, env)
-            for a in r.args:
-                t = App(t, _ref_term(a, ctx, env))
-            return t
+            return App(TyApp(_LOGICAL_TERMS[IOTA_NAME], x.sort), x.pred)
         case TermRef():
-            return r.term
-    raise LogicError(f"not a term reference: {r!r}")
+            return x.term
+    raise _misplaced(x, ref)
 
 
 # ---------------------------------------------------------------------------
@@ -338,10 +335,9 @@ def _names(x) -> set:
             return {x.var} | _names(x.body)
         case And() | Or() | Implies():
             return _names(x.left) | _names(x.right)
-        case Atom():
-            return _names(x.pred).union(*map(_names, x.args))
-        case Applied():
-            return _names(x.fun).union(*map(_names, x.args))
+        case Atom() | Applied():
+            head = x.pred if isinstance(x, Atom) else x.fun
+            return _names(head).union(*map(_names, x.args))
         case VarRef() | ConstRef():
             return {x.name}
         case Description():
@@ -371,69 +367,53 @@ def _rebind(t, names):
     return t
 
 
-def _render(f, prec, sym, printed, names):
-    """`f`'s text, in parentheses if its precedence is below `prec`.  With
-    no binder in scope the text depends on `f` and the style alone, so it
-    is kept on the node (not as a field) and a shared node is printed
-    once; under a binder, where a shadowed name prints fresh, it is not.
-    Only a formula node's kept text is read: a term keeps its own."""
-    top = not printed and isinstance(f, _FormulaNode)
-    s = getattr(f, sym["kept"]) if top else None
+def _render(x, prec, sym, printed, names):
+    """`x`'s text: with `prec` None a reference's, else a formula's, in
+    parentheses if its precedence is below `prec`.  With no binder in
+    scope the text depends on `x` and the style alone, so it is kept on
+    the node (not as a field) and a shared node is printed once; under a
+    binder, where a shadowed name prints fresh, it is not.  A node out of
+    place is refused before its kept text is read: a term keeps its own."""
+    ref = prec is None
+    node = x if isinstance(x, Ref if ref else Formula) else None
+    s = None if printed else getattr(node, sym["kept"], None)
     if s is None:
-        match f:
-            case Quant() if f.kind in _QUANTIFIERS:
-                var, inner, inner_names = _bind(f.var, f.body, printed, names)
-                body = _render(f.body, _PREC_QUANT, sym, inner, inner_names)
-                s = f"{sym[f.kind]}{var}:{_sort_text(f.sort, sym)}. {body}"
+        match node:
+            case VarRef():
+                return names.get(x.name, x.name)
+            case ConstRef():
+                return x.name
+            case Quant() if x.kind in _QUANTIFIERS:
+                var, inner, inner_names = _bind(x.var, x.body, printed, names)
+                body = _render(x.body, _PREC_QUANT, sym, inner, inner_names)
+                s = f"{sym[x.kind]}{var}:{_sort_text(x.sort, sym)}. {body}"
             case And() | Or() | Implies():
-                op, left, right = _CONNECTIVE_PREC[type(f)]
-                s = (f"{_render(f.left, left, sym, printed, names)} {sym[op]} "
-                     f"{_render(f.right, right, sym, printed, names)}")
-            case Atom():
-                s = _render_ref(f.pred, sym, printed, names)
-                if f.args:
-                    inner = ", ".join(_render_ref(a, sym, printed, names)
-                                      for a in f.args)
+                op, left, right = _CONNECTIVE_PREC[type(x)]
+                s = (f"{_render(x.left, left, sym, printed, names)} {sym[op]} "
+                     f"{_render(x.right, right, sym, printed, names)}")
+            case Atom() | Applied():
+                # an atom with no argument prints as its bare predicate
+                s = _render(x.fun if ref else x.pred, None, sym, printed, names)
+                if x.args or ref:
+                    inner = ", ".join(_render(a, None, sym, printed, names)
+                                      for a in x.args)
                     s = f"{s}({inner})"
+            case Description():
+                pred = _pred_text(_rebind(x.pred, names), sym, printed)
+                s = f"{sym['iota']}[{_rty(x.sort, sym)}]({pred})"
+            case TermRef():
+                s = _rt(_rebind(x.term, names), sym)
             case _:
-                raise LogicError(f"not a formula: {f!r}")
-        if top:
-            object.__setattr__(f, sym["kept"], s)
-    return f"({s})" if prec > _OWN_PREC.get(type(f), prec) else s
+                raise _misplaced(x, ref)
+        if not printed:
+            object.__setattr__(x, sym["kept"], s)
+    return f"({s})" if not ref and prec > _OWN_PREC.get(type(x), prec) else s
 
 
 def _sort_text(sort, sym):
     s = _rty(sort, sym)
     if not isinstance(sort, (SortRef, TypeVar)):
         s = f"({s})"
-    return s
-
-
-def _render_ref(r, sym, printed, names):
-    """`r`'s text; kept on the reference, as `_render` keeps a formula
-    node's, only with no binder in scope."""
-    match r:
-        case VarRef():
-            return names.get(r.name, r.name)
-        case ConstRef():
-            return r.name
-    top = not printed
-    s = getattr(r, sym["kept"]) if top and isinstance(r, _RefNode) else None
-    if s is None:
-        match r:
-            case Description():
-                pred = _pred_text(_rebind(r.pred, names), sym, printed)
-                s = f"{sym['iota']}[{_rty(r.sort, sym)}]({pred})"
-            case Applied():
-                inner = ", ".join(_render_ref(a, sym, printed, names)
-                                  for a in r.args)
-                s = f"{_render_ref(r.fun, sym, printed, names)}({inner})"
-            case TermRef():
-                s = _rt(_rebind(r.term, names), sym)
-            case _:
-                raise LogicError(f"not a term reference: {r!r}")
-        if top:
-            object.__setattr__(r, sym["kept"], s)
     return s
 
 
