@@ -433,7 +433,7 @@ def _eta_head(pred) -> str | None:
 
 def _pred_text(pred, sym, printed):
     """A description's predicate, whose free variables already carry
-    their printed names."""
+    their printed names: a name, a bound formula, or else a reference."""
     name = _eta_head(pred)
     if name is not None:
         return name
@@ -441,4 +441,4 @@ def _pred_text(pred, sym, printed):
         body = _formula(pred.body)
         var, inner, names = _bind(pred.var, body, printed, {})
         return f"{var}. {_render(body, _PREC_QUANT, sym, inner, names)}"
-    return _rt(pred, sym)
+    return _render(_ref(pred), None, sym, printed, {})

@@ -276,7 +276,7 @@ def test_a_definite_over_a_definite_is_built_per_tree():
     assert render_term(r.term) == "#iota{e} (#iota{e -> t} #q)"
     assert [render_formula(p) for p in r.presuppositions] == \
         ["q(iota[e -> t](q))",
-         "iota[e -> t](q)(iota[e](#iota{e -> t} #q))"]
+         "iota[e -> t](q)(iota[e](iota[e -> t](q)))"]
 
 
 def test_presupposition_propagates(assinatura):

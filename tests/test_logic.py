@@ -262,11 +262,10 @@ def test_render_description():
     f = Atom(ConstRef("assi"), (d,))
     assert render_formula(f) == "assi(iota[v](assi))"
     assert render_formula(f, "unicode") == "assi(ι[v](assi))"
-    # neither a name nor an abstraction: the predicate prints as a term
+    # neither a name nor an abstraction: the predicate prints as a reference
     r = Const("r", Arrow(E, Arrow(E, PROP)))
     the = Description(E, App(r, Const("a", E)))
-    assert render_formula(Atom(ConstRef("q0"), (the,))) == \
-        "q0(iota[e](#r #a))"
+    assert render_formula(Atom(ConstRef("q0"), (the,))) == "q0(iota[e](r(a)))"
 
 
 def test_render_applied_compound():
