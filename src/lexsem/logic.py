@@ -258,11 +258,10 @@ def formula_to_term(f, ctx: Context):
     return _to_term(f, ctx, {})
 
 
-# A walker of formulae takes `x` where its place holds a reference
-# (`ref`) or else a formula, and matches `x` only if it is one; any other
-# node matches no case and is refused.
-
 def _misplaced(x, ref):
+    """The error for `x` where a reference (`ref`) or a formula belongs.
+    A walker matches a node only where its kind belongs, so a node out of
+    place matches no case and ends here."""
     return LogicError(f"not a {'term reference' if ref else 'formula'}: {x!r}")
 
 

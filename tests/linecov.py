@@ -52,19 +52,18 @@ def pytest_runtest_protocol(item, nextitem):
 def body_lines(source):
     """The first line of every statement in a function body of `source`,
     docstrings excepted."""
-    lines = set()
+    lines, docstrings = set(), set()
     for fn in ast.walk(ast.parse(source)):
         if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
-        body = fn.body
-        if (isinstance(body[0], ast.Expr)
-                and isinstance(body[0].value, ast.Constant)
-                and isinstance(body[0].value.value, str)):
-            body = body[1:]
-        for stmt in body:
-            lines.update(node.lineno for node in ast.walk(stmt)
-                         if isinstance(node, ast.stmt))
-    return lines
+        first = fn.body[0]
+        if (isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant)
+                and isinstance(first.value.value, str)):
+            docstrings.add(first.lineno)
+        lines.update(node.lineno for stmt in fn.body for node in ast.walk(stmt)
+                     if isinstance(node, ast.stmt))
+    # a nested function's docstring is a statement of the outer body too
+    return lines - docstrings
 
 
 def read_allowlist(text):
