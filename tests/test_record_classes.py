@@ -2,8 +2,11 @@
 each class is found by scanning the modules, and built with placeholder
 fields."""
 
+import copy
 import importlib
+import pickle
 import pkgutil
+import weakref
 
 import pytest
 
@@ -70,3 +73,8 @@ def test_record_contract(name):
         with pytest.raises(AttributeError):
             delattr(value, n)
     assert [getattr(value, n) for n in names] == values
+
+    for copied in (copy.copy(value), copy.deepcopy(value),
+                   pickle.loads(pickle.dumps(value))):
+        assert copied.__class__ is cls and copied == value
+    assert weakref.ref(value)() is value
