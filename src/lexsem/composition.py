@@ -6,6 +6,16 @@ and `AND`, which conjoins two predicates over one shared argument.  An
 application may route its argument through any of the argument word's
 coercion morphisms; a shared argument takes one morphism per conjunct,
 and a rigid morphism tolerates no distinct partner at the same node.
+
+A nested conjunction is built over the shared argument itself: the `y`
+of its source `λy. S` is in the source alone, and each of its readings
+is `S` with the argument already substituted.  The outer node reaches
+that conjunct through an identity, which `Lexicon.validate` forces to be
+`λx. x`, so it takes the reading as it stands for its half.  So the
+parts that nested readings share stay shared in the outer readings (see
+`kernel` on sharing), the argument is substituted into each of them
+once, and no binder of a lexicon term is renamed to keep clear of `y`,
+so a morphism's binders print alike however the conjuncts are bracketed.
 """
 
 from __future__ import annotations

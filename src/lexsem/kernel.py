@@ -13,6 +13,39 @@ and types round-trip through the parsers):
 Every binder and every constant carries its type, so a term determines its
 type without inference.  All values are immutable and every function here
 is pure.
+
+Sharing and kept data.  The readings of one tree may share subterm
+objects: two readings of one conjunction can hold the very same conjunct
+term, and their formulae the very same conjunct formula, and every term
+that composition, `iota` or `formula_to_term` builds holds the one `Const`
+that `logic` builds for each logical constant.  Records are immutable, so
+this is not observable through `==`, `hash` or `repr`; only `is`, `id`
+and the time a walk takes can tell.  `free_vars` walks each application
+once per set of bound names, not once per path to it.
+
+A node keeps what it alone determines, outside its fields, the first
+time it is asked for: a type node its `alpha_key` once keyed outside
+every type binder; a term node its `alpha_key` once keyed outside every
+binder, its text per style once printed by `render_term`, its formula
+once read by `to_formula` or composition, its reference once read as an
+argument of a formula's atom; a formula node, and a reference built from
+more than one name, its text per style once printed at top scope by
+`render_formula`.  Formula and reference nodes keep that text alike, and
+one `logic` walker prints both: it reads a node's kept text only where
+the node's kind belongs, so `render_formula` of a printed term or a
+printed reference still raises `LogicError`, as does a formula printed
+where a reference belongs.  So a part shared by several readings, or by
+the steps of a trace, is walked once per question.  Each kept name is a
+class default None on the node's base (`_TypeNode`, `_TermNode`,
+`logic._Node`), and a node that keeps a value holds it in its instance
+dict, written with `object.__setattr__`; its fields are in slots.
+
+Substitution keeps that sharing: `subst_term`, `subst_type` and every
+β or type-β step return a node none of whose children changed as
+it is, so a step's result holds the parts of the redex it left alone,
+with what they keep.  `==`, `hash`, `repr`, matching and read-only
+assignment ignore what is kept, nodes that are merely equal share none
+of it, and a copy keeps none of it.
 """
 
 from __future__ import annotations
@@ -44,23 +77,43 @@ def record(cls):
     a class attribute named like a trailing field is its default.
     Records are built by position or keyword, equal only to records of
     their own class with equal fields, hashed on their fields, shown as
-    `Name(field=value, ...)`, matched by position, and read-only.  Only
-    the constructor is compiled per class, since one that loops over the
-    fields would slow down every term built; `==`, `hash` and `repr` are
-    shared, and read the fields through the class's `_fields`."""
+    `Name(field=value, ...)`, matched by position, and read-only.  They
+    survive `copy`, `deepcopy` and `pickle`, rebuilt from their fields,
+    and take weak references.
+
+    The class is made anew, with `__slots__` that hold its fields, so
+    `vars()` of a record shows none.  Only the constructor is compiled
+    per class, and it writes each field through its slot's descriptor,
+    since an `object.__setattr__` per field would slow down every term
+    built; `==`, `hash`, `repr` and `__reduce__` are shared, and read the
+    fields through the class's `_fields` or `__match_args__`.  A class
+    attribute that is None and no field names kept data: a node writes
+    its own value with `object.__setattr__` into its instance dict, and
+    reads the class default until then.  The node bases of `kernel` and
+    `logic` give their records that dict and weak references; a record
+    whose base is `object` gets a weak reference slot, and a dict only
+    if it keeps data (`lexicon.LexEntry`)."""
     names = tuple(cls.__annotations__)
-    init = {"_set": object.__setattr__}
-    exec(f"def __init__(self, {', '.join(names)}):\n"
-         + "".join(f"    _set(self, {n!r}, {n})\n" for n in names), init)
-    init["__init__"].__defaults__ = tuple(
-        cls.__dict__[n] for n in names if n in cls.__dict__) or None
-    cls.__init__ = init["__init__"]
+    ns = {k: v for k, v in vars(cls).items()
+          if k not in ("__dict__", "__weakref__")}
+    defaults = tuple(ns.pop(n) for n in names if n in ns) or None
+    slots = names
+    if cls.__base__ is object:
+        slots += ("__weakref__",)
+        if any(v is None for k, v in ns.items() if not k.startswith("__")):
+            slots += ("__dict__",)
     # one field is read bare, several as a tuple: both compare by value,
     # and a tuple short-cuts on identical members
-    cls._fields = attrgetter(*names)
-    cls.__eq__, cls.__hash__, cls.__repr__ = _eq, _hash, _repr
-    cls.__match_args__ = names
-    cls.__setattr__ = cls.__delattr__ = _read_only
+    ns.update(__slots__=slots, _fields=attrgetter(*names),
+              __eq__=_eq, __hash__=_hash, __repr__=_repr, __reduce__=_reduce,
+              __match_args__=names, __setattr__=_read_only,
+              __delattr__=_read_only)
+    cls = type(cls)(cls.__name__, cls.__bases__, ns)
+    init = {f"_s_{n}": getattr(cls, n).__set__ for n in names}
+    exec(f"def __init__(self, {', '.join(names)}):\n"
+         + "".join(f"    _s_{n}(self, {n})\n" for n in names), init)
+    init["__init__"].__defaults__ = defaults
+    cls.__init__ = init["__init__"]
     return cls
 
 
@@ -80,6 +133,12 @@ def _repr(self):
     cls = self.__class__
     shown = ", ".join(f"{n}={getattr(self, n)!r}" for n in cls.__match_args__)
     return f"{cls.__qualname__}({shown})"
+
+
+def _reduce(self):
+    # kept data is left behind: a copy builds its own again
+    cls = self.__class__
+    return cls, tuple(getattr(self, n) for n in cls.__match_args__)
 
 
 def _read_only(self, name, value=None):

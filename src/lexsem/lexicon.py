@@ -14,6 +14,39 @@ entry must leave from one common source type: the principal type itself,
 or its domain when the principal term is a predicate (an arrow into t).
 Declarations are processed in order, so a `pred` must precede its first
 use.
+
+What an entry keeps.  A `Lexicon` holds its `sorts`, `predicates` and
+`entries` and nothing derived from them.  Everything a lexicon determines
+is kept by its `LexEntry`, in one mapping that `_kept` alone reads and
+fills, under one rule: a result is built under the tree's fuel, kept only
+if it was built within that fuel, and reused at any fuel at or above the
+steps it was charged.  Keys are strings, ids or α-keys, never a
+record, whose hash walks its term.  An entry keeps what
+`candidates(entry, frm, to)` finds (the morphisms, or None where it
+raises `LexiconError`; the implicit identity is built once per entry and
+type) per pair of α-keys, and each `coercion_pairs(entry, xi, alpha,
+beta)` plan per triple; both cost no steps.  `coercion_pairs` returns the
+pairs that route one referent of `xi` to both conjuncts' domains, one
+morphism twice or no rigid one, and the refused pairs with their
+reasons.  Each error message, for an entry with no coercions from a type
+or a side with no morphism, is written anew on each call, in the
+caller's own types.
+
+The entry also keeps its word's leaf node, charged its term's steps; the
+`THE` node over it, charged its claim's, one more for a noun that is an
+abstraction; and the argument routed through each morphism, such as
+`t3(lpl)` or `f_phi(iota[v](assi))`, charged the morphism term's steps
+and the contractions where it meets the argument, and keyed by the
+morphism's id; the argument's own steps are added where the route is
+used.  The entry holds every morphism a route is keyed by, a declared one
+in its `morphisms` and the implicit identity in its kept `candidates`
+answer, so the id stays its own.  "One morphism twice" means one object
+twice, not one name: a rigid morphism declared as `id` on a word still
+excludes the word's implicit identity.  So a word's coercions are built,
+read and printed once per lexicon, and a replaced entry keeps nothing.
+What is kept never changes a verdict.  `LexEntry._kept` is a class
+default None; an entry's own mapping lives in its instance dict, its
+fields in slots.
 """
 
 from __future__ import annotations

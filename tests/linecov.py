@@ -8,7 +8,9 @@ Every statement line in a function body of the package, docstrings
 excepted, must run in some test, or be listed in
 `tests/fixtures/unreached.txt` as `file:line reason`.  The session fails
 on an unreached line that is not listed, and on a listed line that a
-test reached.  The tracer is installed again before each test, since a
+test reached; where a file's stale listed lines and its new unreached
+lines pair up one to one, it names them as listed lines that moved.
+The tracer is installed again before each test, since a
 `RecursionError` raised while tracing switches it off.  Its functions are
 module-level functions, not closures: a closure that returns itself is a
 reference cycle per traced frame, which a test that counts garbage
@@ -81,15 +83,33 @@ def read_allowlist(text):
     return listed
 
 
+def moves(stale, unreached):
+    """`{(file, listed line): new line}` for each file whose stale listed
+    lines (now reached, or no function-body line) are as many as its
+    unlisted unreached lines: taken in order, those are the listed lines,
+    moved by an edit above them."""
+    moved = {}
+    for name in {n for n, _ in stale}:
+        old = sorted(i for n, i in stale if n == name)
+        new = sorted(i for n, i in unreached if n == name)
+        if len(old) == len(new):
+            moved.update(((name, a), b) for a, b in zip(old, new))
+    return moved
+
+
 def pytest_sessionfinish(session, exitstatus):
     sys.settrace(None)
     body = {(name, line) for path, name in _FILES.items()
             for line in body_lines(Path(path).read_text())}
     listed = read_allowlist(ALLOWLIST.read_text())
-    unreached = sorted(body - _REACHED - listed)
-    stale = sorted(listed & _REACHED)
-    unknown = sorted(listed - body)
-    report = ([f"unreached: {n}:{i}" for n, i in unreached]
+    unreached = body - _REACHED - listed
+    moved = moves((listed & _REACHED) | (listed - body), unreached)
+    unreached -= {(n, i) for (n, _), i in moved.items()}
+    stale = sorted(listed & _REACHED - moved.keys())
+    unknown = sorted(listed - body - moved.keys())
+    report = ([f"listed line moved: {n}:{i} is now {n}:{j}"
+               for (n, i), j in sorted(moved.items())]
+              + [f"unreached: {n}:{i}" for n, i in sorted(unreached)]
               + [f"listed but reached: {n}:{i}" for n, i in stale]
               + [f"listed but not a function-body line: {n}:{i}"
                  for n, i in unknown])

@@ -75,3 +75,13 @@ def test_every_imported_name_is_used():
                     if name not in used:
                         found.append(f"{path.name}:{node.lineno} {name}")
     assert found == []
+
+
+def test_the_coverage_gate_names_listed_lines_that_moved():
+    import linecov
+
+    stale = {("kernel.py", 748), ("kernel.py", 769), ("cli.py", 5)}
+    unreached = {("kernel.py", 795), ("kernel.py", 774), ("cli.py", 9),
+                 ("cli.py", 12), ("logic.py", 3)}
+    assert linecov.moves(stale, unreached) == {("kernel.py", 748): 774,
+                                               ("kernel.py", 769): 795}

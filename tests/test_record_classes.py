@@ -11,6 +11,10 @@ import weakref
 import pytest
 
 import lexsem
+from lexsem import (And, App, Arrow, Atom, Const, ConstRef, LexEntry,
+                    SortRef, Var, VarRef, alpha_key, candidates,
+                    render_formula, render_term)
+from lexsem import kernel, lexicon, logic
 from lexsem.kernel import record
 
 
@@ -78,3 +82,81 @@ def test_record_contract(name):
                    pickle.loads(pickle.dumps(value))):
         assert copied.__class__ is cls and copied == value
     assert weakref.ref(value)() is value
+
+
+# records whose nodes keep data in an instance dict: those under the node
+# bases of `kernel` and `logic`, and `LexEntry`
+KEEPING = {"lexicon.LexEntry"} | {
+    name for name, cls in RECORDS.items() if cls.__base__ is not object}
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_record_fields_live_in_slots(name):
+    cls = RECORDS[name]
+    names = cls.__match_args__
+    assert cls.__slots__[:len(names)] == names
+    assert set(cls.__slots__[len(names):]) <= {"__weakref__", "__dict__"}
+    value = cls(*_fields(cls, "v"))
+    assert hasattr(value, "__dict__") == (name in KEEPING)
+    assert not set(names) & set(getattr(value, "__dict__", {}))
+
+
+def test_a_record_on_object_has_a_dict_only_if_it_keeps_data():
+    def made(**attrs):
+        cls = record(type("R", (), {"__annotations__": {"a": "object"},
+                                    "a": 0, **attrs}))
+        return cls()
+
+    assert not hasattr(made(), "__dict__")
+    assert not hasattr(made(label="text"), "__dict__")
+    keeper = made(_kept=None)
+    object.__setattr__(keeper, "_kept", {})
+    assert vars(keeper) == {"_kept": {}} and keeper.a == 0
+    for value in made(), keeper:
+        assert weakref.ref(value)() is value
+
+
+def _counted(monkeypatch, module, walker):
+    """The nodes `module.walker` is called on, recursive calls included."""
+    calls = []
+    walk = getattr(module, walker)
+
+    def counted(x, *args):
+        calls.append(x)
+        return walk(x, *args)
+    monkeypatch.setattr(module, walker, counted)
+    return calls
+
+
+E = SortRef("e")
+P = Const("p", Arrow(E, Arrow(E, E)))
+A = Const("a", E)
+
+
+TERM = App(App(P, A), Var("x", E))
+FORMULA = And(Atom(ConstRef("p"), (ConstRef("a"),)), Atom(VarRef("x"), ()))
+
+
+@pytest.mark.parametrize("walk, module, walker, node, kept", [
+    (alpha_key, kernel, "_key", TERM, "_key"),
+    (render_term, kernel, "_rt", TERM, "_ascii"),
+    (render_formula, logic, "_render", FORMULA, "_ascii"),
+])
+def test_kept_data_lands_on_a_slotted_node_and_is_reused(
+        monkeypatch, walk, module, walker, node, kept):
+    node = copy.copy(node)  # a node that keeps nothing yet
+    calls = _counted(monkeypatch, module, walker)
+    first = walk(node)
+    assert len(calls) > 1 and vars(node)[kept] is first
+    del calls[:]
+    assert walk(node) is first
+    assert calls == [node]
+
+
+def test_a_kept_entry_result_lands_in_its_dict_and_is_reused(monkeypatch):
+    entry = LexEntry("w", A, E)
+    calls = _counted(monkeypatch, lexicon, "_candidates")
+    first = candidates(entry, E, E)
+    assert len(calls) == 1 and "_kept" in vars(entry)
+    assert candidates(entry, E, E) == first
+    assert len(calls) == 1
