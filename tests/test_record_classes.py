@@ -131,8 +131,6 @@ def _counted(monkeypatch, module, walker):
 E = SortRef("e")
 P = Const("p", Arrow(E, Arrow(E, E)))
 A = Const("a", E)
-
-
 TERM = App(App(P, A), Var("x", E))
 FORMULA = And(Atom(ConstRef("p"), (ConstRef("a"),)), Atom(VarRef("x"), ()))
 
