@@ -2,6 +2,8 @@
 each class is found by scanning the modules, and built with placeholder
 fields."""
 
+from __future__ import annotations
+
 import copy
 import importlib
 import pickle
@@ -114,6 +116,22 @@ def test_a_record_on_object_has_a_dict_only_if_it_keeps_data():
     assert vars(keeper) == {"_kept": {}} and keeper.a == 0
     for value in made(), keeper:
         assert weakref.ref(value)() is value
+
+
+def test_a_record_method_sees_its_own_class():
+    class R(metaclass=record):
+        a: object
+
+        def __str__(self):
+            return "R:" + super().__str__()
+
+        def own(self):
+            return __class__
+
+    assert str(R(1)) == f"R:{R.__qualname__}(a=1)"
+    assert R(1).own() is R
+    # a plain class, so `isinstance` and class patterns take the fast path
+    assert all(type(cls) is type for cls in RECORDS.values())
 
 
 def _counted(monkeypatch, module, walker):
