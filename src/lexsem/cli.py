@@ -23,8 +23,7 @@ from .logic import render_formula
 FORMATS = ("formula", "term", "verdict", "trace")
 
 
-@record
-class CliConfig:
+class CliConfig(metaclass=record):
     lexicon_path: str
     input_path: str | None
     format: str

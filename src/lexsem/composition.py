@@ -50,16 +50,14 @@ class CompositionError(KernelError):
 # ---------------------------------------------------------------------------
 # parse trees
 
-@record
-class Leaf:
+class Leaf(metaclass=record):
     word: str
 
     def __str__(self):
         return self.word
 
 
-@record
-class Node:
+class Node(metaclass=record):
     fun: "ParseTree"
     arg: "ParseTree"
 
@@ -118,8 +116,7 @@ def parse_tree(text: str) -> ParseTree:
 # ---------------------------------------------------------------------------
 # results
 
-@record
-class Reading:
+class Reading(metaclass=record):
     term: "Term"
     formula: Formula | None
     used_morphisms: tuple = ()
@@ -127,8 +124,7 @@ class Reading:
     source: Term | None = None
 
 
-@record
-class Rejection:
+class Rejection(metaclass=record):
     """A morphism assignment that was tried and refused, with the reason."""
 
     assignment: tuple
@@ -138,8 +134,7 @@ class Rejection:
         return self.reason
 
 
-@record
-class Verdict:
+class Verdict(metaclass=record):
     status: str
     readings: tuple = ()
     rejection_log: tuple = ()
@@ -158,8 +153,7 @@ class _State:
         self.copred_nodes = 0
 
 
-@record
-class _Alt:
+class _Alt(metaclass=record):
     """One reading of a node: its source term, that term's normal form,
     and the reduction steps charged to it, which are the steps of all its
     parts plus the contractions made where they meet.  `nf` is None
@@ -189,8 +183,7 @@ _AND = ("AND", (1,), (0, 0, 1), (0, 1))
 _NESTED = ("AND", (0, 1), (1,))
 
 
-@record
-class _Node:
+class _Node(metaclass=record):
     """A tree node with its readings so far.  A coercion only reroutes an
     argument inside one application, so every alternative has the
     node's type; they differ in the morphisms chosen below the node and
@@ -203,8 +196,7 @@ class _Node:
     entry: LexEntry | None = None
 
 
-@record
-class _Marker:
+class _Marker(metaclass=record):
     """`THE` or `AND`, with the conjuncts an `AND` has taken so far: each
     a _Node or a complete two-conjunct _Marker."""
 

@@ -72,17 +72,18 @@ class TypingError(KernelError):
 # ---------------------------------------------------------------------------
 # records
 
-def record(cls):
-    """Make `cls` an immutable record of its annotated fields, in order;
-    a class attribute named like a trailing field is its default.
-    Records are built by position or keyword, equal only to records of
-    their own class with equal fields, hashed on their fields, shown as
-    `Name(field=value, ...)`, matched by position, and read-only.  They
-    survive `copy`, `deepcopy` and `pickle`, rebuilt from their fields,
-    and take weak references.
+def record(name, bases, ns):
+    """Build an immutable record of the annotated fields, in order, of a
+    class declared with `metaclass=record`; a class attribute named like
+    a trailing field is its default.  Records are built by position or
+    keyword, equal only to records of their own class with equal fields,
+    hashed on their fields, shown as `Name(field=value, ...)`, matched by
+    position, and read-only.  They survive `copy`, `deepcopy` and
+    `pickle`, rebuilt from their fields, and take weak references.
 
-    The class is made anew, with `__slots__` that hold its fields, so
-    `vars()` of a record shows none.  Only the constructor is compiled
+    The class is built once, a plain `type`, with `__slots__` that hold
+    its fields, so `vars()` of a record shows none, and `super()` and
+    `__class__` work in its methods.  Only the constructor is compiled
     per class, and it writes each field through its slot's descriptor,
     since an `object.__setattr__` per field would slow down every term
     built; `==`, `hash`, `repr` and `__reduce__` are shared, and read the
@@ -91,14 +92,12 @@ def record(cls):
     its own value with `object.__setattr__` into its instance dict, and
     reads the class default until then.  The node bases of `kernel` and
     `logic` give their records that dict and weak references; a record
-    whose base is `object` gets a weak reference slot, and a dict only
-    if it keeps data (`lexicon.LexEntry`)."""
-    names = tuple(cls.__annotations__)
-    ns = {k: v for k, v in vars(cls).items()
-          if k not in ("__dict__", "__weakref__")}
+    with no base gets a weak reference slot, and a dict only if it keeps
+    data (`lexicon.LexEntry`)."""
+    names = tuple(ns["__annotations__"])
     defaults = tuple(ns.pop(n) for n in names if n in ns) or None
     slots = names
-    if cls.__base__ is object:
+    if not bases:
         slots += ("__weakref__",)
         if any(v is None for k, v in ns.items() if not k.startswith("__")):
             slots += ("__dict__",)
@@ -108,7 +107,7 @@ def record(cls):
               __eq__=_eq, __hash__=_hash, __repr__=_repr, __reduce__=_reduce,
               __match_args__=names, __setattr__=_read_only,
               __delattr__=_read_only)
-    cls = type(cls)(cls.__name__, cls.__bases__, ns)
+    cls = type(name, bases, ns)
     init = {f"_s_{n}": getattr(cls, n).__set__ for n in names}
     exec(f"def __init__(self, {', '.join(names)}):\n"
          + "".join(f"    _s_{n}(self, {n})\n" for n in names), init)
@@ -155,24 +154,20 @@ class _TypeNode:
         return render_type(self)
 
 
-@record
-class SortRef(_TypeNode):
+class SortRef(_TypeNode, metaclass=record):
     name: str
 
 
-@record
-class TypeVar(_TypeNode):
+class TypeVar(_TypeNode, metaclass=record):
     name: str
 
 
-@record
-class Arrow(_TypeNode):
+class Arrow(_TypeNode, metaclass=record):
     domain: "Type"
     codomain: "Type"
 
 
-@record
-class Forall(_TypeNode):
+class Forall(_TypeNode, metaclass=record):
     """Second-order quantification; the bound variable may be vacuous."""
 
     var: str
@@ -197,39 +192,33 @@ class _TermNode:
         return render_term(self)
 
 
-@record
-class Var(_TermNode):
+class Var(_TermNode, metaclass=record):
     name: str
     type: "Type"
 
 
-@record
-class Const(_TermNode):
+class Const(_TermNode, metaclass=record):
     name: str
     type: "Type"
 
 
-@record
-class App(_TermNode):
+class App(_TermNode, metaclass=record):
     fun: "Term"
     arg: "Term"
 
 
-@record
-class Abs(_TermNode):
+class Abs(_TermNode, metaclass=record):
     var: str
     var_type: "Type"
     body: "Term"
 
 
-@record
-class TyApp(_TermNode):
+class TyApp(_TermNode, metaclass=record):
     fun: "Term"
     arg_type: "Type"
 
 
-@record
-class TyAbs(_TermNode):
+class TyAbs(_TermNode, metaclass=record):
     var: str
     body: "Term"
 

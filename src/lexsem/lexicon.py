@@ -81,8 +81,7 @@ def is_predicate(ty) -> bool:
     return isinstance(ty, Arrow) and ty.codomain == PROP
 
 
-@record
-class Morphism:
+class Morphism(metaclass=record):
     name: str
     term: "Term"
     source: "Type"
@@ -98,8 +97,7 @@ class Morphism:
         return f"{self.name} : {arrow} [{self.rigidity}]"
 
 
-@record
-class LexEntry:
+class LexEntry(metaclass=record):
     word: str
     principal: "Term"
     principal_type: "Type"

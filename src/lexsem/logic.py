@@ -82,32 +82,27 @@ class _Node:
     _ascii = _unicode = None  # top-scope text per style, kept by `_render`
 
 
-@record
-class ConstRef(_Node):
+class ConstRef(_Node, metaclass=record):
     name: str
 
 
-@record
-class VarRef(_Node):
+class VarRef(_Node, metaclass=record):
     name: str
 
 
-@record
-class Description(_Node):
+class Description(_Node, metaclass=record):
     """A choice-operator description: the `pred` such that iota[sort](pred)."""
 
     sort: "Type"
     pred: "Term"
 
 
-@record
-class Applied(_Node):
+class Applied(_Node, metaclass=record):
     fun: "Ref"
     args: tuple
 
 
-@record
-class TermRef(_Node):
+class TermRef(_Node, metaclass=record):
     """Fallback for higher-order arguments with no first-order shape."""
 
     term: "Term"
@@ -121,32 +116,27 @@ class _FormulaNode(_Node):
         return render_formula(self)
 
 
-@record
-class Atom(_FormulaNode):
+class Atom(_FormulaNode, metaclass=record):
     pred: "Ref"
     args: tuple
 
 
-@record
-class And(_FormulaNode):
+class And(_FormulaNode, metaclass=record):
     left: "Formula"
     right: "Formula"
 
 
-@record
-class Or(_FormulaNode):
+class Or(_FormulaNode, metaclass=record):
     left: "Formula"
     right: "Formula"
 
 
-@record
-class Implies(_FormulaNode):
+class Implies(_FormulaNode, metaclass=record):
     left: "Formula"
     right: "Formula"
 
 
-@record
-class Quant(_FormulaNode):
+class Quant(_FormulaNode, metaclass=record):
     kind: str  # "exists" | "forall"
     var: str
     sort: "Type"

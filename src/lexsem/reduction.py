@@ -21,15 +21,13 @@ class FuelExhausted(KernelError):
     pass
 
 
-@record
-class TraceStep:
+class TraceStep(metaclass=record):
     path: tuple
     rule: str
     result: "Term"
 
 
-@record
-class ReductionTrace:
+class ReductionTrace(metaclass=record):
     steps: list
 
     def __len__(self):

@@ -58,8 +58,8 @@ def test_record_contract(name):
     assert [getattr(value, n) for n in names] == values
 
     # a class with the same name and fields is still another class
-    twin = record(type(cls.__name__, (),
-                       {"__annotations__": dict.fromkeys(names, "object")}))
+    twin = record(cls.__name__, (),
+                  {"__annotations__": dict.fromkeys(names, "object")})
     assert twin(*values) == twin(*values)
     assert value != twin(*values) and not value == twin(*values)
     assert value != tuple(values) and value != values[0]
@@ -105,8 +105,8 @@ def test_record_fields_live_in_slots(name):
 
 def test_a_record_on_object_has_a_dict_only_if_it_keeps_data():
     def made(**attrs):
-        cls = record(type("R", (), {"__annotations__": {"a": "object"},
-                                    "a": 0, **attrs}))
+        cls = record("R", (), {"__annotations__": {"a": "object"},
+                               "a": 0, **attrs})
         return cls()
 
     assert not hasattr(made(), "__dict__")
