@@ -339,6 +339,17 @@ def test_too_deep_a_line_is_named_by_its_number(text, message):
     assert str(err.value) == message
 
 
+def test_a_type_too_deep_to_check_is_named_without_a_line():
+    # each line parses within about 600 levels, but the word's type, 600
+    # arrows instantiated at a 600-arrow type, nests about 1,200, and
+    # checking the entry walks all of it
+    es = " -> ".join(["e"] * 600)
+    text = f"sorts: e\npred p : Pi 'a. {es} -> 'a\nword w : t = #p{{({es})}}\n"
+    with pytest.raises(LexiconError) as err:
+        load_lexicon(text)
+    assert str(err.value) == "a type or term is nested too deeply"
+
+
 def test_a_morph_line_attaches_to_the_last_word_across_preds():
     lex = load_lexicon("sorts: T F\npred c : T\npred f : T -> F\n"
                        "word w : T = #c\npred g : T -> F\n"
