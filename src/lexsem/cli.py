@@ -123,7 +123,7 @@ def _tree_block(line: str, lex, config: CliConfig):
         return [f"ERROR: {err}"], False
     except RecursionError:
         # raised for this tree alone; the rest of the batch is still judged
-        return ["ERROR: tree nested too deeply"], False
+        return ["ERROR: tree nested too deeply"], False  # untraced: RecursionError ends tracing
 
 
 def _tree_lines(stream):

@@ -529,7 +529,6 @@ def _run(tree, lex, fuel):
     if fuel < 1:
         raise ValueError("fuel must be >= 1")
     st = _State(lex, fuel)
-    poly_and()    # parsed on first use: here, not under a deep tree
     value = _node(tree, (), st)
     if isinstance(value, _Marker):
         raise CompositionError("the tree is an unapplied marker")

@@ -793,7 +793,7 @@ def parse_type(text: str, env):
     try:
         ty = p.type_()
     except RecursionError:
-        raise ParseError("nested too deeply") from None
+        raise ParseError("nested too deeply") from None  # untraced: RecursionError ends tracing
     p.expect("eof", "unexpected trailing input")
     return ty
 
@@ -814,7 +814,7 @@ def _parse_term(text, ctx):
         p.expect("eof", "unexpected trailing input")
         return t, type_of(t)
     except RecursionError:
-        raise ParseError("nested too deeply") from None
+        raise ParseError("nested too deeply") from None  # untraced: RecursionError ends tracing
 
 
 # ---------------------------------------------------------------------------

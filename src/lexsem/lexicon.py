@@ -52,8 +52,7 @@ fields in slots.
 from __future__ import annotations
 
 import re
-from functools import cache
-from itertools import product
+from itertools import product, repeat
 
 from .kernel import (Abs, App, Arrow, Context, KernelError, PROP, ParseError,
                      Term, TyApp, Type, TypingError, Var, _parse_term,
@@ -147,12 +146,21 @@ class Lexicon:
         for name in self.predicates:
             if name in _LOGICAL_CONSTANTS:
                 raise LexiconError(f"'{name}' is a logical constant")
-        ctx = self.context
-        for e in self.entries.values():
-            _check_entry(e, ctx)
+        _check_entries(self.entries.values(), self.context, repeat(()))
 
 
-def _check_entry(e: LexEntry, ctx: Context, types=()):
+def _check_entries(entries, ctx, typed):
+    """`_check_entry` on each of `entries` with its item of `typed`; an
+    entry too deep to check is a `LexiconError`, not a `RecursionError`."""
+    try:
+        for e, types in zip(entries, typed):
+            _check_entry(e, ctx, types)
+    except RecursionError:
+        raise LexiconError(  # untraced: RecursionError ends tracing
+            "a type or term is nested too deeply") from None
+
+
+def _check_entry(e: LexEntry, ctx: Context, types):
     """Check `e` against `ctx`, its terms typed as in `types`, the
     principal's first, when they were parsed against `ctx`."""
     if e.word in (THE_MARKER, AND_MARKER):
@@ -316,16 +324,18 @@ _POLY_AND_SRC = (
 POLY_AND_BINDERS = 8
 
 
-@cache
+_POLY_AND = parse_term(_POLY_AND_SRC,
+                       Context(sorts={"t"}, constants=_LOGICAL_CONSTANTS))
+
+
 def poly_and() -> "Term":
     """Conjunction of two predicates over distinct sorts.
 
     The result waits for a shared referent type together with a coercion
     into each conjunct's sort, then predicates both of one argument.
-    Built once: terms are immutable, so every caller shares it.
+    Built once, at import: terms are immutable, so every caller shares it.
     """
-    ctx = Context(sorts={"t"}, constants=_LOGICAL_CONSTANTS)
-    return parse_term(_POLY_AND_SRC, ctx)
+    return _POLY_AND
 
 
 def iota(sort, predicate, fuel: int = 10000):
@@ -408,11 +418,7 @@ def load_lexicon(text: str) -> Lexicon:
         else:
             _fail(lineno, f"cannot read {line!r}")
     _enter(lex, word, typed)
-    try:
-        for e, types in zip(lex.entries.values(), typed):
-            _check_entry(e, ctx, types)
-    except RecursionError:
-        raise LexiconError("a type or term is nested too deeply") from None
+    _check_entries(lex.entries.values(), ctx, typed)
     return lex
 
 

@@ -5,11 +5,10 @@ Run the suite with the plugin loaded:
     PYTHONPATH=src:tests python -m pytest -q -p linecov
 
 Every statement line in a function body of the package, docstrings
-excepted, must run in some test, or be listed in
-`tests/fixtures/unreached.txt` as `file:line reason`.  The session fails
-on an unreached line that is not listed, and on a listed line that a
-test reached; where a file's stale listed lines and its new unreached
-lines pair up one to one, it names them as listed lines that moved.
+excepted, must run in some test, or carry a trailing comment
+`# untraced: <reason>` on the statement's first line.  The session fails
+on an unreached line with no mark, on a marked line that a test reached,
+and on a mark anywhere but a function-body statement line.
 The tracer is installed again before each test, since a
 `RecursionError` raised while tracing switches it off.  Its functions are
 module-level functions, not closures: a closure that returns itself is a
@@ -18,13 +17,17 @@ would see.
 """
 
 import ast
+import io
+import re
 import sys
+import tokenize
 from pathlib import Path
 
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "lexsem"
-ALLOWLIST = Path(__file__).resolve().parent / "fixtures" / "unreached.txt"
+# a mark with no reason is not a mark
+MARK = re.compile(r"#\s*untraced:\s*\S")
 
 _FILES = {str(p): p.name for p in PACKAGE.glob("*.py")}
 _REACHED = set()  # (file name, line)
@@ -68,60 +71,38 @@ def body_lines(source):
     return lines - docstrings
 
 
-def read_allowlist(text):
-    """The `(file name, line)` pairs of `file:line reason` lines; blank
-    lines and lines starting with `#` are skipped."""
-    listed = set()
-    for raw in text.splitlines():
-        if not raw.strip() or raw.startswith("#"):
-            continue
-        where, _, reason = raw.partition(" ")
-        name, _, line = where.partition(":")
-        if not line.isdigit() or not reason.strip():
-            raise ValueError(f"{ALLOWLIST.name}: not 'file:line reason': {raw!r}")
-        listed.add((name, int(line)))
-    return listed
+def marked_lines(source):
+    """The lines of `source` with an `# untraced: <reason>` comment."""
+    tokens = tokenize.generate_tokens(io.StringIO(source).readline)
+    return {tok.start[0] for tok in tokens
+            if tok.type == tokenize.COMMENT and MARK.match(tok.string)}
 
 
-def moves(stale, unreached):
-    """`{(file, listed line): new line}` for each file whose stale listed
-    lines (now reached, or no function-body line) are as many as its
-    unlisted unreached lines: taken in order, those are the listed lines,
-    moved by an edit above them."""
-    moved = {}
-    for name in {n for n, _ in stale}:
-        old = sorted(i for n, i in stale if n == name)
-        new = sorted(i for n, i in unreached if n == name)
-        if len(old) == len(new):
-            moved.update(((name, a), b) for a, b in zip(old, new))
-    return moved
+def report(body, reached, marked):
+    """The gate's faults, given sets of `(file name, line)`: function-body
+    lines, lines a test ran, and marked lines."""
+    return ([f"unreached: {n}:{i}" for n, i in sorted(body - reached - marked)]
+            + [f"marked but reached: {n}:{i}" for n, i in sorted(marked & reached)]
+            + [f"marked but not a function-body line: {n}:{i}"
+               for n, i in sorted(marked - body)])
 
 
 def pytest_sessionfinish(session, exitstatus):
     sys.settrace(None)
-    body = {(name, line) for path, name in _FILES.items()
-            for line in body_lines(Path(path).read_text())}
-    listed = read_allowlist(ALLOWLIST.read_text())
-    unreached = body - _REACHED - listed
-    moved = moves((listed & _REACHED) | (listed - body), unreached)
-    unreached -= {(n, i) for (n, _), i in moved.items()}
-    stale = sorted(listed & _REACHED - moved.keys())
-    unknown = sorted(listed - body - moved.keys())
-    report = ([f"listed line moved: {n}:{i} is now {n}:{j}"
-               for (n, i), j in sorted(moved.items())]
-              + [f"unreached: {n}:{i}" for n, i in sorted(unreached)]
-              + [f"listed but reached: {n}:{i}" for n, i in stale]
-              + [f"listed but not a function-body line: {n}:{i}"
-                 for n, i in unknown])
-    session.config._linecov_report = report
-    if report:
+    body, marked = set(), set()
+    for path, name in _FILES.items():
+        source = Path(path).read_text()
+        body.update((name, i) for i in body_lines(source))
+        marked.update((name, i) for i in marked_lines(source))
+    session.config._linecov_report = report(body, _REACHED, marked)
+    if session.config._linecov_report:
         session.exitstatus = pytest.ExitCode.TESTS_FAILED
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
-    report = getattr(config, "_linecov_report", None)
-    if report is None:
+    faults = getattr(config, "_linecov_report", None)
+    if faults is None:
         return
     terminalreporter.section("line coverage of src/lexsem")
-    for line in report or ["every function-body line reached or listed"]:
+    for line in faults or ["every function-body line reached or marked"]:
         terminalreporter.write_line(line)

@@ -293,6 +293,29 @@ def test_a_closed_stdout_ends_the_run_without_a_traceback(tmp_path):
     assert err == ""
 
 
+class _ClosedPipe:
+    """A stdout whose reader is gone, over a file descriptor of its own."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError
+
+    def flush(self):
+        raise BrokenPipeError
+
+    def fileno(self):
+        return self.fd
+
+
+def test_a_closed_stdout_ends_the_run_in_process(tmp_path, monkeypatch):
+    inp = trees(tmp_path, "(spread_out Liverpool)\n")
+    with open(tmp_path / "stdout", "w") as out:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(out.fileno()))
+        assert run(config(LIVERPOOL, inp)) == 2
+
+
 def test_main_raises_system_exit(tmp_path, capsys):
     inp = trees(tmp_path, "(spread_out Liverpool)\n")
     with pytest.raises(SystemExit) as err:

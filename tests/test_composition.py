@@ -1,7 +1,6 @@
 import random
 import re
 import sys
-import traceback
 from itertools import count, product
 
 import pytest
@@ -629,26 +628,17 @@ def test_a_verdict_with_no_readings_logs_a_rejection():
     assert empty >= 100
 
 
-def _frames():
-    return len(traceback.extract_stack())
-
-
 def test_poly_and_is_parsed_before_the_tree_is_walked(monkeypatch, liverpool):
     # parsed on first use under the frames of the innermost conjunction, it
-    # made how deep a tree can be depend on what the process judged before
-    parsed_at, parse = [], lexicon.parse_term
-
-    def counted_parse(*args):
-        parsed_at.append(_frames())
-        return parse(*args)
-
-    monkeypatch.setattr(lexicon, "parse_term", counted_parse)
-    poly_and.cache_clear()
-    top = _frames()
+    # made how deep a tree can be depend on what the process judged before;
+    # it is parsed at import, so judging a tree parses nothing
+    parsed = []
+    monkeypatch.setattr(lexicon, "parse_term",
+                        lambda *args: parsed.append(args))
     assert felicity(parse_tree(_nested_and(50)), liverpool).status == \
         FELICITOUS
-    [at] = parsed_at
-    assert at - top < 5
+    assert parsed == []
+    assert poly_and() is poly_and()
 
 
 def test_a_conjunct_is_built_once_per_node():

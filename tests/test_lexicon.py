@@ -350,6 +350,17 @@ def test_a_type_too_deep_to_check_is_named_without_a_line():
     assert str(err.value) == "a type or term is nested too deeply"
 
 
+def test_validate_names_a_type_too_deep_to_check_as_the_loader_does():
+    # the entry the loader refuses above, built by hand
+    es = " -> ".join(["e"] * 600)
+    lex = load_lexicon(f"sorts: e\npred p : Pi 'a. {es} -> 'a\n")
+    lex.entries["w"] = LexEntry("w", parse_term(f"#p{{({es})}}", lex.context),
+                                SortRef("t"))
+    with pytest.raises(LexiconError) as err:
+        lex.validate()
+    assert str(err.value) == "a type or term is nested too deeply"
+
+
 def test_a_morph_line_attaches_to_the_last_word_across_preds():
     lex = load_lexicon("sorts: T F\npred c : T\npred f : T -> F\n"
                        "word w : T = #c\npred g : T -> F\n"

@@ -77,11 +77,26 @@ def test_every_imported_name_is_used():
     assert found == []
 
 
-def test_the_coverage_gate_names_listed_lines_that_moved():
+def test_the_coverage_gate_reads_marks_with_a_reason():
     import linecov
 
-    stale = {("kernel.py", 748), ("kernel.py", 769), ("cli.py", 5)}
-    unreached = {("kernel.py", 795), ("kernel.py", 774), ("cli.py", 9),
-                 ("cli.py", 12), ("logic.py", 3)}
-    assert linecov.moves(stale, unreached) == {("kernel.py", 748): 774,
-                                               ("kernel.py", 769): 795}
+    source = ("def f(x):\n"
+              "    if x:  # untraced: a reason\n"
+              "        return 1  #untraced:why\n"
+              "    return 2  # untraced:\n"
+              "s = '# untraced: in a string'\n"
+              "# untraced: on a line of its own\n")
+    assert linecov.marked_lines(source) == {2, 3, 6}
+
+
+def test_the_coverage_gate_names_each_fault():
+    import linecov
+
+    body = {("kernel.py", 10), ("kernel.py", 11), ("cli.py", 5)}
+    reached = {("kernel.py", 10), ("cli.py", 5)}
+    assert linecov.report(body, reached, {("kernel.py", 11)}) == []
+    assert linecov.report(body, reached,
+                          {("cli.py", 5), ("cli.py", 7)}) == [
+        "unreached: kernel.py:11",
+        "marked but reached: cli.py:5",
+        "marked but not a function-body line: cli.py:7"]
